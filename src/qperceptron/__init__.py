@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from .core import (
     MAX_ARITY,
-    ActivationFunction,
-    ActivationKind,
     InvalidInputError,
     MultiQubitTerm,
     NeuralPotential,

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "InvalidInputError",
-    "ActivationKind",
-    "ActivationFunction",
     "SpinConfig",
     "MultiQubitTerm",
     "NeuralPotential",
@@ -65,23 +62,6 @@ def activation_derivative(x):
     _check_finite(x, "activation input")
     out = 0.5 / np.power(1.0 + x * x, 1.5)
     return float(out) if out.ndim == 0 else out
-
-
-class ActivationKind(Enum):
-    SIGMOID_ADIABATIC = "sigmoid_adiabatic"
-
-
-@dataclass(frozen=True)
-class ActivationFunction:
-    """Pluggable activation handle.  Only the adiabatic sigmoid is shipped."""
-
-    kind: ActivationKind = ActivationKind.SIGMOID_ADIABATIC
-
-    def value(self, x):
-        return activation(x)
-
-    def derivative(self, x):
-        return activation_derivative(x)
 
 
 @dataclass(frozen=True)

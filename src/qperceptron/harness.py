@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -26,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import InvalidInputError, MultiQubitTerm, NeuralPotential
-from .dynamics import adiabatic_profile
+from .dynamics import _RAMPS, adiabatic_profile
 from .tasks import (
     TASK_IDS,
     FeasibilityVerdict,
@@ -152,7 +150,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SeedOutcome:
-    """Everything one seeded run produced."""
+    """Everything one seeded run produced.
+
+    elapsed_seconds is the wall time of the experiment's batched training,
+    shared by every seed: an upper bound on the time of each seed.
+    """
 
     seed: int
     curve: CostCurve
@@ -198,31 +200,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = time.perf_counter()
     task, encoding = _resolve_for_config(config)
 
-    def run_seed(seed: int) -> SeedOutcome:
-        t0 = time.perf_counter()
-        trainer = config.trainer_config(seed)
-        net0 = initialize_network(
-            task.arity, task.templates, trainer, task_name=task.name
+    nets = [
+        initialize_network(
+            task.arity, task.templates, config.trainer_config(seed), task.name
         )
-        net, curve = train(net0, task.examples, trainer, encoding)  # type: ignore[arg-type]
+        for seed in config.seeds
+    ]
+    # train and detect_plateau read every field but the seed, which only
+    # initialize_network uses; all seeds train in one batch, in lockstep
+    trainer = config.trainer_config(config.seeds[0])
+    t0 = time.perf_counter()
+    trained = train(nets, task.examples, trainer, encoding)  # type: ignore[arg-type]
+    train_seconds = time.perf_counter() - t0
+    outcomes = []
+    for seed, (net, curve) in zip(config.seeds, trained):
         plateau = None
         if len(curve.costs) > trainer.plateau_window:
             plateau = detect_plateau(curve, trainer)
         curve.plateau_value = plateau
-        return SeedOutcome(
-            seed=seed,
-            curve=curve,
-            network=net,
-            final_cost=float(curve.costs[-1]),
-            plateau=plateau,
-            elapsed_seconds=time.perf_counter() - t0,
+        outcomes.append(
+            SeedOutcome(
+                seed=seed,
+                curve=curve,
+                network=net,
+                final_cost=float(curve.costs[-1]),
+                plateau=plateau,
+                elapsed_seconds=train_seconds,
+            )
         )
-
-    # seeds are independent; run them on a small thread pool and collect
-    # results in seed order so emitted artifacts stay deterministic
-    workers = min(len(config.seeds), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = tuple(pool.map(run_seed, config.seeds))
 
     oracle = tuple(
         check_exact_representability(task, j) for j in range(task.n_outputs)
@@ -236,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config=config,
         task=task,
         encoding=encoding,
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
         oracle=oracle,
         median_epochs_to_tolerance=None if np.isinf(median) else median,
         elapsed_seconds=time.perf_counter() - started,
@@ -437,12 +442,13 @@ def _build_experiment_config(
     elif "seed" in file_vals and "seeds" in file_vals:
         raise ConfigError("config file sets both seed and seeds")
     elif "seed" in file_vals:
-        seeds = (int(file_vals["seed"]),)
+        # uncoerced, so ExperimentConfig rejects true and 2.7
+        seeds = (file_vals["seed"],)
     elif "seeds" in file_vals:
         raw = file_vals["seeds"]
         if not isinstance(raw, list):
             raise ConfigError("config key seeds must be a list of integers")
-        seeds = tuple(int(s) for s in raw)
+        seeds = tuple(raw)
     else:
         seeds = default_seeds
 
@@ -526,6 +532,7 @@ def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
         dt=args.dt,
         omega_start_factor=args.omega_factor,
         omega_end=args.omega_end,
+        ramp=args.ramp,
     )
     print("x,probability,target,error")
     for x, p, t, e in zip(
@@ -654,6 +661,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_adiabatic.add_argument(
         "--omega-end", type=float, default=1.0, dest="omega_end"
+    )
+    p_adiabatic.add_argument(
+        "--ramp",
+        choices=_RAMPS,
+        default="linear",
+        help="drive shape and start state (see adiabatic_profile)",
     )
     p_adiabatic.set_defaults(handler=_cmd_adiabatic_check)
 

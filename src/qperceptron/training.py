@@ -10,6 +10,13 @@ is the mean squared error with a global 1/2 factor,
 whose exact parameter gradient is (1 / (N k)) * sum (y - t) f'(x) * feature,
 where the feature is the input value for a linear weight, the product of
 input values for a multi-qubit weight, and -1 for the bias.
+
+All training runs one batched kernel: the parameters of S networks that
+share a template (one per seed) form one tensor (S, O, P), evaluated against
+one zero-padded design tensor (O, N, P) for O outputs, N rows and P
+parameter slots.  One forward pass per epoch gives both the cost recorded
+for that epoch and the next epoch's gradient.  cost, the gradients and
+epoch_update are batches of one.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .core import (
     NeuralPotential,
     SpinConfig,
     activation,
-    activation_derivative,
     evaluate_potential,
 )
 
@@ -46,6 +52,9 @@ __all__ = [
 ]
 
 Encoding = Literal["spin", "bit"]
+
+# columns of the cost buffer at the start; it doubles when training runs longer
+_INITIAL_EPOCHS = 1024
 
 
 @dataclass(frozen=True)
@@ -181,57 +190,78 @@ def _unpack(p: NeuralPotential, theta: np.ndarray) -> NeuralPotential:
         MultiQubitTerm(t.indices, float(theta[k + m]))
         for m, t in enumerate(p.multi_terms)
     )
-    return NeuralPotential(tuple(float(v) for v in theta[:k]), float(theta[-1]), terms)
+    bias = float(theta[k + len(terms)])  # slots past the bias are padding
+    return NeuralPotential(tuple(float(v) for v in theta[:k]), bias, terms)
 
 
-class _Workspace:
-    """Precomputed design matrices and packed parameters for one network."""
+def _template(net: TrainedNetwork) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    return tuple(tuple(t.indices for t in p.multi_terms) for p in net.perceptrons)
 
-    def __init__(
-        self,
-        net: TrainedNetwork,
-        training_set: Sequence[TrainingExample],
-        encoding: Encoding,
-    ) -> None:
-        _validate_set(net, training_set)
-        inputs = _input_matrix(training_set, encoding)
-        self.net = net
-        self.n_examples = len(training_set)
-        self.n_outputs = net.n_outputs
-        self.designs = [_design_matrix(p, inputs) for p in net.perceptrons]
-        self.thetas = [_pack(p) for p in net.perceptrons]
-        self.targets = np.array([ex.target for ex in training_set], dtype=float)
 
-    def cost(self) -> float:
-        total = 0.0
-        for j in range(self.n_outputs):
-            err = activation(self.designs[j] @ self.thetas[j]) - self.targets[:, j]
-            total += float(err @ err)
-        return total / (2.0 * self.n_examples * self.n_outputs)
+def _stack(
+    nets: Sequence[TrainedNetwork],
+    training_set: Sequence[TrainingExample],
+    encoding: Encoding,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design tensor (O, N, P), parameters (S, O, P) and targets (O, N).
 
-    def gradients(self) -> list[np.ndarray]:
-        scale = 1.0 / (self.n_examples * self.n_outputs)
-        grads = []
-        for j in range(self.n_outputs):
-            x = self.designs[j] @ self.thetas[j]
-            err = activation(x) - self.targets[:, j]
-            grads.append(scale * (self.designs[j].T @ (err * activation_derivative(x))))
-        return grads
-
-    def step(self, eta: float) -> None:
-        grads = self.gradients()
-        for j in range(self.n_outputs):
-            self.thetas[j] = self.thetas[j] - eta * grads[j]
-
-    def network(self, epochs_run: int | None = None) -> TrainedNetwork:
-        perceptrons = tuple(
-            _unpack(p, th) for p, th in zip(self.net.perceptrons, self.thetas)
+    Output j fills its first arity + len(terms_j) + 1 slots in _pack order;
+    the slots past them are zero in both tensors, so they add exact zeros.
+    """
+    if len(nets) == 0:
+        raise InvalidInputError("training needs at least one network")
+    first = nets[0]
+    template = _template(first)
+    if any(n.arity != first.arity or _template(n) != template for n in nets):
+        raise InvalidInputError(
+            "networks trained together must share arity and template"
         )
-        return replace(
-            self.net,
-            perceptrons=perceptrons,
-            epochs_run=self.net.epochs_run if epochs_run is None else epochs_run,
-        )
+    _validate_set(first, training_set)
+    inputs = _input_matrix(training_set, encoding)
+    widths = [first.arity + len(terms) + 1 for terms in template]
+    design = np.zeros((len(widths), len(training_set), max(widths)))
+    theta = np.zeros((len(nets), len(widths), max(widths)))
+    for j, p in enumerate(first.perceptrons):
+        design[j, :, : widths[j]] = _design_matrix(p, inputs)
+    for s, net in enumerate(nets):
+        for j, p in enumerate(net.perceptrons):
+            theta[s, j, : widths[j]] = _pack(p)
+    targets = np.array([ex.target for ex in training_set], dtype=float).T
+    return design, theta, targets
+
+
+def _forward(
+    design: np.ndarray, theta: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """1 + x^2 and the errors f(x) - t of every potential x, both (S, O, N).
+
+    einsum sums each entry over one seed's own row in a fixed order (BLAS
+    blocking would depend on the number of rows), so a seed's numbers do not
+    depend on which other seeds share the batch.
+    """
+    x = np.einsum("sop,onp->son", theta, design)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("training diverged: a potential is not finite")
+    q = 1.0 + x * x
+    return q, 0.5 * (1.0 + x / np.sqrt(q)) - targets
+
+
+def _gradients(design: np.ndarray, q: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """(1 / (N k)) * sum_n (y - t) f'(x) * feature, shaped like theta."""
+    n_outputs, n_examples, _ = design.shape
+    delta = err * (0.5 / np.power(q, 1.5))
+    scale = 1.0 / (n_examples * n_outputs)
+    return scale * np.einsum("son,onp->sop", delta, design)
+
+
+def _costs(err: np.ndarray) -> np.ndarray:
+    _, n_outputs, n_examples = err.shape
+    return np.einsum("son,son->s", err, err) / (2.0 * n_examples * n_outputs)
+
+
+def _network(net: TrainedNetwork, theta: np.ndarray, epochs_run: int) -> TrainedNetwork:
+    perceptrons = tuple(_unpack(p, th) for p, th in zip(net.perceptrons, theta))
+    return replace(net, perceptrons=perceptrons, epochs_run=epochs_run)
 
 
 def forward_network(
@@ -256,39 +286,39 @@ def cost(
     encoding: Encoding = "spin",
 ) -> float:
     """Mean squared error with the 1 / (2 N k) normalization."""
-    return _Workspace(net, training_set, encoding).cost()
+    design, theta, targets = _stack([net], training_set, encoding)
+    return float(_costs(_forward(design, theta, targets)[1])[0])
+
+
+def _gradient_rows(
+    net: TrainedNetwork, training_set: Sequence[TrainingExample], encoding: Encoding
+) -> tuple[PotentialGradient, ...]:
+    design, theta, targets = _stack([net], training_set, encoding)
+    grad = _gradients(design, *_forward(design, theta, targets))[0]
+    out = []
+    for p, g in zip(net.perceptrons, grad):
+        k = p.arity
+        m = len(p.multi_terms)
+        out.append(
+            PotentialGradient(
+                linear=g[:k].copy(), multi=g[k : k + m].copy(), bias=float(g[k + m])
+            )
+        )
+    return tuple(out)
 
 
 def quantum_gradients(
     net: TrainedNetwork, training_set: Sequence[TrainingExample]
 ) -> tuple[PotentialGradient, ...]:
     """Exact cost gradients for every perceptron under the spin encoding."""
-    ws = _Workspace(net, training_set, "spin")
-    return _structure_gradients(net, ws.gradients())
+    return _gradient_rows(net, training_set, "spin")
 
 
 def classical_gradients(
     p: NeuralPotential, training_set: Sequence[TrainingExample]
 ) -> PotentialGradient:
     """Exact cost gradient of a single perceptron under the bit encoding."""
-    net = TrainedNetwork((p,), p.arity)
-    ws = _Workspace(net, training_set, "bit")
-    return _structure_gradients(net, ws.gradients())[0]
-
-
-def _structure_gradients(
-    net: TrainedNetwork, flat: list[np.ndarray]
-) -> tuple[PotentialGradient, ...]:
-    out = []
-    for p, g in zip(net.perceptrons, flat):
-        k = p.arity
-        m = len(p.multi_terms)
-        out.append(
-            PotentialGradient(
-                linear=g[:k].copy(), multi=g[k : k + m].copy(), bias=float(g[-1])
-            )
-        )
-    return tuple(out)
+    return _gradient_rows(TrainedNetwork((p,), p.arity), training_set, "bit")[0]
 
 
 def epoch_update(
@@ -298,40 +328,64 @@ def epoch_update(
     encoding: Encoding = "spin",
 ) -> TrainedNetwork:
     """One full-batch update: every parameter moves against its gradient."""
-    ws = _Workspace(net, training_set, encoding)
-    ws.step(config.eta)
-    return ws.network()
+    design, theta, targets = _stack([net], training_set, encoding)
+    grad = _gradients(design, *_forward(design, theta, targets))
+    return _network(net, (theta - config.eta * grad)[0], net.epochs_run)
 
 
 def train(
-    net: TrainedNetwork,
+    net: TrainedNetwork | Sequence[TrainedNetwork],
     training_set: Sequence[TrainingExample],
     config: TrainerConfig,
     encoding: Encoding = "spin",
-) -> tuple[TrainedNetwork, CostCurve]:
+) -> tuple[TrainedNetwork, CostCurve] | list[tuple[TrainedNetwork, CostCurve]]:
     """Run full-batch epochs until the cost tolerance or the epoch budget.
 
     The cost recorded for epoch e is evaluated after the e-th update, so
     epochs_to_tolerance counts the updates needed to cross the tolerance.
+
+    net is one network, or a sequence of networks sharing one arity and
+    template (one per seed, say); a sequence returns one (network, curve)
+    pair per network, in order.  Networks train in lockstep on one stacked
+    parameter tensor, and each leaves the batch at the first epoch its cost
+    falls below the tolerance.  A network's results are the same whatever
+    other networks share its batch.
     """
-    ws = _Workspace(net, training_set, encoding)
-    costs = np.empty(config.max_epochs)
-    epochs_to_tolerance: int | None = None
-    ran = 0
+    single = isinstance(net, TrainedNetwork)
+    nets = [net] if single else list(net)
+    design, theta, targets = _stack(nets, training_set, encoding)
+    n_nets = len(nets)
+    costs = np.empty((n_nets, min(config.max_epochs, _INITIAL_EPOCHS)))
+    ran = np.full(n_nets, config.max_epochs)
+    final = np.empty_like(theta)
+    active = np.arange(n_nets)
+    q, err = _forward(design, theta, targets)
     for e in range(config.max_epochs):
-        ws.step(config.eta)
-        c = ws.cost()
-        costs[e] = c
-        ran = e + 1
-        if c < config.cost_tolerance:
-            epochs_to_tolerance = ran
-            break
-    curve = CostCurve(
-        costs=costs[:ran].copy(),
-        cost_tolerance=config.cost_tolerance,
-        epochs_to_tolerance=epochs_to_tolerance,
-    )
-    return ws.network(epochs_run=net.epochs_run + ran), curve
+        theta = theta - config.eta * _gradients(design, q, err)
+        q, err = _forward(design, theta, targets)
+        c = _costs(err)
+        if e == costs.shape[1]:  # double the buffer, up to the budget
+            more = np.empty((n_nets, min(e, config.max_epochs - e)))
+            costs = np.hstack([costs, more])
+        costs[active, e] = c
+        done = c < config.cost_tolerance
+        if done.any():
+            stopped = active[done]
+            ran[stopped] = e + 1
+            final[stopped] = theta[done]
+            keep = ~done
+            active, theta, q, err = active[keep], theta[keep], q[keep], err[keep]
+            if active.size == 0:
+                break
+    final[active] = theta
+    pairs = []
+    for s, net_s in enumerate(nets):
+        n = int(ran[s])
+        curve = CostCurve(costs[s, :n].copy(), config.cost_tolerance)
+        if curve.costs[-1] < config.cost_tolerance:
+            curve.epochs_to_tolerance = n
+        pairs.append((_network(net_s, final[s], net_s.epochs_run + n), curve))
+    return pairs[0] if single else pairs
 
 
 def detect_plateau(curve: CostCurve, config: TrainerConfig) -> float | None:

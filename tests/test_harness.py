@@ -78,6 +78,47 @@ class TestRunExperiment:
         assert result.outcomes[0].epochs_to_tolerance is None
         assert result.median_epochs_to_tolerance is None
 
+    @pytest.mark.parametrize(
+        "task, template, max_epochs, tol",
+        [
+            # seeds stop at different epochs
+            ("toffoli", "extended", 2000, 0.005),
+            # every seed runs the whole budget and ends on a plateau
+            ("toffoli", "paper", 800, 0.01),
+        ],
+    )
+    def test_a_seed_does_not_depend_on_the_seeds_beside_it(
+        self, tmp_path, task, template, max_epochs, tol
+    ):
+        def emit(seeds, out):
+            result = _run(
+                ExperimentConfig(
+                    task=task,
+                    template=template,
+                    seeds=seeds,
+                    max_epochs=max_epochs,
+                    cost_tolerance=tol,
+                )
+            )
+            emit_cost_curve_csv(result, out)
+            return result, load_summary(emit_summary(result, out / "summary.json"))
+
+        seeds = tuple(range(20))
+        result, summary = emit(seeds, tmp_path / "all")
+        if template == "paper":
+            assert all(
+                o.plateau is not None and len(o.curve.costs) == max_epochs
+                for o in result.outcomes
+            )
+        else:
+            assert len({len(o.curve.costs) for o in result.outcomes}) > 1
+        for k, entry in zip(seeds, summary["per_seed"]):
+            _, alone = emit((k,), tmp_path / f"seed{k}")
+            name = f"cost_seed{k}.csv"
+            csv_all = (tmp_path / "all" / name).read_bytes()
+            assert (tmp_path / f"seed{k}" / name).read_bytes() == csv_all
+            assert json.dumps(alone["per_seed"][0]) == json.dumps(entry)
+
     def test_median_is_the_middle_order_statistic(self):
         result = _run(ExperimentConfig(task="xor", seeds=(0, 1, 2, 3, 4)))
         counts = sorted(o.epochs_to_tolerance for o in result.outcomes)
@@ -267,6 +308,14 @@ class TestCliTrain:
         assert cli(["train", "--task", "xor", "--seeds", "5-2"]) == 1
         assert cli(["train", "--task", "xor", "--eta", "-1"]) == 1
 
+    def test_huge_epoch_budget_allocates_only_what_runs(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["train", "--task", "xor", "--max-epochs", "100000000000"]
+        assert cli(args + ["--out", str(out)]) == 0
+        doc = load_summary(out / "summary.json")
+        assert doc["per_seed"][0]["epochs_to_tolerance"] == 7
+        assert len((out / "cost_seed0.csv").read_text().splitlines()) == 8
+
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
         capsys.readouterr()
@@ -327,6 +376,17 @@ class TestCliConfigFile:
         cfg.write_text(json.dumps({"task": "xor", "seed": 1, "seeds": [1, 2]}))
         assert cli(["train", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "seeds", [{"seeds": [True, 2.7]}, {"seed": True}, {"seed": 2.0}]
+    )
+    def test_non_integer_seeds_are_rejected(self, tmp_path, capsys, seeds):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"task": "xor", "max_epochs": 5, **seeds}))
+        assert cli(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "summary.json").exists()
+
     def test_malformed_json_is_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("{not json")
@@ -367,6 +427,25 @@ class TestCliAdiabaticCheck:
         assert "max_error=" in out
         assert "max_norm_drift=" in out
         assert len([l for l in out.splitlines() if l.count(",") == 3]) == 4
+
+    def test_smooth_ramp_beats_the_linear_default(self, capsys):
+        grid = ["--points", "3", "--x-min", "-1", "--x-max", "1"]
+        grid += ["--t-f", "5", "--dt", "0.005"]
+
+        def max_error(extra):
+            assert cli(["adiabatic-check", *grid, *extra]) == 0
+            (line,) = [
+                l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("max_error=")
+            ]
+            return float(line.split("=")[1])
+
+        assert max_error(["--ramp", "smooth"]) < max_error([])
+        assert max_error([]) == max_error(["--ramp", "linear"])
+
+    def test_unknown_ramp_exits_one(self, capsys):
+        assert cli(["adiabatic-check", "--ramp", "cosine"]) == 1
+        capsys.readouterr()
 
     def test_bad_grid_exits_one(self):
         assert cli(["adiabatic-check", "--points", "0"]) == 1

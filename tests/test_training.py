@@ -257,6 +257,120 @@ class TestTrain:
         assert plateau == pytest.approx(0.125, abs=1e-6)
 
 
+def _weights(net):
+    return [
+        v
+        for p in net.perceptrons
+        for v in (*p.linear_weights, *(t.weight for t in p.multi_terms), p.bias)
+    ]
+
+
+# Recorded with the per-network trainer this batched kernel replaced, at
+# eta 1.5, init range 0.5 and tolerance 0.01 on the published templates:
+# (task, seed, budget, epochs run, epochs to tolerance, cost after chosen
+# epochs, final weights per output: linear, term weights, bias).
+PARITY_PINS = [
+    (
+        "toffoli", 0, 300, 300, None,
+        {1: 0.08717717135042409, 10: 0.03968801034551115,
+         150: 0.02294999284351872, 300: 0.022131626854644922},
+        (1.928049098149485, -0.005842513033337083, -0.011388047366052182,
+         -0.011823233136458035, 0.00801605666183311, 1.927957352043482,
+         0.002762607886817488, 0.005881355688996871, -0.013634788529206595,
+         0.013634788529207159, 0.9823357845497802, -0.9823357845497808,
+         5.953138669523295e-09),
+    ),
+    (
+        "toffoli", 1, 300, 300, None,
+        {1: 0.13280225606081256, 10: 0.04514925165995514,
+         150: 0.02304307033556739, 300: 0.022161208548608008},
+        (1.9252057165528864, 0.010122971526180337, -0.008133535884142258,
+         0.010090277370747917, -0.002514342228401619, 1.9174876065342772,
+         0.00398742529635524, -0.0012341731449895645, 0.00509503567870753,
+         -0.005095035678707519, 0.9622900803743335, -0.9622900803743336,
+         -1.7146568886960978e-11),
+    ),
+    (
+        "toffoli", 2, 300, 300, None,
+        {1: 0.12071135913253793, 10: 0.04346043751164488,
+         150: 0.023038494465777198, 300: 0.022159959797941758},
+        (1.916572247072299, -0.0032148557534345907, 0.00488786297101143,
+         -0.005952368040749542, 0.0023229406883863344, 1.9258308258573018,
+         -0.007074186760870666, -0.009464428188577297, -0.0048583523634971966,
+         0.0048583523634972, 0.9638709284721702, -0.9638709284721703,
+         -7.506969351700477e-11),
+    ),
+    (
+        "prime4", 0, 5000, 74, 74,
+        {1: 0.20685501127158118, 10: 0.03672774119007857,
+         37: 0.016066683719604583, 74: 0.009960511842286706},
+        (-0.7352456495276819, 0.0837010064182451, 0.742043858144361,
+         1.3726145144933461, -1.4003870562414036, 0.7420442175722652),
+    ),
+]
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize(
+        "task_id, kwargs, max_epochs, tol, encoding",
+        [
+            # ragged stops: seeds leave the batch at different epochs
+            ("toffoli", {"extended": True}, 2000, 0.005, "spin"),
+            # every seed runs past the first cost-buffer growth
+            ("toffoli", {}, 1100, 0.01, "spin"),
+            ("prime5", {"extended": True}, 2000, 0.01, "spin"),
+            ("prime3", {"two_qubit_only": True}, 300, 0.01, "bit"),
+        ],
+    )
+    def test_batch_equals_one_network_at_a_time(
+        self, task_id, kwargs, max_epochs, tol, encoding
+    ):
+        task = resolve_task(task_id, **kwargs)
+        config = TrainerConfig(max_epochs=max_epochs, cost_tolerance=tol)
+        nets = [_random_network(task, seed) for seed in range(12)]
+        batch = train(nets, task.examples, config, encoding)
+        alone = [train(net, task.examples, config, encoding) for net in nets]
+        assert len(batch) == len(nets)
+        for (net_b, curve_b), (net_a, curve_a) in zip(batch, alone):
+            assert net_b == net_a
+            assert curve_b.costs.tobytes() == curve_a.costs.tobytes()
+            assert curve_b.epochs_to_tolerance == curve_a.epochs_to_tolerance
+
+    @pytest.mark.parametrize("pin", PARITY_PINS, ids=lambda p: f"{p[0]}-{p[1]}")
+    def test_matches_the_per_network_trainer(self, pin):
+        task_id, seed, budget, ran, to_tolerance, costs, weights = pin
+        task = resolve_task(task_id)
+        config = TrainerConfig(seed=seed, max_epochs=budget)
+        net, curve = train(_random_network(task, seed), task.examples, config)
+        assert len(curve.costs) == ran == net.epochs_run
+        assert curve.epochs_to_tolerance == to_tolerance
+        for epoch, value in costs.items():
+            assert curve.costs[epoch - 1] == pytest.approx(value, abs=1e-12)
+        np.testing.assert_allclose(_weights(net), weights, rtol=0, atol=1e-12)
+
+    def test_mixed_templates_or_arities_raise(self):
+        paper = resolve_task("toffoli")
+        extended = resolve_task("toffoli", extended=True)
+        config = TrainerConfig(max_epochs=5)
+        with pytest.raises(InvalidInputError):
+            train(
+                [_random_network(paper, 0), _random_network(extended, 1)],
+                paper.examples,
+                config,
+            )
+        xor = resolve_task("xor", two_qubit_only=True)
+        prime3 = resolve_task("prime3", two_qubit_only=True)
+        assert xor.templates == prime3.templates
+        with pytest.raises(InvalidInputError):
+            train(
+                [_random_network(xor, 0), _random_network(prime3, 1)],
+                xor.examples,
+                config,
+            )
+        with pytest.raises(InvalidInputError):
+            train([], xor.examples, config)
+
+
 class TestDetectPlateau:
     def test_constant_curve_reports_the_constant(self):
         curve = CostCurve(costs=np.full(500, 0.3), cost_tolerance=0.01)
