@@ -14,6 +14,13 @@ only slowly with t_f.  "smooth" follows the quintic smootherstep
 s(u) = 10u^3 - 15u^4 + 6u^5, flat at both ends, and starts in the exact
 upper eigenstate of H(0), so the error falls rapidly with t_f.
 
+The propagator steps with the exact unitary of the midpoint Hamiltonian.
+Each step is an element of SU(2), kept as a real unit quaternion (four
+float64 arrays over the grid) and composed by Hamilton products in a
+pairwise tree; the complex 2x2 matrix is formed once per grid point, to
+apply the whole ramp to the start state.  A grid may take at most
+MAX_POINT_STEPS point-steps.
+
 Statevector indexing: qubit 1 is the most significant bit of the basis
 index, consistent with the MSB-first integer convention of `core`.
 """
@@ -57,6 +64,8 @@ __all__ = [
 
 NORM_TOL = 1e-12
 DRIFT_ABORT = 1e-6
+# Largest grid, in points x steps, that one propagation may take on.
+MAX_POINT_STEPS = 10**8
 
 
 class InvalidWiringError(ValueError):
@@ -136,6 +145,40 @@ def instantaneous_upper_eigenstate(x: float, omega: float) -> tuple[float, float
     return (float(np.sqrt(1.0 - p)), float(np.sqrt(p)))
 
 
+def _ramp_steps(points: int, t_f: float, dt: float) -> int:
+    """Number of steps of a ramp of length t_f at step dt.
+
+    Rejects a grid whose points * steps exceed MAX_POINT_STEPS (or are not
+    a number), before any work is done.
+    """
+    steps = t_f / dt
+    if steps <= MAX_POINT_STEPS:
+        steps = max(1, int(round(steps)))
+    if not points * steps <= MAX_POINT_STEPS:
+        raise InvalidInputError(
+            f"t_f / dt = {steps:.6g} steps over {points} points is outside "
+            f"the budget of {MAX_POINT_STEPS:.0e} point-steps"
+        )
+    return steps
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the Hamilton products a * b into out and return it.
+
+    a, b and out stack the components (w, p, q, r) on their first axis.  The
+    quaternion (w, p, q, r) stands for the SU(2) element
+    w I - i (p X + q Y + r Z) in the standard Pauli matrices, Z = diag(+1, -1),
+    so a * b stands for the matrix product of a and b.
+    """
+    aw, ap, aq, ar = a
+    bw, bp, bq, br = b
+    out[0] = aw * bw - ap * bp - aq * bq - ar * br
+    out[1] = aw * bp + ap * bw + aq * br - ar * bq
+    out[2] = aw * bq + aq * bw + ar * bp - ap * br
+    out[3] = aw * br + ar * bw + ap * bq - aq * bp
+    return out
+
+
 def _propagate_grid(
     xs: np.ndarray,
     omega_starts: np.ndarray,
@@ -149,43 +192,65 @@ def _propagate_grid(
     The linear ramp starts in |+>, the smooth ramp in the upper eigenstate
     of hamiltonian(x, omega_start).
 
-    Each step applies the exact unitary of the midpoint Hamiltonian, so the
-    propagation preserves the norm to rounding error by construction.  Steps
-    are combined by pairwise products in blocks, which is associative up to
-    rounding and keeps the evaluation fully deterministic.
+    Each step applies the exact unitary of the midpoint Hamiltonian,
+    U = cos(E dt) I - i sin(E dt) / E * H with E = sqrt(x^2 + Omega^2) / 2.
+    U lies in SU(2) and is held as a real unit quaternion (see _hamilton);
+    since sz = -Z, a step is (cos(E dt), k Omega, 0, -k x) with
+    k = sin(E dt) / (2 E).  The arrays are laid out (component, point,
+    step).  Within a block of 16384 steps, Hamilton products (16 real
+    multiplies each, later step on the left) compose the steps by a
+    pairwise tree that carries an odd tail to the next level; the blocks
+    are then chained in time order.  Only each point's final product
+    becomes a complex 2x2 matrix, applied to the start state.  Every
+    operation is elementwise over points, so a point's result does not
+    depend on the rest of the grid, and the norm is preserved to rounding
+    error by construction.
+
+    Raises InvalidInputError when the grid exceeds MAX_POINT_STEPS.
     """
     xs = np.asarray(xs, dtype=float)
     omega_starts = np.asarray(omega_starts, dtype=float)
-    n_steps = max(1, int(round(t_f / dt)))
-    step = t_f / n_steps
     g = xs.shape[0]
+    n_steps = _ramp_steps(g, t_f, dt)
+    step = t_f / n_steps
     total: np.ndarray | None = None
     block = 1 << 14
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
         mid = (np.arange(start, stop) + 0.5) * step
-        om = _drive(omega_starts[None, :], omega_end, mid[:, None], t_f, ramp)
-        energy = 0.5 * np.sqrt(xs[None, :] ** 2 + om**2)
-        c = np.cos(energy * step)
-        s = np.sin(energy * step) / energy
-        u = np.empty((stop - start, g, 2, 2), dtype=complex)
-        u[..., 0, 0] = c + 0.5j * s * xs[None, :]
-        u[..., 0, 1] = -0.5j * s * om
-        u[..., 1, 0] = -0.5j * s * om
-        u[..., 1, 1] = c - 0.5j * s * xs[None, :]
-        while u.shape[0] > 1:
-            if u.shape[0] % 2:
-                tail = u[-1:]
-                u = np.concatenate([np.matmul(u[1:-1:2], u[0:-1:2]), tail])
-            else:
-                u = np.matmul(u[1::2], u[0::2])
-        total = u[0] if total is None else np.matmul(u[0], total)
+        om = _drive(omega_starts[:, None], omega_end, mid, t_f, ramp)
+        rate = np.sqrt(xs[:, None] ** 2 + om**2)  # 2 E
+        angle = (0.5 * step) * rate
+        u = np.empty((4, g, stop - start))
+        np.cos(angle, out=u[0])
+        k = np.sin(angle) / rate
+        np.multiply(k, om, out=u[1])
+        u[2] = 0.0
+        np.multiply(k, -xs[:, None], out=u[3])
+        while u.shape[2] > 1:
+            pairs = u.shape[2] // 2
+            nxt = np.empty((4, g, u.shape[2] - pairs))
+            later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
+            _hamilton(later, earlier, nxt[..., :pairs])
+            if u.shape[2] % 2:
+                nxt[..., -1] = u[..., -1]
+            u = nxt
+        if total is None:
+            total = u[..., 0]
+        else:
+            total = _hamilton(u[..., 0], total, np.empty((4, g)))
+    w, p, q, r = total
+    mat = np.empty((g, 2, 2), dtype=complex)
+    mat[:, 0, 0] = w - 1j * r
+    mat[:, 0, 1] = -q - 1j * p
+    mat[:, 1, 0] = q - 1j * p
+    mat[:, 1, 1] = w + 1j * r
     if ramp == "linear":
         psi0 = np.full((g, 2), 1.0 / np.sqrt(2.0), dtype=complex)
     else:
         p0 = np.atleast_1d(activation(xs / omega_starts))
         psi0 = np.stack([np.sqrt(1.0 - p0), np.sqrt(p0)], axis=1).astype(complex)
-    psi = np.einsum("gij,gj->gi", total, psi0)
+    psi = np.einsum("gij,gj->gi", mat, psi0)
     probs = np.abs(psi[:, 1]) ** 2
     drift = np.abs(np.sqrt(np.sum(np.abs(psi) ** 2, axis=1)) - 1.0)
     return probs, drift

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import InvalidInputError, MultiQubitTerm, NeuralPotential
-from .dynamics import _RAMPS, adiabatic_profile
+from .dynamics import _RAMPS, _ramp_steps, adiabatic_profile
 from .tasks import (
     TASK_IDS,
     FeasibilityVerdict,
@@ -318,46 +318,65 @@ def emit_summary(result: ExperimentResult, path: str | Path) -> Path:
 
 
 def load_summary(path: str | Path) -> dict[str, Any]:
+    """Read a summary.json; ConfigError unless it names a task and holds seeds."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "per_seed" not in doc:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("task"), str)
+        and isinstance(doc.get("per_seed"), list)
+    ):
         raise ConfigError(f"{path} is not an experiment summary")
+    if not doc["per_seed"]:
+        raise ConfigError(f"{path} holds no seeds")
     return doc
+
+
+def _potential_from_payload(w: dict[str, Any]) -> NeuralPotential:
+    return NeuralPotential(
+        linear_weights=tuple(float(v) for v in w["linear"]),
+        bias=float(w["bias"]),
+        multi_terms=tuple(
+            MultiQubitTerm(tuple(int(i) for i in t["indices"]), float(t["weight"]))
+            for t in w["multi"]
+        ),
+    )
 
 
 def load_network_from_summary(
     path: str | Path, seed: int | None = None
 ) -> TrainedNetwork:
-    """Rebuild the trained network stored for one seed (default: first)."""
+    """Rebuild the trained network stored for one seed (default: first).
+
+    A malformed summary raises ConfigError, whatever part of it is wrong.
+    """
     doc = load_summary(path)
     entries = doc["per_seed"]
-    if seed is None:
-        entry = entries[0]
-    else:
-        matches = [e for e in entries if e["seed"] == seed]
+    try:
+        matches = [e for e in entries if seed is None or e["seed"] == seed]
         if not matches:
             raise ConfigError(f"summary has no seed {seed}")
         entry = matches[0]
-    perceptrons = []
-    for w in entry["weights"]:
-        perceptrons.append(
-            NeuralPotential(
-                linear_weights=tuple(float(v) for v in w["linear"]),
-                bias=float(w["bias"]),
-                multi_terms=tuple(
-                    MultiQubitTerm(tuple(int(i) for i in t["indices"]), float(t["weight"]))
-                    for t in w["multi"]
-                ),
-            )
+        perceptrons = tuple(_potential_from_payload(w) for w in entry["weights"])
+        if not perceptrons:
+            raise ConfigError(f"{path}: seed entry has no weights")
+        epochs = entry["epochs_to_tolerance"]
+        return TrainedNetwork(
+            perceptrons=perceptrons,
+            arity=perceptrons[0].arity,
+            task_name=doc["task"],
+            seed=entry["seed"],
+            epochs_run=0 if epochs is None else int(epochs),
         )
-    epochs = entry["epochs_to_tolerance"]
-    return TrainedNetwork(
-        perceptrons=tuple(perceptrons),
-        arity=perceptrons[0].arity,
-        task_name=doc["task"],
-        seed=entry["seed"],
-        epochs_run=0 if epochs is None else int(epochs),
-    )
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{path}: seed entry lacks the key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: malformed seed entry: {exc}") from exc
 
 
 # --- configuration assembly ---
@@ -525,6 +544,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
+    _ramp_steps(args.points, args.t_f, args.dt)
     xs = np.linspace(args.x_min, args.x_max, args.points)
     profile = adiabatic_profile(
         xs,

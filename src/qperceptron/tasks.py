@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     InvalidInputError,
@@ -362,6 +361,8 @@ def check_exact_representability(
     which is strictly feasible iff delta* > 0.  The returned witness is
     rescaled to unit margin: min_n sign_n * (phi_n . theta) = 1.
     """
+    from scipy.optimize import linprog  # slow to import, and only needed here
+
     if task.arity > MAX_ORACLE_ARITY:
         raise InvalidInputError(
             f"oracle is exhaustive and limited to arity {MAX_ORACLE_ARITY}"

@@ -240,9 +240,11 @@ def _forward(
     depend on which other seeds share the batch.
     """
     x = np.einsum("sop,onp->son", theta, design)
-    if not np.isfinite(x).all():
-        raise InvalidInputError("training diverged: a potential is not finite")
     q = 1.0 + x * x
+    if not np.isfinite(q).all():
+        raise InvalidInputError(
+            "training diverged: a potential is not finite or overflows"
+        )
     return q, 0.5 * (1.0 + x / np.sqrt(q)) - targets
 
 

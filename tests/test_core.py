@@ -155,6 +155,27 @@ class TestActivation:
             activation(xs), [activation(float(x)) for x in xs], atol=1e-16
         )
 
+    def test_saturates_where_x_squared_overflows(self):
+        assert activation(1e200) == 1.0
+        assert activation(-1e200) == 0.0
+        assert activation(np.finfo(float).max) == 1.0
+        np.testing.assert_array_equal(
+            activation(np.array([-1e300, 1e300, 0.0])), [0.0, 1.0, 0.5]
+        )
+
+    def test_unchanged_up_to_the_clip(self):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate(
+            [
+                [0.0, -0.0, 1e-300, 1.0, 1e8, 1e100, 1e150],
+                rng.standard_normal(200) * 10.0 ** rng.uniform(-5, 150, 200),
+            ]
+        )
+        xs = np.concatenate([xs, -xs])
+        formula = 0.5 * (1.0 + xs / np.sqrt(1.0 + xs * xs))
+        np.testing.assert_array_equal(activation(xs), formula)
+        assert [activation(float(x)) for x in xs] == list(formula)
+
 
 class TestActivationDerivative:
     def test_slope_at_origin(self):
@@ -169,6 +190,12 @@ class TestActivationDerivative:
     def test_tail_decay(self):
         assert activation_derivative(1000.0) < 1e-8
         assert activation_derivative(-1000.0) < 1e-8
+
+    def test_far_tail_rounds_to_zero(self):
+        # the true slope at 1e200 is ~5e-601, below the smallest subnormal
+        with np.errstate(over="ignore"):
+            assert activation_derivative(1e200) == 0.0
+            assert activation_derivative(-1e200) == 0.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):

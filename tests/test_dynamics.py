@@ -28,7 +28,16 @@ from qperceptron import (
     prepare_superposition,
     zero_state,
 )
-from qperceptron.dynamics import InvalidWiringError, Statevector
+from qperceptron import dynamics
+from qperceptron.dynamics import (
+    MAX_POINT_STEPS,
+    InvalidWiringError,
+    Statevector,
+    _drive,
+    _hamilton,
+    _propagate_grid,
+    _ramp_steps,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -197,6 +206,120 @@ class TestAdiabaticProfile:
         np.testing.assert_allclose(errors, np.abs(probs - targets), atol=1e-15)
         assert profile.max_error == pytest.approx(float(errors.max()))
         assert profile.max_drift < 1e-9
+
+
+PAULI = np.array(
+    [
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ]
+)
+
+
+def _su2(quaternions):
+    """(4, n) quaternions (w, p, q, r) -> (n, 2, 2) w I - i (p X + q Y + r Z)."""
+    w, vec = quaternions[0], quaternions[1:]
+    return w[:, None, None] * np.eye(2) - 1j * np.einsum("kn,kij->nij", vec, PAULI)
+
+
+def _matmul_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
+    """The complex 2x2 matmul composition the quaternion kernel replaced."""
+    n_steps = max(1, int(round(t_f / dt)))
+    step = t_f / n_steps
+    g = xs.shape[0]
+    total = None
+    block = 1 << 14
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        mid = (np.arange(start, stop) + 0.5) * step
+        om = _drive(omega_starts[None, :], omega_end, mid[:, None], t_f, ramp)
+        energy = 0.5 * np.sqrt(xs[None, :] ** 2 + om**2)
+        c = np.cos(energy * step)
+        s = np.sin(energy * step) / energy
+        u = np.empty((stop - start, g, 2, 2), dtype=complex)
+        u[..., 0, 0] = c + 0.5j * s * xs[None, :]
+        u[..., 0, 1] = -0.5j * s * om
+        u[..., 1, 0] = -0.5j * s * om
+        u[..., 1, 1] = c - 0.5j * s * xs[None, :]
+        while u.shape[0] > 1:
+            if u.shape[0] % 2:
+                tail = u[-1:]
+                u = np.concatenate([np.matmul(u[1:-1:2], u[0:-1:2]), tail])
+            else:
+                u = np.matmul(u[1::2], u[0::2])
+        total = u[0] if total is None else np.matmul(u[0], total)
+    if ramp == "linear":
+        psi0 = np.full((g, 2), INV_SQRT2, dtype=complex)
+    else:
+        p0 = activation(xs / omega_starts)
+        psi0 = np.stack([np.sqrt(1.0 - p0), np.sqrt(p0)], axis=1).astype(complex)
+    psi = np.einsum("gij,gj->gi", total, psi0)
+    return np.abs(psi[:, 1]) ** 2
+
+
+class TestQuaternionPropagator:
+    def test_hamilton_product_is_the_matrix_product(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 4, 500))
+        a /= np.linalg.norm(a, axis=0)
+        b /= np.linalg.norm(b, axis=0)
+        product = _hamilton(a, b, np.empty((4, 500)))
+        np.testing.assert_allclose(
+            _su2(product), _su2(a) @ _su2(b), rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(np.linalg.norm(product, axis=0), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    # 100001 steps: six full blocks and a last one of 1697, odd at the first
+    # level of its tree
+    @pytest.mark.parametrize("t_f", [100.0, 100.001])
+    def test_agrees_with_the_complex_matmul_composition(self, ramp, t_f):
+        xs = np.linspace(-3.0, 3.0, 7)
+        starts = 50.0 * np.maximum(1.0, np.abs(xs))
+        probs, drift = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        reference = _matmul_propagate(xs, starts, 1.0, t_f, 1e-3, ramp)
+        np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
+        assert drift.max() < 1e-11
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    def test_evolve_equals_the_profile_bitwise(self, ramp):
+        rng = np.random.default_rng(3)
+        spacing = 6.0 / 60
+        xs = np.linspace(-3.0, 3.0, 61) + rng.uniform(
+            -0.45 * spacing, 0.45 * spacing, 61
+        )
+        profile = adiabatic_profile(xs, t_f=20.0, dt=1e-3, ramp=ramp)
+        evolved = [
+            adiabatic_evolve(
+                x,
+                AdiabaticSchedule(
+                    50.0 * max(1.0, abs(x)), t_f=20.0, dt=1e-3, ramp=ramp
+                ),
+            )
+            for x in xs
+        ]
+        assert evolved == list(profile.probabilities)
+
+
+class TestStepBudget:
+    def test_counts_steps_up_to_the_budget(self):
+        assert _ramp_steps(7, 200.0, 1e-3) == 200_000
+        assert _ramp_steps(1, 1e-3, 1e-3) == 1
+        assert _ramp_steps(500, 200.0, 1e-3) * 500 == MAX_POINT_STEPS
+        for points, t_f, dt in [(501, 200.0, 1e-3), (1, 1.0, 1e-9), (1, 1e300, 1e-10)]:
+            with pytest.raises(InvalidInputError, match="budget"):
+                _ramp_steps(points, t_f, dt)
+
+    def test_profile_and_evolve_reject_before_stepping(self, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("the propagator started stepping")
+
+        monkeypatch.setattr(dynamics, "_drive", no_steps)
+        with pytest.raises(InvalidInputError, match="budget"):
+            adiabatic_evolve(0.5, AdiabaticSchedule(omega_start=50.0, t_f=1.0, dt=1e-9))
+        with pytest.raises(InvalidInputError, match="budget"):
+            adiabatic_profile([0.0, 0.5], t_f=1e8, dt=1.0)
 
 
 class TestRegister:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qperceptron
+from qperceptron import harness
 from qperceptron import (
     ConfigError,
     ExperimentConfig,
@@ -200,6 +203,50 @@ class TestSummary:
         path.write_text("{}")
         with pytest.raises(ConfigError):
             load_summary(path)
+
+
+def _corrupt(doc, case):
+    """One malformed variant of a good summary document, as text."""
+    entry = doc["per_seed"][0]
+    if case == "not-json":
+        return "{not json"
+    if case == "no-seeds":
+        return json.dumps({"per_seed": []})
+    if case == "entry-without-weights":
+        bad = {k: v for k, v in entry.items() if k != "weights"}
+    else:  # "non-numeric-weight"
+        weights = [{**entry["weights"][0], "linear": [1, "a"]}]
+        bad = {**entry, "weights": weights}
+    return json.dumps({**doc, "per_seed": [bad]})
+
+
+class TestMalformedSummary:
+    CASES = ["not-json", "no-seeds", "entry-without-weights", "non-numeric-weight"]
+
+    @pytest.fixture(scope="class")
+    def good_doc(self, tmp_path_factory):
+        result = _run(ExperimentConfig(task="xor", seeds=(0,), max_epochs=50))
+        path = emit_summary(result, tmp_path_factory.mktemp("good") / "summary.json")
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_load_raises_config_error(self, tmp_path, good_doc, case):
+        path = tmp_path / "summary.json"
+        path.write_text(_corrupt(good_doc, case))
+        with pytest.raises(ConfigError):
+            load_network_from_summary(path)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gate_verify_exits_one_with_one_line(
+        self, tmp_path, capsys, good_doc, case
+    ):
+        path = tmp_path / "summary.json"
+        path.write_text(_corrupt(good_doc, case))
+        assert cli(["gate-verify", "--summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestCliTrain:
@@ -450,6 +497,22 @@ class TestCliAdiabaticCheck:
     def test_bad_grid_exits_one(self):
         assert cli(["adiabatic-check", "--points", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "grid", [["--t-f", "1", "--dt", "1e-9"], ["--points", "1000000000"]]
+    )
+    def test_step_budget_exits_one_before_building_the_grid(
+        self, monkeypatch, capsys, grid
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(harness.np, "linspace", never)
+        monkeypatch.setattr(harness, "adiabatic_profile", never)
+        assert cli(["adiabatic-check", *grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestCliFeasibility:
     def test_fredkin_published_template_verdicts(self, capsys):
@@ -492,6 +555,24 @@ class TestCliGateVerify:
 
 
 class TestModuleEntryPoint:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the LP oracle imports scipy.optimize on first use; importing the
+        # package alone must not pay for it
+        src = str(Path(qperceptron.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys; sys.path.insert(0, {src!r}); import qperceptron; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.optimize')))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qperceptron", "--help"],

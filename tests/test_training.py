@@ -141,6 +141,15 @@ class TestCost:
         with pytest.raises(InvalidInputError):
             cost(net, [])
 
+    def test_overflowing_potential_is_divergence(self):
+        # x = +-1e200 is finite but x * x is not; the output must not read 0.5
+        p = NeuralPotential((1e200, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))
+        net = TrainedNetwork((p,), 2)
+        with np.errstate(over="ignore"), pytest.raises(
+            InvalidInputError, match="diverged"
+        ):
+            cost(net, xor_task().examples)
+
 
 class TestQuantumGradients:
     def test_zero_initialization_on_xor(self):
