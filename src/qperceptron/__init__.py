@@ -22,6 +22,7 @@ from .core import (
     bits_to_spins,
     enumerate_inputs,
     evaluate_potential,
+    features,
     reparameterize_bits_to_spins,
     spins_to_bits,
 )
@@ -44,6 +45,7 @@ from .dynamics import (
     hamiltonian,
     instantaneous_upper_eigenstate,
     prepare_superposition,
+    statevector_table,
     zero_state,
 )
 from .harness import (

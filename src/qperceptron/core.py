@@ -28,6 +28,7 @@ __all__ = [
     "bits_to_spins",
     "spins_to_bits",
     "evaluate_potential",
+    "features",
     "enumerate_inputs",
     "reparameterize_bits_to_spins",
 ]
@@ -66,7 +67,8 @@ def activation_derivative(x):
     """Slope of the activation, f'(x) = 1 / (2 (1 + x^2)^(3/2))."""
     x = np.asarray(x, dtype=float)
     _check_finite(x, "activation input")
-    out = 0.5 / np.power(1.0 + x * x, 1.5)
+    with np.errstate(over="ignore"):  # beyond |x| ~ 1e154 the slope is exactly 0
+        out = 0.5 / np.power(1.0 + x * x, 1.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,15 +187,53 @@ def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
     return total - p.bias
 
 
+def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
+    """Feature rows of the potential's linear form, one per input row.
+
+    inputs is (N, k), spins or bits; template lists the 1-based indices of
+    each product term.  The k + len(template) + 1 columns are the inputs,
+    each term's product, then -1, so features(inputs, template) @ _pack(p)
+    evaluates p on every row.  On spins or bits every entry is exact.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    n, k = inputs.shape
+    out = np.empty((n, k + len(template) + 1))
+    out[:, :k] = inputs
+    for m, indices in enumerate(template):
+        out[:, k + m] = np.prod(inputs[:, np.subtract(indices, 1)], axis=1)
+    out[:, -1] = -1.0
+    return out
+
+
+def _pack(p: NeuralPotential) -> np.ndarray:
+    """Parameters of p in the column order of features: weights, then bias."""
+    return np.array(
+        p.linear_weights + tuple(t.weight for t in p.multi_terms) + (p.bias,)
+    )
+
+
+def _unpack(
+    k: int, template: Sequence[Sequence[int]], theta: np.ndarray
+) -> NeuralPotential:
+    """The potential over k inputs whose _pack is theta; later slots are padding."""
+    terms = tuple(
+        MultiQubitTerm(tuple(indices), float(theta[k + m]))
+        for m, indices in enumerate(template)
+    )
+    bias = float(theta[k + len(terms)])
+    return NeuralPotential(tuple(float(v) for v in theta[:k]), bias, terms)
+
+
 def enumerate_inputs(k: int) -> list[SpinConfig]:
     """All 2^k spin configurations in ascending binary order, MSB first."""
     if not 1 <= k <= MAX_ARITY:
         raise InvalidInputError(f"arity must be in [1, {MAX_ARITY}], got {k}")
-    configs = []
-    for n in range(2**k):
-        bits = tuple((n >> (k - 1 - i)) & 1 for i in range(k))
-        configs.append(bits_to_spins(bits))
-    return configs
+    return [bits_to_spins(bits) for bits in _bit_rows(k).tolist()]
+
+
+def _bit_rows(n: int) -> np.ndarray:
+    """(2^n, n) table of the bits of every basis index, MSB first."""
+    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def reparameterize_bits_to_spins(p: NeuralPotential) -> NeuralPotential:

@@ -23,6 +23,10 @@ MAX_POINT_STEPS point-steps.
 
 Statevector indexing: qubit 1 is the most significant bit of the basis
 index, consistent with the MSB-first integer convention of `core`.
+
+statevector_table evaluates a network on its whole truth table in one
+register evolution: perceptron gates control only on the input qubits,
+which no gate changes, so one superposed input register serves every row.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from .core import (
     InvalidInputError,
     NeuralPotential,
     SpinConfig,
+    _bit_rows,
+    _pack,
     activation,
-    evaluate_potential,
+    features,
 )
 
 __all__ = [
@@ -59,6 +65,7 @@ __all__ = [
     "apply_perceptron_gate",
     "apply_network",
     "excitation_probability",
+    "statevector_table",
     "forward_statevector",
 ]
 
@@ -367,17 +374,22 @@ def zero_state(n: int) -> Statevector:
     return Statevector(amps, n)
 
 
+def _basis_index(bits: Sequence[int]) -> int:
+    """Index of the basis state of an MSB-first bit string."""
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | int(b)
+    return idx
+
+
 def basis_state(n: int, bits: Sequence[int]) -> Statevector:
     """Computational basis state for an MSB-first bit string."""
     if len(bits) != n:
         raise InvalidInputError(f"expected {n} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise InvalidInputError("bits must be 0 or 1")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
     amps = np.zeros(2**n, dtype=complex)
-    amps[idx] = 1.0
+    amps[_basis_index(bits)] = 1.0
     return Statevector(amps, n)
 
 
@@ -444,27 +456,16 @@ def apply_perceptron_gate(
 
     k = p.arity
     t = state.amplitudes.reshape([2] * state.n)
-    # Potential value for every input configuration, indexed by input bits.
-    shape_in = [2] * k
-    x = np.zeros(shape_in)
-    for idx in np.ndindex(*shape_in):
-        s = SpinConfig(tuple(2 * b - 1 for b in idx))
-        x[idx] = evaluate_potential(p, s)
-    prob = activation(x)
-    cos_half = np.sqrt(1.0 - prob)
-    sin_half = np.sqrt(prob)
-    # Broadcast rotation coefficients over the non-input, non-target axes.
-    bshape = [2] * k + [1] * (state.n - k)
-    cos_half = cos_half.reshape(bshape)
-    sin_half = sin_half.reshape(bshape)
+    # Potential value for every input configuration, in basis index order.
+    spins = 2.0 * _bit_rows(k) - 1.0
+    x = features(spins, [term.indices for term in p.multi_terms]) @ _pack(p)
+    # Broadcast over the axes past the inputs, once the target axis is taken.
+    prob = activation(x).reshape([2] * k + [1] * (state.n - 1 - k))
+    c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)
     axis = target - 1
     a0 = np.take(t, 0, axis=axis)
     a1 = np.take(t, 1, axis=axis)
-    c0 = np.squeeze(cos_half, axis=axis)
-    s0 = np.squeeze(sin_half, axis=axis)
-    new0 = c0 * a0 - s0 * a1
-    new1 = s0 * a0 + c0 * a1
-    new = np.stack([new0, new1], axis=axis)
+    new = np.stack([c0 * a0 - s0 * a1, s0 * a0 + c0 * a1], axis=axis)
     return _check_norm(Statevector(new.reshape(-1), state.n))
 
 
@@ -481,24 +482,33 @@ def apply_network(
     return out
 
 
-def forward_statevector(
-    potentials: Sequence[NeuralPotential], s: SpinConfig
-) -> np.ndarray:
-    """Network outputs via full statevector evolution on one basis input.
+def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
+    """Network outputs on every basis input from one statevector evolution.
 
-    Builds a register of k input qubits prepared in the basis state of s plus
-    one fresh |0> target per potential, applies every perceptron gate, and
-    reads out the excitation probability of each target.
+    Puts k input qubits in the uniform superposition (a Hadamard on each)
+    and one |0> target per potential, applies every perceptron gate once,
+    and returns the (2^k, outputs) table whose row i holds each target's
+    excitation probability conditioned on the inputs reading basis state i:
+    its marginal on that row, times 2^k.
     """
     if not potentials:
         raise InvalidInputError("need at least one potential")
-    k = len(s)
+    k = potentials[0].arity
     if any(p.arity != k for p in potentials):
         raise InvalidInputError("every potential must match the input arity")
-    n = k + len(potentials)
-    state = basis_state(n, s.bits + (0,) * len(potentials))
-    wiring = [(p, k + 1 + j) for j, p in enumerate(potentials)]
-    state = apply_network(state, wiring)
-    return np.array(
-        [excitation_probability(state, k + 1 + j) for j in range(len(potentials))]
-    )
+    n_out = len(potentials)
+    state = zero_state(k + n_out)
+    for j in range(1, k + 1):
+        state = apply_hadamard(state, j)
+    state = apply_network(state, [(p, k + 1 + j) for j, p in enumerate(potentials)])
+    probs = np.abs(state.amplitudes.reshape(2**k, 2**n_out)) ** 2
+    return 2.0**k * (probs @ _bit_rows(n_out))  # column j: target j reads 1
+
+
+def forward_statevector(
+    potentials: Sequence[NeuralPotential], s: SpinConfig
+) -> np.ndarray:
+    """Network outputs on one basis input: the row of statevector_table for s."""
+    if any(p.arity != len(s) for p in potentials):
+        raise InvalidInputError("every potential must match the input arity")
+    return statevector_table(potentials)[_basis_index(s.bits)]

@@ -17,13 +17,18 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, MultiQubitTerm, NeuralPotential
+from .core import (
+    InvalidInputError,
+    MultiQubitTerm,
+    NeuralPotential,
+    reparameterize_bits_to_spins,
+)
 from .dynamics import _RAMPS, _ramp_steps, adiabatic_profile
 from .tasks import (
     TASK_IDS,
@@ -108,16 +113,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown task {self.task!r}, expected one of {', '.join(TASK_IDS)}"
             )
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.template not in _TEMPLATES:
-            raise ConfigError(
-                f"template must be one of {_TEMPLATES}, got {self.template!r}"
-            )
-        if self.bit_order not in _BIT_ORDERS:
-            raise ConfigError(
-                f"bit_order must be one of {_BIT_ORDERS}, got {self.bit_order!r}"
-            )
+        _check_choices(self.template, self.bit_order, self.mode)
         if len(self.seeds) == 0:
             raise ConfigError("at least one seed is required")
         if any(not isinstance(s, int) or isinstance(s, bool) for s in self.seeds):
@@ -181,24 +177,40 @@ class ExperimentResult:
     elapsed_seconds: float
 
 
-def _resolve_for_config(config: ExperimentConfig) -> tuple[TaskSpec, str]:
-    # classical mode trains on raw bits with every product term stripped
-    two_qubit_only = config.template == "two-qubit" or config.mode == "classical"
-    extended = config.template == "extended"
-    task = resolve_task(
-        config.task,
-        bit_order=config.bit_order,  # type: ignore[arg-type]
-        two_qubit_only=two_qubit_only,
-        extended=extended,
+def _check_choices(template: Any, bit_order: Any, mode: Any) -> None:
+    for name, value, choices in (
+        ("template", template, _TEMPLATES),
+        ("bit_order", bit_order, _BIT_ORDERS),
+        ("mode", mode, _MODES),
+    ):
+        if value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _resolve(
+    task: str, template: Any, bit_order: Any, mode: Any
+) -> tuple[TaskSpec, str]:
+    """The TaskSpec and input encoding of a task id under a template and mode.
+
+    Classical mode trains on raw bits with every product term stripped.
+    ConfigError names an unknown template, bit order or mode.
+    """
+    _check_choices(template, bit_order, mode)
+    spec = resolve_task(
+        task,
+        bit_order=bit_order,
+        two_qubit_only=template == "two-qubit" or mode == "classical",
+        extended=template == "extended",
     )
-    encoding = "bit" if config.mode == "classical" else "spin"
-    return task, encoding
+    return spec, "bit" if mode == "classical" else "spin"
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Train every seed, detect plateaus, and audit the template."""
     started = time.perf_counter()
-    task, encoding = _resolve_for_config(config)
+    task, encoding = _resolve(
+        config.task, config.template, config.bit_order, config.mode
+    )
 
     nets = [
         initialize_network(
@@ -255,10 +267,10 @@ def emit_cost_curve_csv(result: ExperimentResult, out_dir: str | Path) -> list[P
     paths = []
     for outcome in result.outcomes:
         path = out / f"cost_seed{outcome.seed}.csv"
+        costs = outcome.curve.costs.tolist()
         with open(path, "w", newline="\n") as fh:
             fh.write("epoch,cost\n")
-            for e, c in enumerate(outcome.curve.costs, start=1):
-                fh.write(f"{e},{c:.12g}\n")
+            fh.write("".join(["%d,%.12g\n" % ec for ec in enumerate(costs, 1)]))
         paths.append(path)
     return paths
 
@@ -353,7 +365,13 @@ def load_network_from_summary(
 
     A malformed summary raises ConfigError, whatever part of it is wrong.
     """
-    doc = load_summary(path)
+    return _network_from_summary(load_summary(path), path, seed)
+
+
+def _network_from_summary(
+    doc: dict[str, Any], path: str | Path, seed: int | None
+) -> TrainedNetwork:
+    """load_network_from_summary on a summary already read by load_summary."""
     entries = doc["per_seed"]
     try:
         matches = [e for e in entries if seed is None or e["seed"] == seed]
@@ -382,18 +400,19 @@ def load_network_from_summary(
 # --- configuration assembly ---
 
 
-def _split_task(raw: str) -> tuple[str, str | None]:
-    """A task id may carry a template suffix, e.g. fredkin:paper."""
-    parts = raw.split(":")
-    if len(parts) == 1:
-        return parts[0], None
-    if len(parts) == 2:
-        if parts[1] not in _TEMPLATES:
-            raise ConfigError(
-                f"unknown template suffix {parts[1]!r} in task {raw!r}"
-            )
-        return parts[0], parts[1]
-    raise ConfigError(f"malformed task id {raw!r}")
+def _split_task(raw: str, flag: str | None, default: Any) -> tuple[str, Any]:
+    """The task id and template of a task id with an optional suffix.
+
+    A task id may carry a template suffix, e.g. fredkin:paper.  The
+    --template flag wins over the suffix, which wins over default; a flag
+    and a suffix that disagree raise ConfigError.
+    """
+    task_id, colon, suffix = raw.partition(":")
+    if colon and suffix not in _TEMPLATES:
+        raise ConfigError(f"unknown template suffix {suffix!r} in task {raw!r}")
+    if colon and flag is not None and flag != suffix:
+        raise ConfigError(f"--template {flag} conflicts with task suffix :{suffix}")
+    return task_id, flag or suffix or default
 
 
 def _parse_seed_list(raw: str) -> tuple[int, ...]:
@@ -439,18 +458,9 @@ def _build_experiment_config(
     raw_task = args.task if args.task is not None else file_vals.get("task")
     if raw_task is None:
         raise ConfigError("a task is required (--task or config file)")
-    task_id, suffix_template = _split_task(str(raw_task))
-
-    if (
-        args.template is not None
-        and suffix_template is not None
-        and args.template != suffix_template
-    ):
-        raise ConfigError(
-            f"--template {args.template} conflicts with task suffix "
-            f":{suffix_template}"
-        )
-    template = args.template or suffix_template or file_vals.get("template", "paper")
+    task_id, template = _split_task(
+        str(raw_task), args.template, file_vals.get("template", "paper")
+    )
 
     if args.seed is not None and args.seeds is not None:
         raise ConfigError("--seed and --seeds are mutually exclusive")
@@ -567,14 +577,16 @@ def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
 
 def _cmd_gate_verify(args: argparse.Namespace) -> int:
     doc = load_summary(args.summary)
-    net = load_network_from_summary(args.summary, args.seed)
-    template = doc.get("template", "paper")
-    task = resolve_task(
+    task, encoding = _resolve(
         doc["task"],
-        bit_order=doc.get("bit_order", "msb"),
-        two_qubit_only=template == "two-qubit" or doc.get("mode") == "classical",
-        extended=template == "extended",
+        doc.get("template", "paper"),
+        doc.get("bit_order", "msb"),
+        doc.get("mode", "quantum"),
     )
+    net = _network_from_summary(doc, args.summary, args.seed)
+    if encoding == "bit":  # both engines read spins
+        spins = tuple(reparameterize_bits_to_spins(p) for p in net.perceptrons)
+        net = replace(net, perceptrons=spins)
     ok = True
     for engine in ("scalar", "statevector"):
         report = verify_truth_table(net, task, engine=engine)  # type: ignore[arg-type]
@@ -590,24 +602,9 @@ def _cmd_gate_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
-    task_id, suffix_template = _split_task(args.task)
-    if (
-        args.template is not None
-        and suffix_template is not None
-        and args.template != suffix_template
-    ):
-        raise ConfigError(
-            f"--template {args.template} conflicts with task suffix "
-            f":{suffix_template}"
-        )
-    template = args.template or suffix_template or "paper"
+    task_id, template = _split_task(args.task, args.template, "paper")
     for bit_order in _BIT_ORDERS:
-        task = resolve_task(
-            task_id,
-            bit_order=bit_order,  # type: ignore[arg-type]
-            two_qubit_only=template == "two-qubit",
-            extended=template == "extended",
-        )
+        task, _ = _resolve(task_id, template, bit_order, "quantum")
         for j in range(task.n_outputs):
             verdict = check_exact_representability(task, j)
             state = "feasible" if verdict.feasible else "infeasible"

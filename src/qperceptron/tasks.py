@@ -12,19 +12,20 @@ only intended for small registers (k <= 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .core import (
     InvalidInputError,
-    MultiQubitTerm,
     NeuralPotential,
-    SpinConfig,
+    _pack,
+    _unpack,
     enumerate_inputs,
+    features,
 )
-from .dynamics import forward_statevector
+from .dynamics import _basis_index, statevector_table
 from .training import TrainedNetwork, TrainingExample, forward_network
 
 __all__ = [
@@ -250,24 +251,16 @@ def resolve_task(
         raise InvalidInputError("extended and two_qubit_only are mutually exclusive")
     if extended and task_id not in EXTENDED_TASK_IDS:
         raise InvalidInputError(f"task {task_id!r} has no extended template")
+    variant = "extended" if extended else "paper"
     if task_id == "xor":
         task = xor_task()
     elif task_id.startswith("prime"):
-        bits = int(task_id[len("prime"):])
-        task = prime_task(bits, bit_order, "extended" if extended else "paper")
+        task = prime_task(int(task_id[len("prime"):]), bit_order, variant)
     else:
-        variant: GateVariant = "extended" if extended else "paper"
-        if two_qubit_only:
-            variant = "two_qubit"
-        return gate_task(task_id, variant)
+        task = gate_task(task_id, variant)
     if two_qubit_only:
-        task = TaskSpec(
-            name=task.name,
-            arity=task.arity,
-            templates=((),) * task.n_outputs,
-            examples=task.examples,
-            description=task.description + ", product terms stripped",
-        )
+        description = task.description + ", product terms stripped"
+        task = replace(task, templates=((),) * task.n_outputs, description=description)
     return task
 
 
@@ -292,33 +285,36 @@ def verify_truth_table(
     threshold: float = 0.5,
     engine: Literal["scalar", "statevector"] = "scalar",
 ) -> TruthTableReport:
-    """Threshold every output on every row; outputs at the threshold read 0."""
+    """Threshold every output on every row; outputs at the threshold read 0.
+
+    The scalar engine evaluates each row with forward_network; the
+    statevector engine builds statevector_table once and reads each row's
+    outputs at its input bits.
+    """
     if net.arity != task.arity:
         raise InvalidInputError("network arity does not match task")
     if net.n_outputs != task.n_outputs:
         raise InvalidInputError("network output count does not match task")
-    mismatches = []
-    n_correct = 0
-    max_err = 0.0
-    for ex in task.examples:
-        if engine == "scalar":
-            y = forward_network(net, ex.spins)
-        elif engine == "statevector":
-            y = forward_statevector(net.perceptrons, ex.spins)
-        else:
-            raise InvalidInputError(f"unknown engine {engine!r}")
-        predicted = tuple(int(v > threshold) for v in y)
-        max_err = max(max_err, float(np.max(np.abs(y - np.array(ex.target)))))
-        if predicted == ex.target:
-            n_correct += 1
-        else:
-            mismatches.append((ex.bits, predicted, ex.target))
+    if engine == "scalar":
+        y = np.array([forward_network(net, ex.spins) for ex in task.examples])
+    elif engine == "statevector":
+        rows = [_basis_index(ex.bits) for ex in task.examples]
+        y = statevector_table(net.perceptrons)[rows]
+    else:
+        raise InvalidInputError(f"unknown engine {engine!r}")
+    predicted = [tuple(row) for row in (y > threshold).astype(int).tolist()]
+    mismatches = tuple(
+        (ex.bits, row, ex.target)
+        for ex, row in zip(task.examples, predicted)
+        if row != ex.target
+    )
+    targets = np.array([ex.target for ex in task.examples])
     return TruthTableReport(
         task_name=task.name,
         n_rows=len(task.examples),
-        n_correct=n_correct,
-        mismatches=tuple(mismatches),
-        max_abs_error=max_err,
+        n_correct=len(task.examples) - len(mismatches),
+        mismatches=mismatches,
+        max_abs_error=float(np.max(np.abs(y - targets))),
     )
 
 
@@ -331,19 +327,6 @@ class FeasibilityVerdict:
     feasible: bool
     margin: float
     witness: NeuralPotential | None
-
-
-def _spin_design_row(
-    s: SpinConfig, template: tuple[tuple[int, ...], ...]
-) -> list[float]:
-    row = [float(v) for v in s.spins]
-    for indices in template:
-        prod = 1.0
-        for i in indices:
-            prod *= s.spins[i - 1]
-        row.append(prod)
-    row.append(-1.0)
-    return row
 
 
 def check_exact_representability(
@@ -370,9 +353,7 @@ def check_exact_representability(
     if not (0 <= output_index < task.n_outputs):
         raise InvalidInputError(f"output_index {output_index} out of range")
     template = task.templates[output_index]
-    phi = np.array(
-        [_spin_design_row(ex.spins, template) for ex in task.examples]
-    )
+    phi = features([ex.spins.spins for ex in task.examples], template)
     signs = np.array(
         [2 * ex.target[output_index] - 1 for ex in task.examples], dtype=float
     )
@@ -389,25 +370,10 @@ def check_exact_representability(
     delta = float(res.x[-1])
     if delta <= FEASIBILITY_MARGIN:
         return FeasibilityVerdict(task.name, output_index, False, delta, None)
-    theta = res.x[:n_params] / delta
-    k = task.arity
-    witness = NeuralPotential(
-        linear_weights=tuple(float(v) for v in theta[:k]),
-        bias=float(theta[-1]),
-        multi_terms=tuple(
-            MultiQubitTerm(indices, float(theta[k + m]))
-            for m, indices in enumerate(template)
-        ),
-    )
+    witness = _unpack(task.arity, template, res.x[:n_params] / delta)
     return FeasibilityVerdict(task.name, output_index, True, delta, witness)
 
 
 def scale_potential(p: NeuralPotential, factor: float) -> NeuralPotential:
     """Multiply every weight and the bias by factor; the sign pattern is kept."""
-    return NeuralPotential(
-        linear_weights=tuple(w * factor for w in p.linear_weights),
-        bias=p.bias * factor,
-        multi_terms=tuple(
-            MultiQubitTerm(t.indices, t.weight * factor) for t in p.multi_terms
-        ),
-    )
+    return _unpack(p.arity, [t.indices for t in p.multi_terms], _pack(p) * factor)

@@ -28,11 +28,12 @@ import numpy as np
 
 from .core import (
     InvalidInputError,
-    MultiQubitTerm,
     NeuralPotential,
     SpinConfig,
+    _pack,
+    _unpack,
     activation,
-    evaluate_potential,
+    features,
 )
 
 __all__ = [
@@ -156,42 +157,12 @@ def _validate_set(
             raise InvalidInputError("target width does not match network outputs")
 
 
-def _input_matrix(
-    training_set: Sequence[TrainingExample], encoding: Encoding
-) -> np.ndarray:
+def _input_matrix(configs: Sequence[SpinConfig], encoding: Encoding) -> np.ndarray:
     if encoding == "spin":
-        return np.array([ex.spins.spins for ex in training_set], dtype=float)
+        return np.array([s.spins for s in configs], dtype=float)
     if encoding == "bit":
-        return np.array([ex.bits for ex in training_set], dtype=float)
+        return np.array([s.bits for s in configs], dtype=float)
     raise InvalidInputError(f"unknown encoding {encoding!r}")
-
-
-def _design_matrix(p: NeuralPotential, inputs: np.ndarray) -> np.ndarray:
-    """Columns: each input value, each term product, then the constant -1."""
-    cols = [inputs[:, i] for i in range(p.arity)]
-    for term in p.multi_terms:
-        prod = np.ones(inputs.shape[0])
-        for i in term.indices:
-            prod = prod * inputs[:, i - 1]
-        cols.append(prod)
-    cols.append(-np.ones(inputs.shape[0]))
-    return np.column_stack(cols)
-
-
-def _pack(p: NeuralPotential) -> np.ndarray:
-    return np.array(
-        list(p.linear_weights) + [t.weight for t in p.multi_terms] + [p.bias]
-    )
-
-
-def _unpack(p: NeuralPotential, theta: np.ndarray) -> NeuralPotential:
-    k = p.arity
-    terms = tuple(
-        MultiQubitTerm(t.indices, float(theta[k + m]))
-        for m, t in enumerate(p.multi_terms)
-    )
-    bias = float(theta[k + len(terms)])  # slots past the bias are padding
-    return NeuralPotential(tuple(float(v) for v in theta[:k]), bias, terms)
 
 
 def _template(net: TrainedNetwork) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -217,12 +188,12 @@ def _stack(
             "networks trained together must share arity and template"
         )
     _validate_set(first, training_set)
-    inputs = _input_matrix(training_set, encoding)
+    inputs = _input_matrix([ex.spins for ex in training_set], encoding)
     widths = [first.arity + len(terms) + 1 for terms in template]
     design = np.zeros((len(widths), len(training_set), max(widths)))
     theta = np.zeros((len(nets), len(widths), max(widths)))
-    for j, p in enumerate(first.perceptrons):
-        design[j, :, : widths[j]] = _design_matrix(p, inputs)
+    for j, terms in enumerate(template):
+        design[j, :, : widths[j]] = features(inputs, terms)
     for s, net in enumerate(nets):
         for j, p in enumerate(net.perceptrons):
             theta[s, j, : widths[j]] = _pack(p)
@@ -237,7 +208,8 @@ def _forward(
 
     einsum sums each entry over one seed's own row in a fixed order (BLAS
     blocking would depend on the number of rows), so a seed's numbers do not
-    depend on which other seeds share the batch.
+    depend on which other seeds share the batch.  Callers scope
+    np.errstate(over="ignore"), so an overflowing 1 + x^2 only raises.
     """
     x = np.einsum("sop,onp->son", theta, design)
     q = 1.0 + x * x
@@ -262,7 +234,9 @@ def _costs(err: np.ndarray) -> np.ndarray:
 
 
 def _network(net: TrainedNetwork, theta: np.ndarray, epochs_run: int) -> TrainedNetwork:
-    perceptrons = tuple(_unpack(p, th) for p, th in zip(net.perceptrons, theta))
+    perceptrons = tuple(
+        _unpack(net.arity, terms, th) for terms, th in zip(_template(net), theta)
+    )
     return replace(net, perceptrons=perceptrons, epochs_run=epochs_run)
 
 
@@ -272,14 +246,9 @@ def forward_network(
     """Output vector y = f(x_j) for one input configuration."""
     if len(s) != net.arity:
         raise InvalidInputError("input arity does not match network")
-    if encoding == "spin":
-        xs = [evaluate_potential(p, s) for p in net.perceptrons]
-    elif encoding == "bit":
-        row = np.array([s.bits], dtype=float)
-        xs = [float(_design_matrix(p, row)[0] @ _pack(p)) for p in net.perceptrons]
-    else:
-        raise InvalidInputError(f"unknown encoding {encoding!r}")
-    return np.array([activation(x) for x in xs])
+    row = _input_matrix([s], encoding)
+    xs = [features(row, t) @ _pack(p) for p, t in zip(net.perceptrons, _template(net))]
+    return activation(np.concatenate(xs))
 
 
 def cost(
@@ -288,15 +257,23 @@ def cost(
     encoding: Encoding = "spin",
 ) -> float:
     """Mean squared error with the 1 / (2 N k) normalization."""
+    return float(_costs(_batch_of_one(net, training_set, encoding)[1])[0])
+
+
+def _batch_of_one(
+    net: TrainedNetwork, training_set: Sequence[TrainingExample], encoding: Encoding
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameters, errors and gradient of one network as a batch of one."""
     design, theta, targets = _stack([net], training_set, encoding)
-    return float(_costs(_forward(design, theta, targets)[1])[0])
+    with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
+        q, err = _forward(design, theta, targets)
+        return theta, err, _gradients(design, q, err)
 
 
 def _gradient_rows(
     net: TrainedNetwork, training_set: Sequence[TrainingExample], encoding: Encoding
 ) -> tuple[PotentialGradient, ...]:
-    design, theta, targets = _stack([net], training_set, encoding)
-    grad = _gradients(design, *_forward(design, theta, targets))[0]
+    grad = _batch_of_one(net, training_set, encoding)[2][0]
     out = []
     for p, g in zip(net.perceptrons, grad):
         k = p.arity
@@ -330,8 +307,7 @@ def epoch_update(
     encoding: Encoding = "spin",
 ) -> TrainedNetwork:
     """One full-batch update: every parameter moves against its gradient."""
-    design, theta, targets = _stack([net], training_set, encoding)
-    grad = _gradients(design, *_forward(design, theta, targets))
+    theta, _, grad = _batch_of_one(net, training_set, encoding)
     return _network(net, (theta - config.eta * grad)[0], net.epochs_run)
 
 
@@ -361,24 +337,26 @@ def train(
     ran = np.full(n_nets, config.max_epochs)
     final = np.empty_like(theta)
     active = np.arange(n_nets)
-    q, err = _forward(design, theta, targets)
-    for e in range(config.max_epochs):
-        theta = theta - config.eta * _gradients(design, q, err)
+    # one scope for the whole run: an overflow raises "diverged" instead
+    with np.errstate(over="ignore"):
         q, err = _forward(design, theta, targets)
-        c = _costs(err)
-        if e == costs.shape[1]:  # double the buffer, up to the budget
-            more = np.empty((n_nets, min(e, config.max_epochs - e)))
-            costs = np.hstack([costs, more])
-        costs[active, e] = c
-        done = c < config.cost_tolerance
-        if done.any():
-            stopped = active[done]
-            ran[stopped] = e + 1
-            final[stopped] = theta[done]
-            keep = ~done
-            active, theta, q, err = active[keep], theta[keep], q[keep], err[keep]
-            if active.size == 0:
-                break
+        for e in range(config.max_epochs):
+            theta = theta - config.eta * _gradients(design, q, err)
+            q, err = _forward(design, theta, targets)
+            c = _costs(err)
+            if e == costs.shape[1]:  # double the buffer, up to the budget
+                more = np.empty((n_nets, min(e, config.max_epochs - e)))
+                costs = np.hstack([costs, more])
+            costs[active, e] = c
+            done = c < config.cost_tolerance
+            if done.any():
+                stopped = active[done]
+                ran[stopped] = e + 1
+                final[stopped] = theta[done]
+                keep = ~done
+                active, theta, q, err = active[keep], theta[keep], q[keep], err[keep]
+                if active.size == 0:
+                    break
     final[active] = theta
     pairs = []
     for s, net_s in enumerate(nets):
@@ -412,18 +390,13 @@ def initialize_network(
     """Draw every weight uniformly from [-init_range, init_range].
 
     templates[j] lists the multi-qubit index tuples of perceptron j.  Draw
-    order is fixed per perceptron: linear weights, term weights, bias.
+    order is fixed per perceptron: linear weights, term weights, bias, in
+    one draw laid out as core's feature map.
     """
     rng = np.random.default_rng(config.seed)
     r = config.init_range
-    perceptrons = []
-    for terms in templates:
-        linear = tuple(float(v) for v in rng.uniform(-r, r, arity))
-        multi = tuple(
-            MultiQubitTerm(tuple(t), float(rng.uniform(-r, r))) for t in terms
-        )
-        bias = float(rng.uniform(-r, r))
-        perceptrons.append(NeuralPotential(linear, bias, multi))
-    return TrainedNetwork(
-        tuple(perceptrons), arity, task_name=task_name, seed=config.seed
+    perceptrons = tuple(
+        _unpack(arity, terms, rng.uniform(-r, r, arity + len(terms) + 1))
+        for terms in templates
     )
+    return TrainedNetwork(perceptrons, arity, task_name=task_name, seed=config.seed)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qperceptron import (
     bits_to_spins,
     enumerate_inputs,
     evaluate_potential,
+    features,
     reparameterize_bits_to_spins,
     spins_to_bits,
 )
@@ -248,3 +251,55 @@ class TestBitSpinReparameterization:
         p = NeuralPotential((0.5, 0.5), 0.0, (MultiQubitTerm((1, 2), 1.0),))
         with pytest.raises(InvalidInputError):
             reparameterize_bits_to_spins(p)
+
+
+def _random_potential(rng, k):
+    """Random weights on a random subset of the product terms over k spins."""
+    candidates = [
+        c for r in range(2, k + 1) for c in itertools.combinations(range(1, k + 1), r)
+    ]
+    n_terms = int(rng.integers(0, min(len(candidates), 6) + 1))
+    picks = sorted(rng.choice(len(candidates), n_terms, replace=False)) if n_terms else []
+    return NeuralPotential(
+        tuple(rng.uniform(-2, 2, k)),
+        float(rng.uniform(-2, 2)),
+        tuple(MultiQubitTerm(candidates[i], float(rng.uniform(-2, 2))) for i in picks),
+    )
+
+
+class TestFeatures:
+    def test_columns_are_inputs_products_then_minus_one(self):
+        spins = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+        phi = features(spins, ((1, 2), (1, 2, 3)))
+        np.testing.assert_array_equal(
+            phi, [[1, -1, 1, -1, -1, -1], [-1, -1, 1, 1, 1, -1]]
+        )
+
+    def test_products_of_bits_are_conjunctions(self):
+        bits = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(features(bits, ((2, 3), (1, 3))), [
+            [0, 1, 1, 1, 0, -1],
+            [1, 1, 1, 1, 1, -1],
+        ])
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matmul_agrees_with_evaluate_potential(self, k):
+        rng = np.random.default_rng(300 + k)
+        configs = enumerate_inputs(k)
+        spins = np.array([s.spins for s in configs], dtype=float)
+        for _ in range(5):
+            p = _random_potential(rng, k)
+            template = [t.indices for t in p.multi_terms]
+            theta = np.array(
+                p.linear_weights + tuple(t.weight for t in p.multi_terms) + (p.bias,)
+            )
+            x = features(spins, template) @ theta
+            ref = [evaluate_potential(p, s) for s in configs]
+            np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+
+
+def test_far_tail_slope_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert activation_derivative(1e200) == 0.0
+        assert activation_derivative(np.array([-1e200, 0.0])).tolist() == [0.0, 0.5]

@@ -26,6 +26,7 @@ from qperceptron import (
     hamiltonian,
     instantaneous_upper_eigenstate,
     prepare_superposition,
+    statevector_table,
     zero_state,
 )
 from qperceptron import dynamics
@@ -470,3 +471,51 @@ class TestNetworkApplication:
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))
         probs = forward_statevector([p, p], SpinConfig((1, -1)))
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
+
+
+def _random_network_potentials(rng, k, n_out):
+    potentials = []
+    for _ in range(n_out):
+        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        picks = rng.choice(len(pairs), min(len(pairs), 2), replace=False)
+        terms = tuple(
+            MultiQubitTerm(pairs[i], float(rng.uniform(-2, 2))) for i in sorted(picks)
+        )
+        if k >= 3:
+            terms += (MultiQubitTerm((1, 2, 3), float(rng.uniform(-2, 2))),)
+        potentials.append(
+            NeuralPotential(tuple(rng.uniform(-2, 2, k)), float(rng.uniform(-2, 2)), terms)
+        )
+    return potentials
+
+
+class TestStatevectorTable:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_agrees_with_one_register_per_row(self, k):
+        rng = np.random.default_rng(600 + k)
+        n_out = 1 + k % 3
+        potentials = _random_network_potentials(rng, k, n_out)
+        table = statevector_table(potentials)
+        assert table.shape == (2**k, n_out)
+        wiring = [(p, k + 1 + j) for j, p in enumerate(potentials)]
+        for i in range(2**k):
+            bits = tuple((i >> (k - 1 - b)) & 1 for b in range(k))
+            state = apply_network(basis_state(k + n_out, bits + (0,) * n_out), wiring)
+            row = [excitation_probability(state, k + 1 + j) for j in range(n_out)]
+            np.testing.assert_allclose(table[i], row, rtol=0, atol=1e-12)
+
+    def test_forward_statevector_is_the_row_of_its_input(self):
+        rng = np.random.default_rng(41)
+        potentials = _random_network_potentials(rng, 3, 2)
+        table = statevector_table(potentials)
+        s = SpinConfig((1, -1, 1))  # bits 101, basis index 5
+        np.testing.assert_array_equal(forward_statevector(potentials, s), table[5])
+
+    def test_rejects_no_potentials_and_mixed_arities(self):
+        with pytest.raises(InvalidInputError):
+            statevector_table([])
+        mixed = [NeuralPotential((0.1, 0.2), 0.0), NeuralPotential((0.1,), 0.0)]
+        with pytest.raises(InvalidInputError):
+            statevector_table(mixed)
+        with pytest.raises(InvalidInputError):
+            forward_statevector(mixed[:1], SpinConfig((1, 1, 1)))

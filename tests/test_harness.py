@@ -553,6 +553,74 @@ class TestCliGateVerify:
             cli(["gate-verify", "--summary", str(tmp_path / "missing.json")]) == 3
         )
 
+    @staticmethod
+    def _cnot_summary(tmp_path, **fields):
+        """A classical CNOT summary: output 1 is b1 (2 b1 + b2 - 1.5 > 0),
+        output 2 reads b1 as well, so it misses the XOR rows 01 and 11."""
+        doc = {
+            "task": "cnot",
+            "mode": "classical",
+            "bit_order": "msb",
+            "template": "paper",
+            "per_seed": [
+                {
+                    "seed": 0,
+                    "epochs_to_tolerance": None,
+                    "weights": [
+                        {"linear": [2.0, 1.0], "multi": [], "bias": 1.5},
+                        {"linear": [1.0, 0.0], "multi": [], "bias": 0.5},
+                    ],
+                }
+            ],
+        }
+        doc.update(fields)
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_classical_weights_are_read_as_bit_weights(self, tmp_path, capsys):
+        path = self._cnot_summary(tmp_path)
+        assert cli(["gate-verify", "--summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "scalar: 2/4 rows correct" in out
+        assert "statevector: 2/4 rows correct" in out
+        # read as spin weights, output 1 would also miss input (1, 0)
+        assert "mismatch at input (1, 0)" not in out
+        assert out.count("mismatch at input (0, 1)") == 2
+        assert out.count("mismatch at input (1, 1)") == 2
+        assert "verdict=fail" in out
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"template": "bogus"},
+            {"template": 5},
+            {"template": None},
+            {"mode": "weird"},
+            {"bit_order": "middle"},
+        ],
+    )
+    def test_unknown_summary_settings_exit_one(self, tmp_path, capsys, fields):
+        path = self._cnot_summary(tmp_path, **fields)
+        assert cli(["gate-verify", "--summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_summary_is_opened_once(self, tmp_path, capsys, monkeypatch):
+        path = self._cnot_summary(tmp_path)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", counting_open, raising=False)
+        assert cli(["gate-verify", "--summary", str(path)]) == 0
+        assert opened == [path]
+
 
 class TestModuleEntryPoint:
     def test_import_leaves_scipy_optimize_unloaded(self):

@@ -233,6 +233,24 @@ class TestVerifyTruthTable:
         with pytest.raises(InvalidInputError):
             verify_truth_table(net, gate_task("toffoli"))
 
+    @pytest.mark.parametrize("engine", ["scalar", "statevector"])
+    def test_report_does_not_depend_on_example_order(self, engine):
+        task = resolve_task("toffoli")  # the published template misses rows
+        net = initialize_network(task.arity, task.templates, TrainerConfig(seed=4))
+        order = np.random.default_rng(7).permutation(len(task.examples))
+        shuffled = TaskSpec(
+            name=task.name,
+            arity=task.arity,
+            templates=task.templates,
+            examples=tuple(task.examples[i] for i in order),
+        )
+        report = verify_truth_table(net, task, engine=engine)
+        permuted = verify_truth_table(net, shuffled, engine=engine)
+        assert report.n_correct < report.n_rows
+        assert permuted.n_correct == report.n_correct
+        assert permuted.max_abs_error == report.max_abs_error
+        assert sorted(permuted.mismatches) == sorted(report.mismatches)
+
 
 class TestRepresentabilityOracle:
     def test_xor_pair_term_is_feasible(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,26 @@ class TestCost:
             InvalidInputError, match="diverged"
         ):
             cost(net, xor_task().examples)
+
+    def test_divergence_raises_without_an_overflow_warning(self):
+        p = NeuralPotential((1e200, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))
+        net = TrainedNetwork((p,), 2)
+        examples = xor_task().examples
+        start = _random_network(xor_task(), seed=0)
+        calls = [
+            lambda: cost(net, examples),
+            lambda: quantum_gradients(net, examples),
+            lambda: classical_gradients(p, examples),
+            lambda: epoch_update(net, examples, TrainerConfig()),
+            lambda: train(net, examples, TrainerConfig(max_epochs=5)),
+            # a finite start whose first step overflows the potential
+            lambda: train(start, examples, TrainerConfig(eta=1e308, max_epochs=5)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(InvalidInputError, match="diverged"):
+                    call()
 
 
 class TestQuantumGradients:
