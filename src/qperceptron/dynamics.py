@@ -31,7 +31,7 @@ which no gate changes, so one superposed input register serves every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

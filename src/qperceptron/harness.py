@@ -8,16 +8,18 @@ verdict for the trained template.  Identical configuration produces
 byte-identical files.
 
 Config precedence is flags > JSON config file > defaults.  The config file
-uses the field names of ExperimentConfig verbatim.
+uses the field names of ExperimentConfig verbatim, plus seed for a single
+seed; ExperimentConfig checks every value's type and range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -67,31 +69,46 @@ class ConfigError(ValueError):
     """Unresolvable or inconsistent experiment configuration."""
 
 
-_MODES = ("quantum", "classical")
-_TEMPLATES = ("paper", "extended", "two-qubit")
-_BIT_ORDERS = ("msb", "lsb")
+_CHOICES = {
+    "template": ("paper", "extended", "two-qubit"),
+    "bit_order": ("msb", "lsb"),
+    "mode": ("quantum", "classical"),
+}
 
-_CONFIG_KEYS = (
-    "task",
-    "mode",
-    "eta",
-    "seed",
-    "seeds",
-    "max_epochs",
-    "cost_tolerance",
-    "init_range",
-    "plateau_window",
-    "plateau_epsilon",
-    "bit_order",
-    "template",
-    "out_dir",
-    "require_convergence",
-)
+# at most this many seeds in one experiment
+MAX_SEEDS = 10_000
+
+# annotation -> (accepted type, stored type)
+_TYPES: dict[str, tuple[Any, type]] = {
+    "str": (str, str),
+    "bool": (bool, bool),
+    "int": (numbers.Integral, int),
+    "float": (numbers.Real, float),
+}
+
+
+def _typed(name: str, value: Any, annotation: str) -> Any:
+    """value stored as its annotated type, and one of its _CHOICES if any.
+
+    A bool passes only as a bool, not as an int or a real.
+    """
+    accepted, stored = _TYPES[annotation]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (stored is bool):
+        raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
+    return stored(value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved settings for one training experiment."""
+    """Fully resolved settings for one training experiment.
+
+    The one place a setting is named, defaulted, typed and checked: the CLI
+    passes flag and config-file values straight in.  Each field's value must
+    have its annotated type, and reals are stored as float.  The range rules
+    shared with TrainerConfig are TrainerConfig's own.
+    """
 
     task: str
     mode: str = "quantum"
@@ -108,40 +125,37 @@ class ExperimentConfig:
     require_convergence: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings, e.g. "float"
+            value = getattr(self, f.name)
+            if f.name == "seeds":
+                try:
+                    value = tuple(_typed("seed", s, "int") for s in value)
+                except TypeError:
+                    raise ConfigError("seeds must be a list of integers") from None
+            else:
+                value = _typed(f.name, value, f.type)
+            object.__setattr__(self, f.name, value)
         object.__setattr__(self, "task", canonical_task_id(self.task))
         if self.task not in TASK_IDS:
             raise ConfigError(
                 f"unknown task {self.task!r}, expected one of {', '.join(TASK_IDS)}"
             )
-        _check_choices(self.template, self.bit_order, self.mode)
-        if len(self.seeds) == 0:
-            raise ConfigError("at least one seed is required")
-        if any(not isinstance(s, int) or isinstance(s, bool) for s in self.seeds):
-            raise ConfigError("seeds must be integers")
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ConfigError("eta must be a finite positive real")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be at least 1")
-        if not (self.cost_tolerance > 0):
-            raise ConfigError("cost_tolerance must be positive")
-        if not (self.init_range > 0 and np.isfinite(self.init_range)):
-            raise ConfigError("init_range must be a finite positive real")
-        if self.plateau_window < 2:
-            raise ConfigError("plateau_window must be at least 2")
-        if not (self.plateau_epsilon > 0):
-            raise ConfigError("plateau_epsilon must be positive")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not 0 < len(self.seeds) <= MAX_SEEDS or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be 1 to {MAX_SEEDS} non-negative integers")
+        try:
+            self.trainer_config(self.seeds[0])
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
+        for name in ("eta", "init_range"):  # TrainerConfig allows 0
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
 
     def trainer_config(self, seed: int) -> TrainerConfig:
-        return TrainerConfig(
-            eta=self.eta,
-            max_epochs=self.max_epochs,
-            cost_tolerance=self.cost_tolerance,
-            init_range=self.init_range,
-            seed=seed,
-            plateau_window=self.plateau_window,
-            plateau_epsilon=self.plateau_epsilon,
-        )
+        names = [f.name for f in fields(TrainerConfig) if f.name != "seed"]
+        return TrainerConfig(seed=seed, **{n: getattr(self, n) for n in names})
+
+
+_SETTINGS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 @dataclass(frozen=True)
@@ -177,40 +191,24 @@ class ExperimentResult:
     elapsed_seconds: float
 
 
-def _check_choices(template: Any, bit_order: Any, mode: Any) -> None:
-    for name, value, choices in (
-        ("template", template, _TEMPLATES),
-        ("bit_order", bit_order, _BIT_ORDERS),
-        ("mode", mode, _MODES),
-    ):
-        if value not in choices:
-            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
-
-
-def _resolve(
-    task: str, template: Any, bit_order: Any, mode: Any
-) -> tuple[TaskSpec, str]:
-    """The TaskSpec and input encoding of a task id under a template and mode.
+def _resolve(config: ExperimentConfig) -> tuple[TaskSpec, str]:
+    """The TaskSpec and input encoding of a config's task, template and mode.
 
     Classical mode trains on raw bits with every product term stripped.
-    ConfigError names an unknown template, bit order or mode.
     """
-    _check_choices(template, bit_order, mode)
     spec = resolve_task(
-        task,
-        bit_order=bit_order,
-        two_qubit_only=template == "two-qubit" or mode == "classical",
-        extended=template == "extended",
+        config.task,
+        bit_order=config.bit_order,
+        two_qubit_only=config.template == "two-qubit" or config.mode == "classical",
+        extended=config.template == "extended",
     )
-    return spec, "bit" if mode == "classical" else "spin"
+    return spec, "bit" if config.mode == "classical" else "spin"
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Train every seed, detect plateaus, and audit the template."""
     started = time.perf_counter()
-    task, encoding = _resolve(
-        config.task, config.template, config.bit_order, config.mode
-    )
+    task, encoding = _resolve(config)
 
     nets = [
         initialize_network(
@@ -329,13 +327,17 @@ def emit_summary(result: ExperimentResult, path: str | Path) -> Path:
     return path
 
 
-def load_summary(path: str | Path) -> dict[str, Any]:
-    """Read a summary.json; ConfigError unless it names a task and holds seeds."""
+def _read_json(path: str | Path) -> Any:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_summary(path: str | Path) -> dict[str, Any]:
+    """Read a summary.json; ConfigError unless it names a task and holds seeds."""
+    doc = _read_json(path)
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("task"), str)
@@ -400,115 +402,97 @@ def _network_from_summary(
 # --- configuration assembly ---
 
 
-def _split_task(raw: str, flag: str | None, default: Any) -> tuple[str, Any]:
-    """The task id and template of a task id with an optional suffix.
+def _config_from(values: dict[str, Any], template_flag: str | None) -> ExperimentConfig:
+    """ExperimentConfig(**values), the task id's template suffix split off.
 
     A task id may carry a template suffix, e.g. fredkin:paper.  The
-    --template flag wins over the suffix, which wins over default; a flag
-    and a suffix that disagree raise ConfigError.
+    --template flag wins over the suffix, which wins over a config file's
+    template; a flag and a suffix that disagree raise ConfigError.
     """
-    task_id, colon, suffix = raw.partition(":")
-    if colon and suffix not in _TEMPLATES:
-        raise ConfigError(f"unknown template suffix {suffix!r} in task {raw!r}")
-    if colon and flag is not None and flag != suffix:
-        raise ConfigError(f"--template {flag} conflicts with task suffix :{suffix}")
-    return task_id, flag or suffix or default
+    raw = values["task"]
+    if isinstance(raw, str) and ":" in raw:
+        task_id, _, suffix = raw.partition(":")
+        if suffix not in _CHOICES["template"]:
+            raise ConfigError(f"unknown template suffix {suffix!r} in task {raw!r}")
+        if template_flag is not None and template_flag != suffix:
+            raise ConfigError(
+                f"--template {template_flag} conflicts with task suffix :{suffix}"
+            )
+        values.update(task=task_id, template=suffix)
+    return ExperimentConfig(**values)
 
 
 def _parse_seed_list(raw: str) -> tuple[int, ...]:
-    """Comma-separated integers; a-b runs an inclusive range."""
-    seeds: list[int] = []
+    """Comma-separated integers; a-b runs an inclusive range.
+
+    ConfigError if the list names more than MAX_SEEDS seeds, counted from
+    the range bounds before any range is expanded.
+    """
+    bounds = []
+    count = 0
     for item in raw.split(","):
         item = item.strip()
         if not item:
             raise ConfigError(f"empty entry in seed list {raw!r}")
         lo, sep, hi = item.partition("-")
+        if not (sep and lo):  # one seed; a bare leading - is a minus sign
+            lo = hi = item
         try:
-            if sep and lo:  # "a-b"; a bare leading - is a negative seed
-                a, b = int(lo), int(hi)
-                if b < a:
-                    raise ConfigError(f"descending seed range {item!r}")
-                seeds.extend(range(a, b + 1))
-            else:
-                seeds.append(int(item))
+            a, b = int(lo), int(hi)
         except ValueError as exc:
             raise ConfigError(f"bad seed entry {item!r}") from exc
-    return tuple(seeds)
+        if b < a:
+            raise ConfigError(f"descending seed range {item!r}")
+        count += b - a + 1
+        if count > MAX_SEEDS:
+            raise ConfigError(f"seed list {raw!r} names more than {MAX_SEEDS} seeds")
+        bounds.append((a, b))
+    return tuple(s for a, b in bounds for s in range(a, b + 1))
+
+
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The ExperimentConfig fields that flags set."""
+    return {k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    """The settings of a JSON config file, its seed key read as seeds."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    unknown = sorted(set(doc) - _SETTINGS - {"seed"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    if "seed" in doc:
+        if "seeds" in doc:
+            raise ConfigError("config file sets both seed and seeds")
+        doc["seeds"] = [doc.pop("seed")]
     return doc
 
 
-def _build_experiment_config(
-    args: argparse.Namespace, default_seeds: tuple[int, ...]
-) -> ExperimentConfig:
-    file_vals = _load_config_file(args.config) if args.config else {}
-
-    raw_task = args.task if args.task is not None else file_vals.get("task")
-    if raw_task is None:
-        raise ConfigError("a task is required (--task or config file)")
-    task_id, template = _split_task(
-        str(raw_task), args.template, file_vals.get("template", "paper")
-    )
-
-    if args.seed is not None and args.seeds is not None:
-        raise ConfigError("--seed and --seeds are mutually exclusive")
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Flags over config-file values over ExperimentConfig's defaults."""
+    values: dict[str, Any] = {"seeds": args.default_seeds} if args.default_seeds else {}
+    if args.config:
+        values.update(_load_config_file(args.config))
+    flags = _settings(args)
     if args.seed is not None:
-        seeds: tuple[int, ...] = (args.seed,)
-    elif args.seeds is not None:
-        seeds = _parse_seed_list(args.seeds)
-    elif "seed" in file_vals and "seeds" in file_vals:
-        raise ConfigError("config file sets both seed and seeds")
-    elif "seed" in file_vals:
-        # uncoerced, so ExperimentConfig rejects true and 2.7
-        seeds = (file_vals["seed"],)
-    elif "seeds" in file_vals:
-        raw = file_vals["seeds"]
-        if not isinstance(raw, list):
-            raise ConfigError("config key seeds must be a list of integers")
-        seeds = tuple(raw)
-    else:
-        seeds = default_seeds
-
-    def pick(flag_value: Any, key: str, default: Any) -> Any:
-        if flag_value is not None:
-            return flag_value
-        return file_vals.get(key, default)
-
-    return ExperimentConfig(
-        task=task_id,
-        mode=pick(args.mode, "mode", "quantum"),
-        eta=float(pick(args.eta, "eta", 1.5)),
-        seeds=seeds,
-        max_epochs=int(pick(args.max_epochs, "max_epochs", 5000)),
-        cost_tolerance=float(pick(args.tol, "cost_tolerance", 0.01)),
-        init_range=float(pick(args.init_range, "init_range", 0.5)),
-        plateau_window=int(pick(args.plateau_window, "plateau_window", 200)),
-        plateau_epsilon=float(pick(args.plateau_epsilon, "plateau_epsilon", 5e-4)),
-        bit_order=pick(args.bit_order, "bit_order", "msb"),
-        template=template,
-        out_dir=str(pick(args.out, "out_dir", "results")),
-        require_convergence=bool(
-            pick(args.require_convergence, "require_convergence", False)
-        ),
-    )
+        if "seeds" in flags:
+            raise ConfigError("--seed and --seeds are mutually exclusive")
+        flags["seeds"] = (args.seed,)
+    elif "seeds" in flags:
+        flags["seeds"] = _parse_seed_list(flags["seeds"])
+    values.update(flags)
+    if "task" not in values:
+        raise ConfigError("a task is required (--task or config file)")
+    return _config_from(values, args.template)
 
 
 # --- subcommands ---
 
 
-def _run_and_emit(config: ExperimentConfig) -> int:
+def _cmd_train(args: argparse.Namespace) -> int:
+    config = _experiment_config(args)
     result = run_experiment(config)
     csv_paths = emit_cost_curve_csv(result, config.out_dir)
     summary_path = emit_summary(result, Path(config.out_dir) / "summary.json")
@@ -541,16 +525,6 @@ def _run_and_emit(config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    return _run_and_emit(_build_experiment_config(args, default_seeds=(0,)))
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_and_emit(
-        _build_experiment_config(args, default_seeds=tuple(range(20)))
-    )
-
-
 def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
@@ -577,12 +551,9 @@ def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
 
 def _cmd_gate_verify(args: argparse.Namespace) -> int:
     doc = load_summary(args.summary)
-    task, encoding = _resolve(
-        doc["task"],
-        doc.get("template", "paper"),
-        doc.get("bit_order", "msb"),
-        doc.get("mode", "quantum"),
-    )
+    keys = ("task", "template", "bit_order", "mode")
+    config = ExperimentConfig(**{k: doc[k] for k in keys if k in doc})
+    task, encoding = _resolve(config)
     net = _network_from_summary(doc, args.summary, args.seed)
     if encoding == "bit":  # both engines read spins
         spins = tuple(reparameterize_bits_to_spins(p) for p in net.perceptrons)
@@ -602,15 +573,15 @@ def _cmd_gate_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
-    task_id, template = _split_task(args.task, args.template, "paper")
-    for bit_order in _BIT_ORDERS:
-        task, _ = _resolve(task_id, template, bit_order, "quantum")
+    config = _config_from(_settings(args), args.template)
+    for bit_order in _CHOICES["bit_order"]:
+        task, _ = _resolve(replace(config, bit_order=bit_order))
         for j in range(task.n_outputs):
             verdict = check_exact_representability(task, j)
             state = "feasible" if verdict.feasible else "infeasible"
             margin = verdict.margin + 0.0  # normalize -0.0 for display
             print(
-                f"{task.name}:{template} [{bit_order}] output {j + 1}: "
+                f"{task.name}:{config.template} [{bit_order}] output {j + 1}: "
                 f"{state} (margin={margin:.6g})"
             )
     return 0
@@ -622,20 +593,23 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", help="task id, optionally with :template suffix")
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--mode", choices=_MODES)
+    parser.add_argument("--mode", choices=_CHOICES["mode"])
     parser.add_argument("--eta", type=float, help="learning rate")
     parser.add_argument("--seed", type=int, help="single seed")
     parser.add_argument("--seeds", help="comma list of seeds, a-b for ranges")
     parser.add_argument("--max-epochs", type=int, dest="max_epochs")
     parser.add_argument(
-        "--tol", type=float, help="stop once the cost drops below this"
+        "--tol",
+        type=float,
+        dest="cost_tolerance",
+        help="stop once the cost drops below this",
     )
     parser.add_argument("--init-range", type=float, dest="init_range")
     parser.add_argument("--plateau-window", type=int, dest="plateau_window")
     parser.add_argument("--plateau-epsilon", type=float, dest="plateau_epsilon")
-    parser.add_argument("--bit-order", choices=_BIT_ORDERS, dest="bit_order")
-    parser.add_argument("--template", choices=_TEMPLATES)
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--bit-order", choices=_CHOICES["bit_order"])
+    parser.add_argument("--template", choices=_CHOICES["template"])
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument(
         "--require-convergence",
         action=argparse.BooleanOptionalAction,
@@ -654,15 +628,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run one experiment (default: seed 0)")
-    _add_train_flags(p_train)
-    p_train.set_defaults(handler=_cmd_train)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="run a multi-seed experiment (default: seeds 0-19)"
-    )
-    _add_train_flags(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    for name, default_seeds, text in (
+        ("train", None, "run one experiment (default: seed 0)"),
+        ("sweep", range(20), "run a multi-seed experiment (default: seeds 0-19)"),
+    ):
+        p_run = sub.add_parser(name, help=text)
+        _add_train_flags(p_run)
+        p_run.set_defaults(handler=_cmd_train, default_seeds=default_seeds)
 
     p_adiabatic = sub.add_parser(
         "adiabatic-check",
@@ -700,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="representability verdict per output under both bit orders",
     )
     p_feas.add_argument("--task", required=True)
-    p_feas.add_argument("--template", choices=_TEMPLATES, default=None)
+    p_feas.add_argument("--template", choices=_CHOICES["template"])
     p_feas.set_defaults(handler=_cmd_feasibility)
 
     return parser

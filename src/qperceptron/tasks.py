@@ -13,7 +13,7 @@ only intended for small registers (k <= 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import (
     features,
 )
 from .dynamics import _basis_index, statevector_table
-from .training import TrainedNetwork, TrainingExample, forward_network
+from .training import TrainedNetwork, TrainingExample, _input_matrix, _outputs
 
 __all__ = [
     "TaskSpec",
@@ -287,16 +287,16 @@ def verify_truth_table(
 ) -> TruthTableReport:
     """Threshold every output on every row; outputs at the threshold read 0.
 
-    The scalar engine evaluates each row with forward_network; the
-    statevector engine builds statevector_table once and reads each row's
-    outputs at its input bits.
+    The scalar engine evaluates every row at once with the activation of
+    each output's potential; the statevector engine builds
+    statevector_table once and reads each row's outputs at its input bits.
     """
     if net.arity != task.arity:
         raise InvalidInputError("network arity does not match task")
     if net.n_outputs != task.n_outputs:
         raise InvalidInputError("network output count does not match task")
     if engine == "scalar":
-        y = np.array([forward_network(net, ex.spins) for ex in task.examples])
+        y = _outputs(net, _input_matrix([ex.spins for ex in task.examples], "spin"))
     elif engine == "statevector":
         rows = [_basis_index(ex.bits) for ex in task.examples]
         y = statevector_table(net.perceptrons)[rows]

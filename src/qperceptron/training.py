@@ -240,15 +240,20 @@ def _network(net: TrainedNetwork, theta: np.ndarray, epochs_run: int) -> Trained
     return replace(net, perceptrons=perceptrons, epochs_run=epochs_run)
 
 
+def _outputs(net: TrainedNetwork, inputs: np.ndarray) -> np.ndarray:
+    """Outputs f(x_j) (N, O) of every output j on every input row (N, k)."""
+    pairs = zip(net.perceptrons, _template(net))
+    xs = [features(inputs, t) @ _pack(p) for p, t in pairs]
+    return activation(np.stack(xs, axis=1))
+
+
 def forward_network(
     net: TrainedNetwork, s: SpinConfig, encoding: Encoding = "spin"
 ) -> np.ndarray:
     """Output vector y = f(x_j) for one input configuration."""
     if len(s) != net.arity:
         raise InvalidInputError("input arity does not match network")
-    row = _input_matrix([s], encoding)
-    xs = [features(row, t) @ _pack(p) for p, t in zip(net.perceptrons, _template(net))]
-    return activation(np.concatenate(xs))
+    return _outputs(net, _input_matrix([s], encoding))[0]
 
 
 def cost(

@@ -30,6 +30,10 @@ def _run(config: ExperimentConfig):
     return run_experiment(config)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a rejected configuration started a run")
+
+
 class TestExperimentConfig:
     def test_rejects_unknown_task(self):
         with pytest.raises(ConfigError):
@@ -424,7 +428,23 @@ class TestCliConfigFile:
         assert cli(["train", "--config", str(cfg)]) == 1
 
     @pytest.mark.parametrize(
-        "seeds", [{"seeds": [True, 2.7]}, {"seed": True}, {"seed": 2.0}]
+        "seeds",
+        [
+            {"seeds": [True, 2.7]},
+            {"seed": True},
+            {"seed": 2.0},
+            {"eta": None},
+            {"max_epochs": "abc"},
+            {"max_epochs": 2.7},
+            {"max_epochs": True},
+            {"plateau_window": float("inf")},  # what JSON's 1e400 reads as
+            {"require_convergence": "false"},
+            {"cost_tolerance": "0.5"},
+            {"seed": -1},
+            {"seeds": 5},
+            {"seeds": list(range(10_001))},
+            {"task": 5},
+        ],
     )
     def test_non_integer_seeds_are_rejected(self, tmp_path, capsys, seeds):
         cfg = tmp_path / "config.json"
@@ -434,10 +454,101 @@ class TestCliConfigFile:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"task": "xor", "plateau_window": 1e400}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b"\xff\xfe{",
+        ],
+        ids=["1e400", "deep", "undecodable"],
+    )
+    def test_malformed_file_text_exits_one_before_training(
+        self, tmp_path, capsys, monkeypatch, text
+    ):
+        monkeypatch.setattr(harness, "initialize_network", _must_not_run)
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        assert cli(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_null_out_dir_is_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"task": "xor", "max_epochs": 5, "out_dir": None}))
+        assert cli(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_integer_eta_is_written_as_a_float(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"task": "xor", "eta": 1, "max_epochs": 5}))
+        out = tmp_path / "run"
+        assert cli(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert '"eta": 1.0,' in (out / "summary.json").read_text()
+
     def test_malformed_json_is_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text("{not json")
         assert cli(["train", "--config", str(cfg)]) == 1
+
+
+class TestCliDefaults:
+    """A setting no flag or file gives is ExperimentConfig's own default."""
+
+    @staticmethod
+    def _built_config(monkeypatch, argv):
+        built = []
+
+        def capture(config):
+            built.append(config)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(harness, "run_experiment", capture)
+        assert cli(argv) == 1
+        return built[0]
+
+    def test_train_defaults_are_the_config_defaults(self, monkeypatch):
+        config = self._built_config(monkeypatch, ["train", "--task", "xor"])
+        assert config == ExperimentConfig(task="xor")
+
+    def test_sweep_only_widens_the_seeds(self, monkeypatch):
+        config = self._built_config(monkeypatch, ["sweep", "--task", "xor"])
+        assert config == ExperimentConfig(task="xor", seeds=tuple(range(20)))
+
+    def test_flags_set_the_fields_they_name(self, monkeypatch):
+        argv = ["train", "--task", "xor", "--tol", "0.25", "--out", "elsewhere"]
+        config = self._built_config(monkeypatch, argv)
+        assert config == ExperimentConfig(
+            task="xor", cost_tolerance=0.25, out_dir="elsewhere"
+        )
+
+
+class TestCliSeedList:
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ("0-1000000000", "more than 10000 seeds"),
+            ("0-99999999999999999999999", "more than 10000 seeds"),
+            ("0-5000,5001-10001", "more than 10000 seeds"),
+            ("5-3", "descending seed range '5-3'"),
+            ("1,x", "bad seed entry 'x'"),
+        ],
+    )
+    def test_bad_lists_exit_one_before_training(
+        self, capsys, monkeypatch, seeds, message
+    ):
+        monkeypatch.setattr(harness, "initialize_network", _must_not_run)
+        assert cli(["train", "--task", "xor", "--seeds", seeds]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+
+    def test_a_list_of_max_seeds_is_accepted(self):
+        seeds = harness._parse_seed_list(f"1-{harness.MAX_SEEDS - 1},0")
+        assert sorted(seeds) == list(range(harness.MAX_SEEDS))
 
 
 class TestCliSweep:
