@@ -63,17 +63,15 @@ from .harness import (
 )
 from .tasks import (
     TASK_IDS,
+    TEMPLATES,
     FeasibilityVerdict,
     TaskSpec,
     TruthTableReport,
     canonical_task_id,
     check_exact_representability,
-    gate_task,
-    prime_task,
     resolve_task,
     scale_potential,
     verify_truth_table,
-    xor_task,
 )
 from .training import (
     CostCurve,

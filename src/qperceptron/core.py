@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_ARITY",
     "InvalidInputError",
     "SpinConfig",
     "MultiQubitTerm",

@@ -79,7 +79,7 @@ class InvalidWiringError(ValueError):
     """A gate or network references qubits inconsistently."""
 
 
-class ScheduleTooFastError(ValueError):
+class ScheduleTooFastError(InvalidInputError):
     """The ramp starts with too small a drive for the requested potential."""
 
 
@@ -155,9 +155,11 @@ def instantaneous_upper_eigenstate(x: float, omega: float) -> tuple[float, float
 def _ramp_steps(points: int, t_f: float, dt: float) -> int:
     """Number of steps of a ramp of length t_f at step dt.
 
-    Rejects a grid whose points * steps exceed MAX_POINT_STEPS (or are not
-    a number), before any work is done.
+    Rejects a step dt that is not positive, and a grid whose points * steps
+    exceed MAX_POINT_STEPS (or are not a number), before any work is done.
     """
+    if not dt > 0.0:
+        raise InvalidInputError(f"dt must be positive, got {dt}")
     steps = t_f / dt
     if steps <= MAX_POINT_STEPS:
         steps = max(1, int(round(steps)))

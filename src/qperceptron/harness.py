@@ -33,7 +33,7 @@ from .core import (
 )
 from .dynamics import _RAMPS, _ramp_steps, adiabatic_profile
 from .tasks import (
-    TASK_IDS,
+    TEMPLATES,
     FeasibilityVerdict,
     TaskSpec,
     canonical_task_id,
@@ -70,7 +70,7 @@ class ConfigError(ValueError):
 
 
 _CHOICES = {
-    "template": ("paper", "extended", "two-qubit"),
+    "template": TEMPLATES,
     "bit_order": ("msb", "lsb"),
     "mode": ("quantum", "classical"),
 }
@@ -107,7 +107,9 @@ class ExperimentConfig:
     The one place a setting is named, defaulted, typed and checked: the CLI
     passes flag and config-file values straight in.  Each field's value must
     have its annotated type, and reals are stored as float.  The range rules
-    shared with TrainerConfig are TrainerConfig's own.
+    shared with TrainerConfig are TrainerConfig's own.  Task, template and
+    mode are checked together by building the TaskSpec that run_experiment
+    would train.
     """
 
     task: str
@@ -136,13 +138,10 @@ class ExperimentConfig:
                 value = _typed(f.name, value, f.type)
             object.__setattr__(self, f.name, value)
         object.__setattr__(self, "task", canonical_task_id(self.task))
-        if self.task not in TASK_IDS:
-            raise ConfigError(
-                f"unknown task {self.task!r}, expected one of {', '.join(TASK_IDS)}"
-            )
         if not 0 < len(self.seeds) <= MAX_SEEDS or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be 1 to {MAX_SEEDS} non-negative integers")
         try:
+            _resolve(self)
             self.trainer_config(self.seeds[0])
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
@@ -194,14 +193,15 @@ class ExperimentResult:
 def _resolve(config: ExperimentConfig) -> tuple[TaskSpec, str]:
     """The TaskSpec and input encoding of a config's task, template and mode.
 
-    Classical mode trains on raw bits with every product term stripped.
+    Classical mode trains on raw bits with every product term stripped (the
+    two-qubit template), so it takes the paper or two-qubit template only.
     """
-    spec = resolve_task(
-        config.task,
-        bit_order=config.bit_order,
-        two_qubit_only=config.template == "two-qubit" or config.mode == "classical",
-        extended=config.template == "extended",
-    )
+    template = config.template
+    if config.mode == "classical":
+        if template == "extended":
+            raise ConfigError("mode 'classical' cannot train template 'extended'")
+        template = "two-qubit"
+    spec = resolve_task(config.task, bit_order=config.bit_order, template=template)
     return spec, "bit" if config.mode == "classical" else "spin"
 
 
@@ -529,6 +529,8 @@ def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
     _ramp_steps(args.points, args.t_f, args.dt)
+    if not np.isfinite(args.x_max - args.x_min):  # also catches an inf or nan bound
+        raise ConfigError("--x-min and --x-max must be finite, with a finite span")
     xs = np.linspace(args.x_min, args.x_max, args.points)
     profile = adiabatic_profile(
         xs,

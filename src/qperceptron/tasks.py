@@ -12,7 +12,7 @@ only intended for small registers (k <= 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -33,9 +33,7 @@ __all__ = [
     "TruthTableReport",
     "FeasibilityVerdict",
     "TASK_IDS",
-    "xor_task",
-    "prime_task",
-    "gate_task",
+    "TEMPLATES",
     "canonical_task_id",
     "resolve_task",
     "verify_truth_table",
@@ -44,10 +42,7 @@ __all__ = [
 ]
 
 BitOrder = Literal["msb", "lsb"]
-GateVariant = Literal["paper", "extended", "two_qubit"]
-
-TASK_IDS = ("xor", "prime3", "prime4", "prime5", "cnot", "toffoli", "fredkin")
-EXTENDED_TASK_IDS = ("prime5", "toffoli", "fredkin")
+Templates = tuple[tuple[tuple[int, ...], ...], ...]
 
 FEASIBILITY_MARGIN = 1e-9
 MAX_ORACLE_ARITY = 5
@@ -59,9 +54,8 @@ class TaskSpec:
 
     name: str
     arity: int
-    templates: tuple[tuple[tuple[int, ...], ...], ...]
+    templates: Templates
     examples: tuple[TrainingExample, ...]
-    description: str = ""
 
     def __post_init__(self) -> None:
         if len(self.templates) == 0:
@@ -79,26 +73,6 @@ class TaskSpec:
         return len(self.templates)
 
 
-def _truth_table(
-    arity: int, fn: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> tuple[TrainingExample, ...]:
-    examples = []
-    for s in enumerate_inputs(arity):
-        examples.append(TrainingExample(spins=s, target=fn(s.bits)))
-    return tuple(examples)
-
-
-def xor_task() -> TaskSpec:
-    """Two-bit parity with a single two-qubit product term."""
-    return TaskSpec(
-        name="xor",
-        arity=2,
-        templates=(((1, 2),),),
-        examples=_truth_table(2, lambda b: (b[0] ^ b[1],)),
-        description="y = b1 XOR b2",
-    )
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -110,117 +84,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _bits_value(bits: tuple[int, ...], bit_order: BitOrder) -> int:
-    if bit_order == "msb":
-        ordered = bits
-    elif bit_order == "lsb":
-        ordered = bits[::-1]
-    else:
-        raise InvalidInputError(f"unknown bit_order {bit_order!r}")
+def _prime(bits: tuple[int, ...], bit_order: BitOrder) -> tuple[int, ...]:
+    """Primality of the register's integer; msb: qubit 1 is most significant."""
     value = 0
-    for b in ordered:
+    for b in bits if bit_order == "msb" else bits[::-1]:
         value = 2 * value + b
-    return value
+    return (int(_is_prime(value)),)
 
 
-# No single product term, and not all ten pair terms together, can represent
-# 5-bit primality (LP oracle, both bit orders).  This smallest representable
-# template keeps the published (2,3) pair; it is feasible under msb order.
-_PRIME5_EXTENDED = ((2, 3), (1, 3, 4), (1, 2, 3, 5))
-
-
-def prime_task(
-    bits: int,
-    bit_order: BitOrder = "msb",
-    variant: Literal["paper", "extended"] = "paper",
-) -> TaskSpec:
-    """Primality of the integer read off the register, one output.
-
-    bit_order selects whether qubit 1 holds the most or the least
-    significant bit of the integer.  The "paper" template carries one
-    product term on qubits 2 and 3.  The "extended" template (5 bits only)
-    adds the triple (1,3,4) and the 4-qubit product (1,2,3,5), which makes
-    the msb-ordered task exactly representable.
-    """
-    if bits not in (3, 4, 5):
-        raise InvalidInputError(f"prime task supports 3 to 5 bits, got {bits}")
-    _bits_value((0,) * bits, bit_order)  # validate bit_order early
-    if variant == "paper":
-        template: tuple[tuple[int, ...], ...] = ((2, 3),)
-    elif variant == "extended" and bits == 5:
-        template = _PRIME5_EXTENDED
-    else:
-        raise InvalidInputError(f"prime{bits} has no {variant!r} template")
-    return TaskSpec(
-        name=f"prime{bits}",
-        arity=bits,
-        templates=(template,),
-        examples=_truth_table(
-            bits, lambda b: (int(_is_prime(_bits_value(b, bit_order))),)
-        ),
-        description=f"y = 1 iff the {bits}-bit register ({bit_order} first) is prime",
-    )
-
-
-def _cnot_fn(b: tuple[int, ...]) -> tuple[int, ...]:
-    return (b[0], b[0] ^ b[1])
-
-
-def _toffoli_fn(b: tuple[int, ...]) -> tuple[int, ...]:
-    return (b[0], b[1], b[2] ^ (b[0] & b[1]))
-
-
-def _fredkin_fn(b: tuple[int, ...]) -> tuple[int, ...]:
-    if b[0]:
-        return (b[0], b[2], b[1])
-    return b
-
-
-_GATE_TEMPLATES: dict[str, dict[str, tuple[tuple[tuple[int, ...], ...], ...]]] = {
-    "cnot": {
-        "paper": ((), ((1, 2),)),
-    },
-    "toffoli": {
-        "paper": ((), (), ((1, 2, 3),)),
-        "extended": ((), (), ((1, 2, 3), (1, 3), (2, 3))),
-    },
-    "fredkin": {
-        "paper": ((), (), ((2, 3),)),
-        "extended": ((), ((1, 2), (1, 3)), ((1, 2), (1, 3))),
-    },
+# id -> (arity, output bits of (input bits, bit order), {template: per-output
+# term templates}).  "two-qubit" is not stored: it is "paper" with every
+# product term stripped.  No single product term, and not all ten pair terms
+# together, can represent 5-bit primality (LP oracle, both bit orders);
+# prime5's extended template is the smallest representable one that keeps
+# the published (2,3) pair, and it is feasible under msb order.
+_TASKS: dict[str, tuple[int, Callable, dict[str, Templates]]] = {
+    "xor": (2, lambda b, _: (b[0] ^ b[1],), {"paper": (((1, 2),),)}),
+    "prime3": (3, _prime, {"paper": (((2, 3),),)}),
+    "prime4": (4, _prime, {"paper": (((2, 3),),)}),
+    "prime5": (
+        5,
+        _prime,
+        {"paper": (((2, 3),),), "extended": (((2, 3), (1, 3, 4), (1, 2, 3, 5)),)},
+    ),
+    "cnot": (2, lambda b, _: (b[0], b[0] ^ b[1]), {"paper": ((), ((1, 2),))}),
+    "toffoli": (
+        3,
+        lambda b, _: (b[0], b[1], b[2] ^ (b[0] & b[1])),
+        {
+            "paper": ((), (), ((1, 2, 3),)),
+            "extended": ((), (), ((1, 2, 3), (1, 3), (2, 3))),
+        },
+    ),
+    "fredkin": (
+        3,
+        lambda b, _: (b[0], b[2], b[1]) if b[0] else b,
+        {
+            "paper": ((), (), ((2, 3),)),
+            "extended": ((), ((1, 2), (1, 3)), ((1, 2), (1, 3))),
+        },
+    ),
 }
 
-_GATE_FNS: dict[str, tuple[int, Callable[[tuple[int, ...]], tuple[int, ...]]]] = {
-    "cnot": (2, _cnot_fn),
-    "toffoli": (3, _toffoli_fn),
-    "fredkin": (3, _fredkin_fn),
-}
-
-
-def gate_task(name: str, variant: GateVariant = "paper") -> TaskSpec:
-    """Truth table of a reversible gate, one perceptron per output bit.
-
-    variant "paper" uses the published single-term templates, "extended"
-    adds the cross terms needed for exact representability (Toffoli and
-    Fredkin; CNOT has none), and "two_qubit" strips every product term.
-    """
-    if name not in _GATE_FNS:
-        raise InvalidInputError(f"unknown gate {name!r}")
-    arity, fn = _GATE_FNS[name]
-    if variant == "two_qubit":
-        templates: tuple[tuple[tuple[int, ...], ...], ...] = ((),) * arity
-    else:
-        by_variant = _GATE_TEMPLATES[name]
-        if variant not in by_variant:
-            raise InvalidInputError(f"gate {name!r} has no {variant!r} variant")
-        templates = by_variant[variant]
-    return TaskSpec(
-        name=name,
-        arity=arity,
-        templates=templates,
-        examples=_truth_table(arity, fn),
-        description=f"{name} truth table, {variant} template",
-    )
+TASK_IDS = tuple(_TASKS)
+TEMPLATES = ("paper", "extended", "two-qubit")
 
 
 def canonical_task_id(raw: str) -> str:
@@ -231,37 +138,38 @@ def canonical_task_id(raw: str) -> str:
 
 
 def resolve_task(
-    task_id: str,
-    bit_order: BitOrder = "msb",
-    two_qubit_only: bool = False,
-    extended: bool = False,
+    task_id: str, bit_order: BitOrder = "msb", template: str = "paper"
 ) -> TaskSpec:
-    """Map a task id to its TaskSpec, applying template modifiers.
+    """The TaskSpec of a task id (or its prime-N alias) under one of TEMPLATES.
 
-    extended selects the extended template, which exists for prime5,
-    toffoli and fredkin (EXTENDED_TASK_IDS); two_qubit_only strips every
-    product term from any task.
+    "paper" is the published template, "extended" (prime5, toffoli and
+    fredkin only) the exactly representable one, and "two-qubit" the paper
+    template with every product term stripped.  bit_order selects whether
+    qubit 1 holds the most or the least significant bit of a prime task's
+    integer; the other tasks read the bits in register order either way.
     """
     task_id = canonical_task_id(task_id)
-    if task_id not in TASK_IDS:
+    if task_id not in _TASKS:
         raise InvalidInputError(
             f"unknown task {task_id!r}, expected one of {', '.join(TASK_IDS)}"
         )
-    if extended and two_qubit_only:
-        raise InvalidInputError("extended and two_qubit_only are mutually exclusive")
-    if extended and task_id not in EXTENDED_TASK_IDS:
-        raise InvalidInputError(f"task {task_id!r} has no extended template")
-    variant = "extended" if extended else "paper"
-    if task_id == "xor":
-        task = xor_task()
-    elif task_id.startswith("prime"):
-        task = prime_task(int(task_id[len("prime"):]), bit_order, variant)
+    if bit_order not in ("msb", "lsb"):
+        raise InvalidInputError(f"unknown bit_order {bit_order!r}")
+    arity, fn, stored = _TASKS[task_id]
+    if template == "two-qubit":
+        templates = ((),) * len(stored["paper"])
+    elif template in stored:
+        templates = stored[template]
     else:
-        task = gate_task(task_id, variant)
-    if two_qubit_only:
-        description = task.description + ", product terms stripped"
-        task = replace(task, templates=((),) * task.n_outputs, description=description)
-    return task
+        raise InvalidInputError(
+            f"task {task_id!r} has no {template!r} template, "
+            f"only {', '.join([*stored, 'two-qubit'])}"
+        )
+    examples = tuple(
+        TrainingExample(spins=s, target=fn(s.bits, bit_order))
+        for s in enumerate_inputs(arity)
+    )
+    return TaskSpec(task_id, arity, templates, examples)
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,8 @@ class TrainerConfig:
             raise InvalidInputError("max_epochs must be at least 1")
         if not (self.cost_tolerance > 0.0):
             raise InvalidInputError("cost_tolerance must be positive")
-        if not (self.init_range >= 0.0 and np.isfinite(self.init_range)):
-            raise InvalidInputError("init_range must be a finite non-negative real")
+        if not (self.init_range >= 0.0 and np.isfinite(2.0 * self.init_range)):
+            raise InvalidInputError("init_range must be >= 0 and 2 * init_range finite")
         if self.plateau_window < 2:
             raise InvalidInputError("plateau_window must be at least 2")
         if not (self.plateau_epsilon > 0.0):

@@ -254,11 +254,11 @@ def test_criterion_08_gradient_suite(record_criterion):
         ("cnot", {}),
         ("toffoli", {}),
         ("fredkin", {}),
-        ("toffoli", {"extended": True}),
-        ("fredkin", {"extended": True}),
-        ("xor", {"two_qubit_only": True}),
-        ("cnot", {"two_qubit_only": True}),
-        ("fredkin", {"two_qubit_only": True}),
+        ("toffoli", {"template": "extended"}),
+        ("fredkin", {"template": "extended"}),
+        ("xor", {"template": "two-qubit"}),
+        ("cnot", {"template": "two-qubit"}),
+        ("fredkin", {"template": "two-qubit"}),
     ]
     step = 1e-6
     worst = 0.0
@@ -373,7 +373,7 @@ def test_criterion_10_scalar_statevector_equivalence(record_criterion):
 
 def test_criterion_11_oracle_sanity_and_witnesses(record_criterion):
     linear_xor = check_exact_representability(
-        resolve_task("xor", two_qubit_only=True), 0
+        resolve_task("xor", template="two-qubit"), 0
     )
     pair_xor = check_exact_representability(resolve_task("xor"), 0)
     cnot_out2 = check_exact_representability(resolve_task("cnot"), 1)
@@ -389,8 +389,8 @@ def test_criterion_11_oracle_sanity_and_witnesses(record_criterion):
         resolve_task("cnot"),
         resolve_task("toffoli"),
         resolve_task("fredkin"),
-        resolve_task("toffoli", extended=True),
-        resolve_task("fredkin", extended=True),
+        resolve_task("toffoli", template="extended"),
+        resolve_task("fredkin", template="extended"),
     ]
     for task in tasks:
         for j in range(task.n_outputs):

@@ -312,6 +312,11 @@ class TestStepBudget:
             with pytest.raises(InvalidInputError, match="budget"):
                 _ramp_steps(points, t_f, dt)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, float("nan")])
+    def test_rejects_a_step_that_is_not_positive(self, dt):
+        with pytest.raises(InvalidInputError, match="dt must be positive"):
+            _ramp_steps(1, 1.0, dt)
+
     def test_profile_and_evolve_reject_before_stepping(self, monkeypatch):
         def no_steps(*args):
             raise AssertionError("the propagator started stepping")

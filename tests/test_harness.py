@@ -13,6 +13,8 @@ import pytest
 import qperceptron
 from qperceptron import harness
 from qperceptron import (
+    TASK_IDS,
+    TEMPLATES,
     ConfigError,
     ExperimentConfig,
     cli,
@@ -47,6 +49,24 @@ class TestExperimentConfig:
             ExperimentConfig(task="xor", mode="hybrid")
         with pytest.raises(ConfigError):
             ExperimentConfig(task="xor", template="full")
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    @pytest.mark.parametrize("template", TEMPLATES)
+    @pytest.mark.parametrize("task", TASK_IDS)
+    def test_accepts_exactly_the_combinations_that_run(self, task, template, mode):
+        # only prime5, toffoli and fredkin have an extended template, and
+        # classical mode strips every product term
+        runs = template != "extended" or (
+            task in ("prime5", "toffoli", "fredkin") and mode == "quantum"
+        )
+        settings = dict(task=task, template=template, mode=mode, max_epochs=1)
+        if runs:
+            result = run_experiment(ExperimentConfig(**settings))
+            assert result.task.name == task
+        else:
+            with pytest.raises(ConfigError, match="'extended'") as info:
+                ExperimentConfig(**settings)
+            assert mode == "quantum" or "mode 'classical'" in str(info.value)
 
     def test_rejects_nonpositive_numbers(self):
         with pytest.raises(ConfigError):
@@ -192,7 +212,7 @@ class TestSummary:
         path = emit_summary(result, tmp_path / "summary.json")
         entry = load_summary(path)["per_seed"][0]
         net = load_network_from_summary(path)
-        task = resolve_task("xor", two_qubit_only=True)
+        task = resolve_task("xor", template="two-qubit")
         reloaded = cost(net, task.examples, encoding="bit")
         assert reloaded == pytest.approx(entry["final_cost"], abs=1e-12)
 
@@ -358,6 +378,23 @@ class TestCliTrain:
         )
         assert cli(["train", "--task", "xor", "--seeds", "5-2"]) == 1
         assert cli(["train", "--task", "xor", "--eta", "-1"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--task", "toffoli:extended", "--mode", "classical"], "mode 'classical'"),
+            (["--task", "xor:extended"], "task 'xor' has no 'extended' template"),
+            (["--task", "xor", "--init-range", "1e308"], "init_range"),
+        ],
+    )
+    def test_rejected_settings_exit_one_with_one_line(
+        self, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.setattr(harness, "initialize_network", _must_not_run)
+        assert cli(["train", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
 
     def test_huge_epoch_budget_allocates_only_what_runs(self, tmp_path):
         out = tmp_path / "run"
@@ -607,6 +644,23 @@ class TestCliAdiabaticCheck:
 
     def test_bad_grid_exits_one(self):
         assert cli(["adiabatic-check", "--points", "0"]) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dt", "0"], "dt must be positive"),
+            (["--dt", "-0.0"], "dt must be positive"),
+            (["--x-min", "inf"], "finite"),
+            (["--x-min=-1e308", "--x-max=1e308"], "finite"),
+            (["--omega-factor", "5"], "slow-start bound"),
+        ],
+    )
+    def test_bad_flags_exit_one_with_one_line(self, capsys, flags, message):
+        assert cli(["adiabatic-check", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
 
     @pytest.mark.parametrize(
         "grid", [["--t-f", "1", "--dt", "1e-9"], ["--points", "1000000000"]]

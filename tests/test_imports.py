@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the package re-exports exactly each module's public names."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,21 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_package_exports_exactly_the_public_names_of_each_module():
+    tree = ast.parse(Path(qperceptron.__file__).read_text())
+    exported = {
+        node.module: sorted(alias.name for alias in node.names)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    public = {
+        path.stem: sorted(importlib.import_module(f"qperceptron.{path.stem}").__all__)
+        for path in MODULES
+        if path.stem != "__main__"  # the entry point, not a library module
+    }
+    assert exported == public
 
 
 def test_the_check_sees_an_unused_import():

@@ -19,14 +19,11 @@ from qperceptron import (
     cost,
     enumerate_inputs,
     evaluate_potential,
-    gate_task,
     initialize_network,
-    prime_task,
     resolve_task,
     scale_potential,
     train,
     verify_truth_table,
-    xor_task,
 )
 from qperceptron.tasks import _is_prime
 
@@ -42,7 +39,7 @@ def _signed_potentials(task, output_index, potential):
 
 class TestXorTask:
     def test_truth_table(self):
-        task = xor_task()
+        task = resolve_task("xor")
         rows = {ex.bits: ex.target for ex in task.examples}
         assert rows == {
             (0, 0): (0,),
@@ -52,17 +49,17 @@ class TestXorTask:
         }
 
     def test_template_is_one_pair_term(self):
-        assert xor_task().templates == (((1, 2),),)
+        assert resolve_task("xor").templates == (((1, 2),),)
 
     def test_strong_pair_weight_solves_it(self):
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), -20.0),))
         net = TrainedNetwork((p,), 2)
-        c = cost(net, xor_task().examples)
+        c = cost(net, resolve_task("xor").examples)
         assert c == pytest.approx(1.945822844672788e-07, rel=1e-9)
         assert c < 1e-6
 
     def test_linear_template_is_infeasible(self):
-        task = resolve_task("xor", two_qubit_only=True)
+        task = resolve_task("xor", template="two-qubit")
         verdict = check_exact_representability(task, 0)
         assert not verdict.feasible
         assert verdict.witness is None
@@ -79,17 +76,17 @@ class TestPrimeTask:
             assert _is_prime(n) == sympy.isprime(n)
 
     def test_three_bit_targets_by_value(self):
-        task = prime_task(3)
+        task = resolve_task("prime3")
         targets = tuple(ex.target[0] for ex in task.examples)
         assert targets == (0, 0, 1, 1, 0, 1, 0, 1)
 
     def test_four_bit_primes(self):
-        task = prime_task(4)
+        task = resolve_task("prime4")
         ones = {i for i, ex in enumerate(task.examples) if ex.target == (1,)}
         assert ones == {2, 3, 5, 7, 11, 13}
 
     def test_reversed_bit_order_permutes_targets(self):
-        task = prime_task(3, bit_order="lsb")
+        task = resolve_task("prime3", bit_order="lsb")
         by_bits = {ex.bits: ex.target[0] for ex in task.examples}
         # (1, 1, 0) reads as binary 011 = 3 when qubit 1 is least significant
         assert by_bits[(1, 1, 0)] == 1
@@ -97,18 +94,18 @@ class TestPrimeTask:
 
     def test_template_is_the_second_third_pair(self):
         for bits in (3, 4, 5):
-            assert prime_task(bits).templates == (((2, 3),),)
+            assert resolve_task(f"prime{bits}").templates == (((2, 3),),)
 
     def test_rejects_unsupported_widths(self):
         with pytest.raises(InvalidInputError):
-            prime_task(6)
+            resolve_task("prime6")
         with pytest.raises(InvalidInputError):
-            prime_task(2)
+            resolve_task("prime2")
 
 
 class TestGateTasks:
     def test_cnot_rows(self):
-        task = gate_task("cnot")
+        task = resolve_task("cnot")
         rows = {ex.bits: ex.target for ex in task.examples}
         assert rows == {
             (0, 0): (0, 0),
@@ -118,13 +115,13 @@ class TestGateTasks:
         }
 
     def test_toffoli_flips_only_the_doubly_controlled_rows(self):
-        task = gate_task("toffoli")
+        task = resolve_task("toffoli")
         for ex in task.examples:
             expected = ex.bits if ex.bits[:2] != (1, 1) else (1, 1, 1 - ex.bits[2])
             assert ex.target == expected
 
     def test_fredkin_swaps_under_control(self):
-        task = gate_task("fredkin")
+        task = resolve_task("fredkin")
         rows = {ex.bits: ex.target for ex in task.examples}
         assert rows[(1, 0, 1)] == (1, 1, 0)
         assert rows[(1, 1, 0)] == (1, 0, 1)
@@ -133,17 +130,17 @@ class TestGateTasks:
                 assert target == bits
 
     def test_published_templates(self):
-        assert gate_task("cnot").templates == ((), ((1, 2),))
-        assert gate_task("toffoli").templates == ((), (), ((1, 2, 3),))
-        assert gate_task("fredkin").templates == ((), (), ((2, 3),))
+        assert resolve_task("cnot").templates == ((), ((1, 2),))
+        assert resolve_task("toffoli").templates == ((), (), ((1, 2, 3),))
+        assert resolve_task("fredkin").templates == ((), (), ((2, 3),))
 
     def test_extended_templates(self):
-        assert gate_task("toffoli", "extended").templates == (
+        assert resolve_task("toffoli", template="extended").templates == (
             (),
             (),
             ((1, 2, 3), (1, 3), (2, 3)),
         )
-        assert gate_task("fredkin", "extended").templates == (
+        assert resolve_task("fredkin", template="extended").templates == (
             (),
             ((1, 2), (1, 3)),
             ((1, 2), (1, 3)),
@@ -151,13 +148,14 @@ class TestGateTasks:
 
     def test_two_qubit_variant_strips_all_terms(self):
         for name in ("cnot", "toffoli", "fredkin"):
-            assert all(t == () for t in gate_task(name, "two_qubit").templates)
+            task = resolve_task(name, template="two-qubit")
+            assert all(t == () for t in task.templates)
 
     def test_unknown_gate_and_missing_variant(self):
         with pytest.raises(InvalidInputError):
-            gate_task("swap")
+            resolve_task("swap")
         with pytest.raises(InvalidInputError):
-            gate_task("cnot", "extended")
+            resolve_task("cnot", template="extended")
 
 
 class TestResolveTask:
@@ -179,21 +177,17 @@ class TestResolveTask:
         # and for prime5, the only other task with an extended template
         for task_id in ("xor", "cnot", "prime3", "prime4"):
             with pytest.raises(InvalidInputError):
-                resolve_task(task_id, extended=True)
+                resolve_task(task_id, template="extended")
 
     def test_prime5_extended_template(self):
-        task = resolve_task("prime5", extended=True)
+        task = resolve_task("prime5", template="extended")
         assert task.templates == (((2, 3), (1, 3, 4), (1, 2, 3, 5)),)
-        assert task.examples == prime_task(5).examples
+        assert task.examples == resolve_task("prime5").examples
         with pytest.raises(InvalidInputError):
-            prime_task(4, variant="extended")
-
-    def test_modifiers_are_mutually_exclusive(self):
-        with pytest.raises(InvalidInputError):
-            resolve_task("toffoli", two_qubit_only=True, extended=True)
+            resolve_task("prime4", template="extended")
 
     def test_two_qubit_only_strips_prime_template(self):
-        task = resolve_task("prime3", two_qubit_only=True)
+        task = resolve_task("prime3", template="two-qubit")
         assert task.templates == ((),)
         assert len(task.examples) == 8
 
@@ -202,14 +196,14 @@ class TestVerifyTruthTable:
     def test_saturated_xor_network_passes_all_rows(self):
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), -20.0),))
         net = TrainedNetwork((p,), 2)
-        report = verify_truth_table(net, xor_task())
+        report = verify_truth_table(net, resolve_task("xor"))
         assert report.all_correct
         assert report.max_abs_error == pytest.approx(6.238305610777317e-04, rel=1e-9)
         assert report.max_abs_error < 1e-3
 
     def test_half_outputs_read_as_zero(self):
         # untrained network answers exactly 0.5, which thresholds to 0
-        task = gate_task("cnot")
+        task = resolve_task("cnot")
         p = NeuralPotential((0.0, 0.0), 0.0)
         net = TrainedNetwork((p, p), 2)
         report = verify_truth_table(net, task)
@@ -219,7 +213,7 @@ class TestVerifyTruthTable:
         assert report.max_abs_error == 0.5
 
     def test_trained_cnot_passes_on_both_engines(self):
-        task = gate_task("cnot")
+        task = resolve_task("cnot")
         config = TrainerConfig(seed=0, max_epochs=600)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
         net, curve = train(net0, task.examples, config)
@@ -231,7 +225,7 @@ class TestVerifyTruthTable:
     def test_shape_mismatch_raises(self):
         net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
         with pytest.raises(InvalidInputError):
-            verify_truth_table(net, gate_task("toffoli"))
+            verify_truth_table(net, resolve_task("toffoli"))
 
     @pytest.mark.parametrize("engine", ["scalar", "statevector"])
     def test_report_does_not_depend_on_example_order(self, engine):
@@ -254,19 +248,19 @@ class TestVerifyTruthTable:
 
 class TestRepresentabilityOracle:
     def test_xor_pair_term_is_feasible(self):
-        verdict = check_exact_representability(xor_task(), 0)
+        verdict = check_exact_representability(resolve_task("xor"), 0)
         assert verdict.feasible
         assert verdict.witness is not None
 
     def test_cnot_second_output_is_feasible(self):
-        verdict = check_exact_representability(gate_task("cnot"), 1)
+        verdict = check_exact_representability(resolve_task("cnot"), 1)
         assert verdict.feasible
 
     def test_xor_linear_infeasibility_has_an_algebraic_certificate(self):
         # summing the signed feature rows with unit multipliers gives the
         # zero vector, so no weight choice makes every signed potential
         # positive: their sum is identically zero
-        task = resolve_task("xor", two_qubit_only=True)
+        task = resolve_task("xor", template="two-qubit")
         rows = []
         for ex in task.examples:
             sign = 2 * ex.target[0] - 1
@@ -276,13 +270,13 @@ class TestRepresentabilityOracle:
 
     def test_witness_has_unit_margin(self):
         for task, j in [
-            (xor_task(), 0),
-            (gate_task("cnot"), 0),
-            (gate_task("cnot"), 1),
-            (prime_task(3, "lsb"), 0),
-            (gate_task("toffoli", "extended"), 2),
-            (gate_task("fredkin", "extended"), 1),
-            (resolve_task("prime5", extended=True), 0),
+            (resolve_task("xor"), 0),
+            (resolve_task("cnot"), 0),
+            (resolve_task("cnot"), 1),
+            (resolve_task("prime3", "lsb"), 0),
+            (resolve_task("toffoli", template="extended"), 2),
+            (resolve_task("fredkin", template="extended"), 1),
+            (resolve_task("prime5", template="extended"), 0),
         ]:
             verdict = check_exact_representability(task, j)
             assert verdict.feasible
@@ -290,21 +284,25 @@ class TestRepresentabilityOracle:
             assert min(margins) == pytest.approx(1.0, abs=1e-7)
 
     def test_prime_search_feasibility_depends_on_bit_order(self):
-        assert not check_exact_representability(prime_task(3, "msb"), 0).feasible
-        assert check_exact_representability(prime_task(3, "lsb"), 0).feasible
-        assert check_exact_representability(prime_task(4, "msb"), 0).feasible
-        assert check_exact_representability(prime_task(4, "lsb"), 0).feasible
+        def feasible(task_id, order):
+            return check_exact_representability(resolve_task(task_id, order), 0).feasible
+
+        assert not feasible("prime3", "msb")
+        assert feasible("prime3", "lsb")
+        assert feasible("prime4", "msb")
+        assert feasible("prime4", "lsb")
 
     def test_widest_prime_search_is_infeasible_under_both_orders(self):
         for order in ("msb", "lsb"):
-            assert not check_exact_representability(prime_task(5, order), 0).feasible
+            task = resolve_task("prime5", order)
+            assert not check_exact_representability(task, 0).feasible
 
     def test_linear_prime3_floor_is_one_wrong_row(self):
         # certificate behind criterion 3's classical band: no linear
         # potential separates 3-bit primes, and one bit-encoded linear
         # classifier gets exactly one of the 8 rows wrong, so the linear
         # cost floor is about 1 / (2 * 8) = 1/16
-        task = resolve_task("prime3", two_qubit_only=True)
+        task = resolve_task("prime3", template="two-qubit")
         assert not check_exact_representability(task, 0).feasible
         weights, bias = np.array([-1.0, 1.0, 2.0]), 0.5
         wrong = [
@@ -315,24 +313,24 @@ class TestRepresentabilityOracle:
         assert wrong == [1]
 
     def test_published_three_qubit_gate_templates_are_infeasible(self):
-        toffoli = gate_task("toffoli")
+        toffoli = resolve_task("toffoli")
         assert check_exact_representability(toffoli, 0).feasible
         assert check_exact_representability(toffoli, 1).feasible
         assert not check_exact_representability(toffoli, 2).feasible
-        fredkin = gate_task("fredkin")
+        fredkin = resolve_task("fredkin")
         assert check_exact_representability(fredkin, 0).feasible
         assert not check_exact_representability(fredkin, 1).feasible
         assert not check_exact_representability(fredkin, 2).feasible
 
     def test_extended_templates_are_feasible(self):
         for name in ("toffoli", "fredkin"):
-            task = gate_task(name, "extended")
+            task = resolve_task(name, template="extended")
             for j in range(task.n_outputs):
                 assert check_exact_representability(task, j).feasible
 
     def test_output_index_bounds(self):
         with pytest.raises(InvalidInputError):
-            check_exact_representability(xor_task(), 1)
+            check_exact_representability(resolve_task("xor"), 1)
 
     def test_arity_guard(self):
         examples = tuple(

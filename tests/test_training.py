@@ -23,13 +23,11 @@ from qperceptron import (
     epoch_update,
     forward_network,
     forward_statevector,
-    gate_task,
     initialize_network,
     quantum_gradients,
     reparameterize_bits_to_spins,
     resolve_task,
     train,
-    xor_task,
 )
 
 
@@ -97,6 +95,14 @@ class TestTrainerConfig:
     def test_zero_eta_is_allowed(self):
         assert TrainerConfig(eta=0.0).eta == 0.0
 
+    def test_init_range_needs_a_finite_draw_span(self):
+        # weights are drawn from [-init_range, init_range], a span of 2 * init_range
+        widest = TrainerConfig(init_range=8e307)
+        net = initialize_network(2, [((1, 2),)], widest)
+        assert all(abs(w) <= 8e307 for w in net.perceptrons[0].linear_weights)
+        with pytest.raises(InvalidInputError, match="init_range"):
+            TrainerConfig(init_range=1e308)
+
 
 class TestForwardNetwork:
     def test_all_zero_network_outputs_half_everywhere(self):
@@ -113,7 +119,7 @@ class TestForwardNetwork:
         assert y == pytest.approx(0.9975185951049945, abs=1e-12)
 
     def test_agrees_with_statevector_on_all_toffoli_inputs(self):
-        task = resolve_task("toffoli", extended=True)
+        task = resolve_task("toffoli", template="extended")
         net = _random_network(task, seed=3)
         for ex in task.examples:
             scalar = forward_network(net, ex.spins)
@@ -131,12 +137,12 @@ class TestCost:
         # every output 0.5 against balanced 0/1 targets: C = 0.125 exactly
         p = NeuralPotential((0.0, 0.0), 0.0)
         net = TrainedNetwork((p,), 2)
-        assert cost(net, xor_task().examples) == 0.125
+        assert cost(net, resolve_task("xor").examples) == 0.125
 
     def test_saturated_exact_solution_drives_cost_to_zero(self):
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), -500.0),))
         net = TrainedNetwork((p,), 2)
-        assert cost(net, xor_task().examples) < 1e-12
+        assert cost(net, resolve_task("xor").examples) < 1e-12
 
     def test_empty_training_set_raises(self):
         net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
@@ -150,13 +156,13 @@ class TestCost:
         with np.errstate(over="ignore"), pytest.raises(
             InvalidInputError, match="diverged"
         ):
-            cost(net, xor_task().examples)
+            cost(net, resolve_task("xor").examples)
 
     def test_divergence_raises_without_an_overflow_warning(self):
         p = NeuralPotential((1e200, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))
         net = TrainedNetwork((p,), 2)
-        examples = xor_task().examples
-        start = _random_network(xor_task(), seed=0)
+        examples = resolve_task("xor").examples
+        start = _random_network(resolve_task("xor"), seed=0)
         calls = [
             lambda: cost(net, examples),
             lambda: quantum_gradients(net, examples),
@@ -179,7 +185,7 @@ class TestQuantumGradients:
         # the error pattern, with slope +1/4
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))
         net = TrainedNetwork((p,), 2)
-        (g,) = quantum_gradients(net, xor_task().examples)
+        (g,) = quantum_gradients(net, resolve_task("xor").examples)
         np.testing.assert_allclose(g.linear, [0.0, 0.0], atol=1e-15)
         assert g.bias == pytest.approx(0.0, abs=1e-15)
         assert g.multi[0] == pytest.approx(0.25, abs=1e-15)
@@ -187,7 +193,7 @@ class TestQuantumGradients:
     def test_near_exact_network_has_vanishing_gradient(self):
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), -500.0),))
         net = TrainedNetwork((p,), 2)
-        (g,) = quantum_gradients(net, xor_task().examples)
+        (g,) = quantum_gradients(net, resolve_task("xor").examples)
         assert np.max(np.abs(_flatten(g))) < 1e-9
 
     @pytest.mark.parametrize("task_id", ["xor", "toffoli"])
@@ -203,7 +209,7 @@ class TestQuantumGradients:
 
 class TestClassicalGradients:
     def test_matches_finite_differences_in_bit_space(self):
-        task = resolve_task("xor", two_qubit_only=True)
+        task = resolve_task("xor", template="two-qubit")
         net = _random_network(task, seed=13)
         g = classical_gradients(net.perceptrons[0], task.examples)
         (n,) = _fd_gradient(net, task.examples, encoding="bit")
@@ -226,7 +232,7 @@ class TestClassicalGradients:
 
 class TestEpochUpdate:
     def test_zero_learning_rate_changes_nothing(self):
-        task = xor_task()
+        task = resolve_task("xor")
         net = _random_network(task, seed=2)
         updated = epoch_update(net, task.examples, TrainerConfig(eta=0.0))
         for before, after in zip(net.perceptrons, updated.perceptrons):
@@ -237,14 +243,14 @@ class TestEpochUpdate:
             ]
 
     def test_single_step_is_reproducible(self):
-        task = xor_task()
+        task = resolve_task("xor")
         config = TrainerConfig(seed=6)
         a = epoch_update(_random_network(task, 6), task.examples, config)
         b = epoch_update(_random_network(task, 6), task.examples, config)
         assert a.perceptrons == b.perceptrons
 
     def test_small_steps_never_increase_the_cost(self):
-        task = xor_task()
+        task = resolve_task("xor")
         net = _random_network(task, seed=8)
         config = TrainerConfig(eta=1e-3)
         previous = cost(net, task.examples)
@@ -257,7 +263,7 @@ class TestEpochUpdate:
 
 class TestTrain:
     def test_xor_converges_and_counts_epochs(self):
-        task = xor_task()
+        task = resolve_task("xor")
         config = TrainerConfig(seed=0, max_epochs=1000)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
         net, curve = train(net0, task.examples, config)
@@ -269,7 +275,7 @@ class TestTrain:
 
     def test_cost_recorded_after_each_update(self):
         # one epoch of training equals one epoch_update step
-        task = xor_task()
+        task = resolve_task("xor")
         config = TrainerConfig(seed=4, max_epochs=1)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
         stepped = epoch_update(net0, task.examples, config)
@@ -279,7 +285,7 @@ class TestTrain:
         )
 
     def test_linear_only_xor_stalls_at_an_eighth(self):
-        task = resolve_task("xor", two_qubit_only=True)
+        task = resolve_task("xor", template="two-qubit")
         config = TrainerConfig(seed=0, max_epochs=2000)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
         net, curve = train(net0, task.examples, config, encoding="bit")
@@ -346,11 +352,11 @@ class TestBatchedTraining:
         "task_id, kwargs, max_epochs, tol, encoding",
         [
             # ragged stops: seeds leave the batch at different epochs
-            ("toffoli", {"extended": True}, 2000, 0.005, "spin"),
+            ("toffoli", {"template": "extended"}, 2000, 0.005, "spin"),
             # every seed runs past the first cost-buffer growth
             ("toffoli", {}, 1100, 0.01, "spin"),
-            ("prime5", {"extended": True}, 2000, 0.01, "spin"),
-            ("prime3", {"two_qubit_only": True}, 300, 0.01, "bit"),
+            ("prime5", {"template": "extended"}, 2000, 0.01, "spin"),
+            ("prime3", {"template": "two-qubit"}, 300, 0.01, "bit"),
         ],
     )
     def test_batch_equals_one_network_at_a_time(
@@ -381,7 +387,7 @@ class TestBatchedTraining:
 
     def test_mixed_templates_or_arities_raise(self):
         paper = resolve_task("toffoli")
-        extended = resolve_task("toffoli", extended=True)
+        extended = resolve_task("toffoli", template="extended")
         config = TrainerConfig(max_epochs=5)
         with pytest.raises(InvalidInputError):
             train(
@@ -389,8 +395,8 @@ class TestBatchedTraining:
                 paper.examples,
                 config,
             )
-        xor = resolve_task("xor", two_qubit_only=True)
-        prime3 = resolve_task("prime3", two_qubit_only=True)
+        xor = resolve_task("xor", template="two-qubit")
+        prime3 = resolve_task("prime3", template="two-qubit")
         assert xor.templates == prime3.templates
         with pytest.raises(InvalidInputError):
             train(
@@ -417,7 +423,7 @@ class TestDetectPlateau:
             detect_plateau(curve, TrainerConfig(plateau_window=200))
 
     def test_classical_prime_search_stalls(self):
-        task = resolve_task("prime3", two_qubit_only=True)
+        task = resolve_task("prime3", template="two-qubit")
         config = TrainerConfig(seed=0, max_epochs=3500)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
         _, curve = train(net0, task.examples, config, encoding="bit")
