@@ -15,11 +15,15 @@ s(u) = 10u^3 - 15u^4 + 6u^5, flat at both ends, and starts in the exact
 upper eigenstate of H(0), so the error falls rapidly with t_f.
 
 The propagator steps with the exact unitary of the midpoint Hamiltonian.
-Each step is an element of SU(2), kept as a real unit quaternion (four
-float64 arrays over the grid) and composed by Hamilton products in a
-pairwise tree; the complex 2x2 matrix is formed once per grid point, to
-apply the whole ramp to the start state.  A grid may take at most
-MAX_POINT_STEPS point-steps.
+Each step is an element of SU(2), kept as a real unit quaternion (float64
+arrays over the grid) and composed by Hamilton products in a pairwise tree;
+the complex 2x2 matrix is formed once per grid point, to apply the whole
+ramp to the start state.  A step's q component is 0, so a block of steps is
+built as an even-offset and an odd-offset half of (w, p, r), which the
+tree's first level pairs with the q = 0 product, 9 multiplies instead of
+16; the upper levels write each product in place.  A grid may take at most
+MAX_POINT_STEPS point-steps, and no |x|, omega_start or t_f may exceed
+MAX_MAGNITUDE, below which no square or product of two of them overflows.
 
 Statevector indexing: qubit 1 is the most significant bit of the basis
 index, consistent with the MSB-first integer convention of `core`.
@@ -73,6 +77,9 @@ NORM_TOL = 1e-12
 DRIFT_ABORT = 1e-6
 # Largest grid, in points x steps, that one propagation may take on.
 MAX_POINT_STEPS = 10**8
+# Largest |x|, omega_start and t_f one propagation accepts: the square of
+# each, and the product of any two, stay finite in float64.
+MAX_MAGNITUDE = 1e150
 
 
 class InvalidWiringError(ValueError):
@@ -171,21 +178,58 @@ def _ramp_steps(points: int, t_f: float, dt: float) -> int:
     return steps
 
 
+# The Hamilton product a * b term by term: row i lists the (j, k, sign) of
+# each sign * a[j] * b[k] that sums to component i, in the order of
+#   w = aw bw - ap bp - aq bq - ar br
+#   p = aw bp + ap bw + aq br - ar bq
+#   q = aw bq + aq bw + ar bp - ap br
+#   r = aw br + ar bw + ap bq - aq bp
+_HAMILTON = (
+    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+    ((0, 2, 1), (2, 0, 1), (3, 1, 1), (1, 3, -1)),
+    ((0, 3, 1), (3, 0, 1), (1, 2, 1), (2, 1, -1)),
+)
+# The product of two steps, whose q components are 0: the same rows without
+# the terms that multiply a q.  Those terms are exact zeros, so every sum
+# keeps its value.
+_STEP_PAIR = tuple(tuple(t for t in row if 2 not in t[:2]) for row in _HAMILTON)
+
+
+def _accumulate(a, b, out: np.ndarray, terms) -> np.ndarray:
+    """Write the sums that terms (laid out as _HAMILTON) name into out.
+
+    Each product goes into one scratch buffer and is added into out in the
+    order of terms, so out equals the written-out expression bitwise and no
+    other temporary is allocated.
+    """
+    scratch = np.empty_like(out[0])
+    for dst, ((j, k, _), *rest) in zip(out, terms):
+        np.multiply(a[j], b[k], out=dst)
+        for j, k, sign in rest:
+            np.multiply(a[j], b[k], out=scratch)
+            (np.add if sign > 0 else np.subtract)(dst, scratch, out=dst)
+    return out
+
+
 def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the Hamilton products a * b into out and return it.
 
-    a, b and out stack the components (w, p, q, r) on their first axis.  The
-    quaternion (w, p, q, r) stands for the SU(2) element
-    w I - i (p X + q Y + r Z) in the standard Pauli matrices, Z = diag(+1, -1),
-    so a * b stands for the matrix product of a and b.
+    a, b and out stack the components (w, p, q, r) on their first axis, and
+    out must not overlap a or b.  The quaternion (w, p, q, r) stands for the
+    SU(2) element w I - i (p X + q Y + r Z) in the standard Pauli matrices,
+    Z = diag(+1, -1), so a * b stands for the matrix product of a and b.
     """
-    aw, ap, aq, ar = a
-    bw, bp, bq, br = b
-    out[0] = aw * bw - ap * bp - aq * bq - ar * br
-    out[1] = aw * bp + ap * bw + aq * br - ar * bq
-    out[2] = aw * bq + aq * bw + ar * bp - ap * br
-    out[3] = aw * br + ar * bw + ap * bq - aq * bp
-    return out
+    return _accumulate(a, b, out, _HAMILTON)
+
+
+def _check_magnitudes(**values) -> None:
+    """Reject a named value whose magnitude exceeds MAX_MAGNITUDE or is nan."""
+    for name, value in values.items():
+        if not np.all(np.abs(value) <= MAX_MAGNITUDE):
+            raise InvalidInputError(
+                f"|{name}| must be at most MAX_MAGNITUDE = {MAX_MAGNITUDE:.0e}"
+            )
 
 
 def _propagate_grid(
@@ -205,37 +249,52 @@ def _propagate_grid(
     U = cos(E dt) I - i sin(E dt) / E * H with E = sqrt(x^2 + Omega^2) / 2.
     U lies in SU(2) and is held as a real unit quaternion (see _hamilton);
     since sz = -Z, a step is (cos(E dt), k Omega, 0, -k x) with
-    k = sin(E dt) / (2 E).  The arrays are laid out (component, point,
-    step).  Within a block of 16384 steps, Hamilton products (16 real
-    multiplies each, later step on the left) compose the steps by a
-    pairwise tree that carries an odd tail to the next level; the blocks
-    are then chained in time order.  Only each point's final product
+    k = sin(E dt) / (2 E).  Within a block of 16384 steps a pairwise tree
+    composes the steps, later step on the left, carrying an odd tail to the
+    next level; the blocks are then chained in time order.  A block holds
+    its steps as two (point, step) halves of (w, p, r), one of the even
+    offsets and one of the odd, and writes the tree's first level from
+    them directly: each odd step times the even step before it.  With both
+    q components 0 that product takes 9 multiplies instead of 16 and is
+    bitwise the full one; an odd last step goes up as (w, p, 0, r).  The
+    upper levels and the chaining use _hamilton, which composes in place
+    without temporaries.  Only each point's final product
     becomes a complex 2x2 matrix, applied to the start state.  Every
     operation is elementwise over points, so a point's result does not
     depend on the rest of the grid, and the norm is preserved to rounding
     error by construction.
 
-    Raises InvalidInputError when the grid exceeds MAX_POINT_STEPS.
+    Raises InvalidInputError, before any step, when the grid exceeds
+    MAX_POINT_STEPS or an |x|, omega_start or t_f exceeds MAX_MAGNITUDE.
     """
     xs = np.asarray(xs, dtype=float)
     omega_starts = np.asarray(omega_starts, dtype=float)
     g = xs.shape[0]
     n_steps = _ramp_steps(g, t_f, dt)
+    _check_magnitudes(x=xs, omega_start=omega_starts, t_f=t_f)
     step = t_f / n_steps
+    x_sq, minus_x = xs[:, None] ** 2, -xs[:, None]
+
+    def steps(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, p, r) of the steps numbered idx, each laid out (point, step)."""
+        om = _drive(omega_starts[:, None], omega_end, (idx + 0.5) * step, t_f, ramp)
+        rate = np.sqrt(x_sq + om**2)  # 2 E
+        angle = (0.5 * step) * rate
+        k = np.sin(angle) / rate
+        return np.cos(angle), k * om, k * minus_x
+
     total: np.ndarray | None = None
     block = 1 << 14
     for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        mid = (np.arange(start, stop) + 0.5) * step
-        om = _drive(omega_starts[:, None], omega_end, mid, t_f, ramp)
-        rate = np.sqrt(xs[:, None] ** 2 + om**2)  # 2 E
-        angle = (0.5 * step) * rate
-        u = np.empty((4, g, stop - start))
-        np.cos(angle, out=u[0])
-        k = np.sin(angle) / rate
-        np.multiply(k, om, out=u[1])
-        u[2] = 0.0
-        np.multiply(k, -xs[:, None], out=u[3])
+        idx = np.arange(start, min(start + block, n_steps))
+        ew, ep, er = steps(idx[0::2])
+        lw, lp, lr = steps(idx[1::2])
+        pairs = lw.shape[1]
+        u = np.empty((4, g, ew.shape[1]))
+        earlier = (ew[:, :pairs], ep[:, :pairs], None, er[:, :pairs])
+        _accumulate((lw, lp, None, lr), earlier, u[..., :pairs], _STEP_PAIR)
+        if pairs < u.shape[2]:  # the odd last step
+            u[..., -1] = np.stack([ew[:, -1], ep[:, -1], np.zeros(g), er[:, -1]])
         while u.shape[2] > 1:
             pairs = u.shape[2] // 2
             nxt = np.empty((4, g, u.shape[2] - pairs))
@@ -290,7 +349,7 @@ def adiabatic_evolve(x: float, schedule: AdiabaticSchedule | None = None) -> flo
         sched.dt,
         sched.ramp,
     )
-    if drift[0] > DRIFT_ABORT:
+    if not drift[0] <= DRIFT_ABORT:
         raise IntegratorError(f"norm drift {drift[0]:.3e} exceeds {DRIFT_ABORT}")
     return float(probs[0])
 
@@ -326,12 +385,14 @@ def adiabatic_profile(
         raise InvalidInputError("empty x grid")
     if not np.all(np.isfinite(grid)):
         raise InvalidInputError("x grid must be finite")
+    # Bound both before their product forms the drive, which could overflow.
+    _check_magnitudes(x=grid, omega_start_factor=omega_start_factor)
     starts = omega_start_factor * np.maximum(1.0, np.abs(grid))
     if np.any(np.abs(grid) > starts / 10.0):
         raise ScheduleTooFastError("omega_start_factor below the slow-start bound 10")
     AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)  # validate
     probs, drift = _propagate_grid(grid, starts, omega_end, t_f, dt, ramp)
-    if np.any(drift > DRIFT_ABORT):
+    if not np.all(drift <= DRIFT_ABORT):
         raise IntegratorError(f"norm drift {drift.max():.3e} exceeds {DRIFT_ABORT}")
     targets = activation(grid / omega_end)
     errors = np.abs(probs - targets)

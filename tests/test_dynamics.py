@@ -31,7 +31,9 @@ from qperceptron import (
 )
 from qperceptron import dynamics
 from qperceptron.dynamics import (
+    MAX_MAGNITUDE,
     MAX_POINT_STEPS,
+    IntegratorError,
     InvalidWiringError,
     Statevector,
     _drive,
@@ -259,6 +261,68 @@ def _matmul_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
     return np.abs(psi[:, 1]) ** 2
 
 
+def _hamilton_expression(a, b, out):
+    """The written-out Hamilton product that _hamilton evaluated before it
+    composed in place."""
+    aw, ap, aq, ar = a
+    bw, bp, bq, br = b
+    out[0] = aw * bw - ap * bp - aq * bq - ar * br
+    out[1] = aw * bp + ap * bw + aq * br - ar * bq
+    out[2] = aw * bq + aq * bw + ar * bp - ap * br
+    out[3] = aw * br + ar * bw + ap * bq - aq * bp
+    return out
+
+
+def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
+    """The quaternion composition before the first tree level was fused: a
+    (4, points, steps) array of steps per block and 16-multiply products at
+    every level."""
+    g = xs.shape[0]
+    n_steps = _ramp_steps(g, t_f, dt)
+    step = t_f / n_steps
+    total = None
+    block = 1 << 14
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        mid = (np.arange(start, stop) + 0.5) * step
+        om = _drive(omega_starts[:, None], omega_end, mid, t_f, ramp)
+        rate = np.sqrt(xs[:, None] ** 2 + om**2)  # 2 E
+        angle = (0.5 * step) * rate
+        u = np.empty((4, g, stop - start))
+        np.cos(angle, out=u[0])
+        k = np.sin(angle) / rate
+        np.multiply(k, om, out=u[1])
+        u[2] = 0.0
+        np.multiply(k, -xs[:, None], out=u[3])
+        while u.shape[2] > 1:
+            pairs = u.shape[2] // 2
+            nxt = np.empty((4, g, u.shape[2] - pairs))
+            later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
+            _hamilton_expression(later, earlier, nxt[..., :pairs])
+            if u.shape[2] % 2:
+                nxt[..., -1] = u[..., -1]
+            u = nxt
+        if total is None:
+            total = u[..., 0]
+        else:
+            total = _hamilton_expression(u[..., 0], total, np.empty((4, g)))
+    w, p, q, r = total
+    mat = np.empty((g, 2, 2), dtype=complex)
+    mat[:, 0, 0] = w - 1j * r
+    mat[:, 0, 1] = -q - 1j * p
+    mat[:, 1, 0] = q - 1j * p
+    mat[:, 1, 1] = w + 1j * r
+    if ramp == "linear":
+        psi0 = np.full((g, 2), 1.0 / np.sqrt(2.0), dtype=complex)
+    else:
+        p0 = np.atleast_1d(activation(xs / omega_starts))
+        psi0 = np.stack([np.sqrt(1.0 - p0), np.sqrt(p0)], axis=1).astype(complex)
+    psi = np.einsum("gij,gj->gi", mat, psi0)
+    probs = np.abs(psi[:, 1]) ** 2
+    drift = np.abs(np.sqrt(np.sum(np.abs(psi) ** 2, axis=1)) - 1.0)
+    return probs, drift
+
+
 class TestQuaternionPropagator:
     def test_hamilton_product_is_the_matrix_product(self):
         rng = np.random.default_rng(5)
@@ -282,6 +346,22 @@ class TestQuaternionPropagator:
         reference = _matmul_propagate(xs, starts, 1.0, t_f, 1e-3, ramp)
         np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
         assert drift.max() < 1e-11
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    @pytest.mark.parametrize("points", [1, 7, 61])
+    # odd first levels (1, 3, 16383, 16385), one exact block (16384), a
+    # second block of one step (16385) and a last block of 1697 (100001)
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 16383, 16384, 16385, 100001])
+    def test_is_bitwise_the_unfused_composition(self, ramp, points, n_steps):
+        rng = np.random.default_rng(points)
+        xs = np.sort(rng.uniform(-3.0, 3.0, points))
+        starts = 50.0 * np.maximum(1.0, np.abs(xs))
+        t_f = 1e-3 * n_steps
+        probs, drift = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        ref_probs, ref_drift = _quaternion_propagate(xs, starts, 1.0, t_f, 1e-3, ramp)
+        assert _ramp_steps(points, t_f, 1e-3) == n_steps
+        np.testing.assert_array_equal(probs, ref_probs)
+        np.testing.assert_array_equal(drift, ref_drift)
 
     @pytest.mark.parametrize("ramp", ["linear", "smooth"])
     def test_evolve_equals_the_profile_bitwise(self, ramp):
@@ -326,6 +406,55 @@ class TestStepBudget:
             adiabatic_evolve(0.5, AdiabaticSchedule(omega_start=50.0, t_f=1.0, dt=1e-9))
         with pytest.raises(InvalidInputError, match="budget"):
             adiabatic_profile([0.0, 0.5], t_f=1e8, dt=1.0)
+
+
+class TestMagnitudeBound:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: adiabatic_evolve(1e200),
+            lambda: adiabatic_evolve(0.5, AdiabaticSchedule(omega_start=1e200)),
+            lambda: adiabatic_evolve(
+                0.5, AdiabaticSchedule(50.0, t_f=1.7e308, dt=1.7e304)
+            ),
+            lambda: adiabatic_profile([1e160]),
+            lambda: adiabatic_profile([-1e307, 1e307]),
+            lambda: adiabatic_profile([0.5], omega_start_factor=1e300),
+            lambda: adiabatic_profile([0.5], omega_start_factor=float("nan")),
+            lambda: adiabatic_profile([0.5], t_f=1.7e308, dt=1.7e304),
+        ],
+        ids=[
+            "evolve-x", "evolve-omega-start", "evolve-t-f", "profile-x",
+            "profile-x-span", "profile-factor", "profile-nan-factor", "profile-t-f",
+        ],
+    )
+    def test_rejects_before_stepping(self, monkeypatch, call):
+        def no_steps(*args):
+            raise AssertionError("the propagator started stepping")
+
+        monkeypatch.setattr(dynamics, "_drive", no_steps)
+        with pytest.raises(InvalidInputError, match="MAX_MAGNITUDE = 1e\\+150"):
+            call()
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    def test_the_bound_itself_stays_finite(self, ramp):
+        xs = np.array([-0.1, 0.0, 0.1]) * MAX_MAGNITUDE
+        starts = np.full(3, MAX_MAGNITUDE)
+        probs, drift = _propagate_grid(
+            xs, starts, 1.0, MAX_MAGNITUDE, MAX_MAGNITUDE / 1000, ramp
+        )
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert drift.max() < 1e-12
+
+    def test_a_drift_that_is_not_a_number_aborts(self, monkeypatch):
+        def nan_drift(xs, *args):
+            return np.full(len(xs), 0.5), np.full(len(xs), np.nan)
+
+        monkeypatch.setattr(dynamics, "_propagate_grid", nan_drift)
+        with pytest.raises(IntegratorError):
+            adiabatic_evolve(0.5)
+        with pytest.raises(IntegratorError):
+            adiabatic_profile([0.0, 0.5])
 
 
 class TestRegister:

@@ -654,6 +654,10 @@ class TestCliAdiabaticCheck:
             (["--x-min", "inf"], "finite"),
             (["--x-min=-1e308", "--x-max=1e308"], "finite"),
             (["--omega-factor", "5"], "slow-start bound"),
+            (["--x-min=1e306", "--x-max=1e306", "--points", "1"], "|x| must"),
+            (["--x-min=-1e307", "--x-max=1e307"], "|x| must"),
+            (["--omega-factor", "1e300"], "|omega_start_factor| must"),
+            (["--t-f", "1.7e308", "--dt", "1.7e304", "--points", "2"], "|t_f| must"),
         ],
     )
     def test_bad_flags_exit_one_with_one_line(self, capsys, flags, message):
