@@ -31,7 +31,8 @@ from .core import (
     NeuralPotential,
     reparameterize_bits_to_spins,
 )
-from .dynamics import _RAMPS, _ramp_steps, adiabatic_profile
+from .dynamics import _RAMPS, OMEGA_START_FACTOR, AdiabaticSchedule, _ramp_steps
+from .dynamics import adiabatic_profile
 from .tasks import (
     TEMPLATES,
     FeasibilityVerdict,
@@ -227,7 +228,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         plateau = None
         if len(curve.costs) > trainer.plateau_window:
             plateau = detect_plateau(curve, trainer)
-        curve.plateau_value = plateau
         outcomes.append(
             SeedOutcome(
                 seed=seed,
@@ -645,18 +645,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_adiabatic.add_argument("--x-min", type=float, default=-3.0, dest="x_min")
     p_adiabatic.add_argument("--x-max", type=float, default=3.0, dest="x_max")
     p_adiabatic.add_argument("--points", type=int, default=7)
-    p_adiabatic.add_argument("--t-f", type=float, default=200.0, dest="t_f")
-    p_adiabatic.add_argument("--dt", type=float, default=1e-3)
+    p_adiabatic.add_argument("--t-f", type=float, default=AdiabaticSchedule.t_f)
+    p_adiabatic.add_argument("--dt", type=float, default=AdiabaticSchedule.dt)
+    p_adiabatic.add_argument("--omega-factor", type=float, default=OMEGA_START_FACTOR)
     p_adiabatic.add_argument(
-        "--omega-factor", type=float, default=50.0, dest="omega_factor"
-    )
-    p_adiabatic.add_argument(
-        "--omega-end", type=float, default=1.0, dest="omega_end"
+        "--omega-end", type=float, default=AdiabaticSchedule.omega_end
     )
     p_adiabatic.add_argument(
         "--ramp",
         choices=_RAMPS,
-        default="linear",
+        default=AdiabaticSchedule.ramp,
         help="drive shape and start state (see adiabatic_profile)",
     )
     p_adiabatic.set_defaults(handler=_cmd_adiabatic_check)

@@ -142,7 +142,6 @@ class CostCurve:
     costs: np.ndarray
     cost_tolerance: float
     epochs_to_tolerance: int | None = None
-    plateau_value: float | None = None
 
 
 def _validate_set(

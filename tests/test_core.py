@@ -81,6 +81,10 @@ class TestPotentialTypes:
                 (MultiQubitTerm((1, 2), 0.5), MultiQubitTerm((1, 2), -0.5)),
             )
 
+    def test_potential_rejects_a_term_that_is_not_a_multi_qubit_term(self):
+        with pytest.raises(InvalidInputError, match="MultiQubitTerm"):
+            NeuralPotential((0.1, 0.2), 0.0, (((1, 2), 0.5),))
+
     def test_potential_rejects_non_finite_weight(self):
         with pytest.raises(InvalidInputError):
             NeuralPotential((0.1, float("nan")), 0.0)

@@ -210,6 +210,19 @@ class TestAdiabaticProfile:
         assert profile.max_error == pytest.approx(float(errors.max()))
         assert profile.max_drift < 1e-9
 
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(InvalidInputError, match="empty x grid"):
+            adiabatic_profile([])
+
+    def test_the_slow_start_bound_holds_per_point(self):
+        # at factor 5, |x| = 0.5 sits on its bound 5 * 1 / 10, while |x| = 3
+        # exceeds 5 * 3 / 10
+        adiabatic_profile([0.5], t_f=1.0, omega_start_factor=5.0)
+        with pytest.raises(
+            ScheduleTooFastError, match=r"\|x\| = 3\.0 exceeds the slow-start bound"
+        ):
+            adiabatic_profile([0.5, 3.0], t_f=1.0, omega_start_factor=5.0)
+
 
 PAULI = np.array(
     [
@@ -422,10 +435,14 @@ class TestMagnitudeBound:
             lambda: adiabatic_profile([0.5], omega_start_factor=1e300),
             lambda: adiabatic_profile([0.5], omega_start_factor=float("nan")),
             lambda: adiabatic_profile([0.5], t_f=1.7e308, dt=1.7e304),
+            # |x| / omega_end would overflow below 1 / MAX_MAGNITUDE
+            lambda: adiabatic_evolve(0.5, AdiabaticSchedule(50.0, omega_end=1e-310)),
+            lambda: adiabatic_profile([0.5], omega_end=1e-310),
         ],
         ids=[
             "evolve-x", "evolve-omega-start", "evolve-t-f", "profile-x",
             "profile-x-span", "profile-factor", "profile-nan-factor", "profile-t-f",
+            "evolve-omega-end", "profile-omega-end",
         ],
     )
     def test_rejects_before_stepping(self, monkeypatch, call):
@@ -502,6 +519,17 @@ class TestRegister:
         p0 = float(np.sum(np.abs(t[:, 0, :]) ** 2))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_a_mismatched_length_and_an_empty_register(self):
+        with pytest.raises(InvalidInputError, match="does not match n=2"):
+            Statevector(np.zeros(3), 2)
+        with pytest.raises(InvalidInputError, match="at least one qubit"):
+            zero_state(0)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_rejects_a_qubit_outside_the_register(self, j):
+        with pytest.raises(InvalidWiringError, match="outside register 1..2"):
+            excitation_probability(zero_state(2), j)
+
 
 class TestPerceptronGate:
     def _random_potential(self, rng, k=2, with_term=True):
@@ -558,6 +586,12 @@ class TestPerceptronGate:
         p = NeuralPotential((0.1, 0.2, 0.3), 0.0)
         with pytest.raises(InvalidWiringError):
             apply_perceptron_gate(zero_state(3), p, 3)
+
+    @pytest.mark.parametrize("target", [1, 2, 3, 4])
+    def test_a_potential_that_fills_the_register_leaves_no_target(self, target):
+        p = NeuralPotential((0.1, 0.2, 0.3), 0.0)
+        with pytest.raises(InvalidWiringError):
+            apply_perceptron_gate(zero_state(3), p, target)
 
     def test_strict_mode_rejects_excited_target(self):
         state = basis_state(3, (0, 0, 1))

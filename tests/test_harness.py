@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -236,8 +237,12 @@ def _corrupt(doc, case):
         return "{not json"
     if case == "no-seeds":
         return json.dumps({"per_seed": []})
+    if case == "empty-per-seed":
+        return json.dumps({**doc, "per_seed": []})
     if case == "entry-without-weights":
         bad = {k: v for k, v in entry.items() if k != "weights"}
+    elif case == "empty-weights":
+        bad = {**entry, "weights": []}
     else:  # "non-numeric-weight"
         weights = [{**entry["weights"][0], "linear": [1, "a"]}]
         bad = {**entry, "weights": weights}
@@ -245,7 +250,14 @@ def _corrupt(doc, case):
 
 
 class TestMalformedSummary:
-    CASES = ["not-json", "no-seeds", "entry-without-weights", "non-numeric-weight"]
+    CASES = [
+        "not-json",
+        "no-seeds",
+        "empty-per-seed",
+        "entry-without-weights",
+        "empty-weights",
+        "non-numeric-weight",
+    ]
 
     @pytest.fixture(scope="class")
     def good_doc(self, tmp_path_factory):
@@ -385,6 +397,7 @@ class TestCliTrain:
             (["--task", "toffoli:extended", "--mode", "classical"], "mode 'classical'"),
             (["--task", "xor:extended"], "task 'xor' has no 'extended' template"),
             (["--task", "xor", "--init-range", "1e308"], "init_range"),
+            (["--task", "xor:bogus"], "unknown template suffix 'bogus'"),
         ],
     )
     def test_rejected_settings_exit_one_with_one_line(
@@ -497,8 +510,9 @@ class TestCliConfigFile:
             b'{"task": "xor", "plateau_window": 1e400}',
             b"[" * 100_000 + b"]" * 100_000,
             b"\xff\xfe{",
+            b'["xor"]',
         ],
-        ids=["1e400", "deep", "undecodable"],
+        ids=["1e400", "deep", "undecodable", "not-an-object"],
     )
     def test_malformed_file_text_exits_one_before_training(
         self, tmp_path, capsys, monkeypatch, text
@@ -572,6 +586,7 @@ class TestCliSeedList:
             ("0-5000,5001-10001", "more than 10000 seeds"),
             ("5-3", "descending seed range '5-3'"),
             ("1,x", "bad seed entry 'x'"),
+            ("1,,2", "empty entry in seed list '1,,2'"),
         ],
     )
     def test_bad_lists_exit_one_before_training(
@@ -658,6 +673,7 @@ class TestCliAdiabaticCheck:
             (["--x-min=-1e307", "--x-max=1e307"], "|x| must"),
             (["--omega-factor", "1e300"], "|omega_start_factor| must"),
             (["--t-f", "1.7e308", "--dt", "1.7e304", "--points", "2"], "|t_f| must"),
+            (["--omega-end", "1e-310"], "omega_end = 1e-310 must lie in"),
         ],
     )
     def test_bad_flags_exit_one_with_one_line(self, capsys, flags, message):
@@ -809,6 +825,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["feasibility", "--task", "xor"], 0),
+            (["adiabatic-check", "--omega-end", "1e-310"], 1),
+        ],
+    )
+    def test_the_entry_point_exits_with_the_cli_code(self, argv, code):
+        # python -m qperceptron runs __main__ and main(), which exits with
+        # cli()'s code; a warning would fail the run
+        src = str(Path(qperceptron.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qperceptron", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == "" and "[msb] output 1" in proc.stdout
+        else:
+            assert proc.stderr.startswith("error: ")
+            assert len(proc.stderr.splitlines()) == 1
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -158,6 +158,21 @@ class TestGateTasks:
             resolve_task("cnot", template="extended")
 
 
+class TestTaskSpec:
+    @pytest.mark.parametrize(
+        "templates, examples, message",
+        [
+            ((), resolve_task("xor").examples, "at least one output"),
+            (((),), resolve_task("xor").examples[:3], "full truth table"),
+            (((),), resolve_task("toffoli").examples[:4], "example arity mismatch"),
+            (((), ()), resolve_task("xor").examples, "target width mismatch"),
+        ],
+    )
+    def test_rejects_an_inconsistent_table(self, templates, examples, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TaskSpec("table", 2, templates, examples)
+
+
 class TestResolveTask:
     def test_known_ids(self):
         assert resolve_task("xor").name == "xor"
@@ -172,6 +187,10 @@ class TestResolveTask:
     def test_unknown_id(self):
         with pytest.raises(InvalidInputError):
             resolve_task("parity-5")
+
+    def test_unknown_bit_order(self):
+        with pytest.raises(InvalidInputError, match="unknown bit_order 'middle'"):
+            resolve_task("xor", bit_order="middle")
 
     def test_extended_reserved_for_the_three_qubit_gates(self):
         # and for prime5, the only other task with an extended template
@@ -226,6 +245,15 @@ class TestVerifyTruthTable:
         net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
         with pytest.raises(InvalidInputError):
             verify_truth_table(net, resolve_task("toffoli"))
+
+    @pytest.mark.parametrize(
+        "outputs, engine, message",
+        [(2, "scalar", "output count"), (1, "tensor", "unknown engine 'tensor'")],
+    )
+    def test_rejects_a_wrong_output_count_or_engine(self, outputs, engine, message):
+        net = TrainedNetwork((NeuralPotential((0.0, 0.0), 0.0),) * outputs, 2)
+        with pytest.raises(InvalidInputError, match=message):
+            verify_truth_table(net, resolve_task("xor"), engine=engine)
 
     @pytest.mark.parametrize("engine", ["scalar", "statevector"])
     def test_report_does_not_depend_on_example_order(self, engine):

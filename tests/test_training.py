@@ -92,6 +92,10 @@ class TestTrainerConfig:
         with pytest.raises(InvalidInputError):
             TrainerConfig(plateau_window=1)
 
+    def test_rejects_nonpositive_plateau_epsilon(self):
+        with pytest.raises(InvalidInputError, match="plateau_epsilon"):
+            TrainerConfig(plateau_epsilon=0)
+
     def test_zero_eta_is_allowed(self):
         assert TrainerConfig(eta=0.0).eta == 0.0
 
@@ -272,6 +276,20 @@ class TestTrain:
         assert curve.costs[-1] < 0.01
         assert np.all(curve.costs[:-1] >= 0.01)
         assert net.epochs_run == 7
+
+    @pytest.mark.parametrize(
+        "task_id, message", [("toffoli", "input arity"), ("cnot", "target width")]
+    )
+    def test_rejects_a_mismatched_training_set(self, task_id, message):
+        net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
+        with pytest.raises(InvalidInputError, match=message):
+            train(net, resolve_task(task_id).examples, TrainerConfig(max_epochs=1))
+
+    def test_rejects_an_unknown_encoding(self):
+        net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
+        examples, config = resolve_task("xor").examples, TrainerConfig(max_epochs=1)
+        with pytest.raises(InvalidInputError, match="unknown encoding 'ternary'"):
+            train(net, examples, config, "ternary")
 
     def test_cost_recorded_after_each_update(self):
         # one epoch of training equals one epoch_update step
