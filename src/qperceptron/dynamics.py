@@ -37,7 +37,7 @@ which no gate changes, so one superposed input register serves every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -389,8 +389,8 @@ def adiabatic_profile(
     """Ramp each x from omega_start_factor * max(1, |x|) down to omega_end.
 
     ramp names the drive shape and start state as in AdiabaticSchedule,
-    which checks the ramp settings with the largest start; P is compared
-    against f(x / omega_end).
+    which checks the ramp settings with the largest start, and omega_end
+    also with the smallest; P is compared against f(x / omega_end).
     """
     grid = np.asarray(list(xs), dtype=float)
     if grid.size == 0:
@@ -399,6 +399,8 @@ def adiabatic_profile(
     _check_magnitudes(x=grid, omega_start_factor=omega_start_factor)
     starts = omega_start_factor * np.maximum(1.0, np.abs(grid))
     schedule = AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)
+    # omega_end <= omega_start must hold at every point: no drive ramps up.
+    replace(schedule, omega_start=float(starts.min()))
     probs, drift = _evolve(grid, starts, schedule)
     targets = activation(grid / omega_end)
     errors = np.abs(probs - targets)

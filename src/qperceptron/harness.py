@@ -571,7 +571,7 @@ def _cmd_gate_verify(args: argparse.Namespace) -> int:
             print(f"  mismatch at input {bits}: predicted {predicted}, expected {expected}")
         ok = ok and report.all_correct
     print("verdict=" + ("pass" if ok else "fail"))
-    return 0
+    return 0 if ok else 2
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
@@ -679,7 +679,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns 0 ok, 1 config, 2 non-convergence, 3 I/O."""
+    """Entry point; returns 0 ok, 1 config, 2 non-convergence or a failed
+    gate-verify, 3 I/O."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

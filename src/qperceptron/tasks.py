@@ -249,10 +249,13 @@ def check_exact_representability(
         maximize delta  s.t.  sign_n * (phi_n . theta) >= delta,
                               |theta| <= 1, 0 <= delta <= 1
 
-    which is strictly feasible iff delta* > 0.  The returned witness is
-    rescaled to unit margin: min_n sign_n * (phi_n . theta) = 1.
+    which is strictly feasible iff delta* > 0, with scipy.optimize.milp
+    (HiGHS; no integer variables, so a plain LP).  The returned witness is
+    theta / delta*, whose margin min_n sign_n * (phi_n . theta) is 1, or at
+    least 1 when the cap delta <= 1 binds (delta* = 1).
     """
-    from scipy.optimize import linprog  # slow to import, and only needed here
+    # slow to import, and only needed here
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     if task.arity > MAX_ORACLE_ARITY:
         raise InvalidInputError(
@@ -270,9 +273,13 @@ def check_exact_representability(
     c = np.zeros(n_params + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-signs[:, None] * phi, np.ones((n_rows, 1))])
-    b_ub = np.zeros(n_rows)
-    bounds = [(-1.0, 1.0)] * n_params + [(0.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    lower = np.full(n_params + 1, -1.0)
+    lower[-1] = 0.0
+    res = milp(
+        c,
+        bounds=Bounds(lower, 1.0),
+        constraints=LinearConstraint(a_ub, -np.inf, 0.0),
+    )
     if not res.success:
         raise RuntimeError(f"feasibility LP failed: {res.message}")
     delta = float(res.x[-1])

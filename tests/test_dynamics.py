@@ -223,6 +223,15 @@ class TestAdiabaticProfile:
         ):
             adiabatic_profile([0.5, 3.0], t_f=1.0, omega_start_factor=5.0)
 
+    def test_omega_end_is_checked_against_the_smallest_start(self):
+        # the starts are 50 and 150: an end of 100 would ramp the 0.5 point's
+        # drive upward, so the grid must raise as the 0.5 point alone does
+        match = r"omega_end = 100\.0 must lie in .*omega_start = 50\.0\]"
+        for xs in ([0.5], [0.5, 3.0], [3.0, 0.5]):
+            with pytest.raises(InvalidInputError, match=match):
+                adiabatic_profile(xs, t_f=1.0, omega_end=100.0)
+        adiabatic_profile([3.0], t_f=1.0, omega_end=100.0)
+
 
 PAULI = np.array(
     [
@@ -524,6 +533,17 @@ class TestRegister:
             Statevector(np.zeros(3), 2)
         with pytest.raises(InvalidInputError, match="at least one qubit"):
             zero_state(0)
+
+    def test_a_gate_output_off_unit_norm_aborts(self):
+        # both gates preserve the norm, so a state 1e-9 off it stays off;
+        # that is past NORM_TOL = 1e-12
+        p = NeuralPotential((0.5,), 0.0, ())
+        state = Statevector(basis_state(2, (1, 0)).amplitudes * (1.0 + 1e-9), 2)
+        drifted = r"state norm drifted to 1\.0000000(0|1)"
+        with pytest.raises(IntegratorError, match=drifted):
+            apply_hadamard(state, 1)
+        with pytest.raises(IntegratorError, match=drifted):
+            apply_perceptron_gate(state, p, 2)
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_rejects_a_qubit_outside_the_register(self, j):

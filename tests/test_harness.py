@@ -765,7 +765,8 @@ class TestCliGateVerify:
 
     def test_classical_weights_are_read_as_bit_weights(self, tmp_path, capsys):
         path = self._cnot_summary(tmp_path)
-        assert cli(["gate-verify", "--summary", str(path)]) == 0
+        # two rows wrong: the check fails, in the non-convergence exit slot
+        assert cli(["gate-verify", "--summary", str(path)]) == 2
         out = capsys.readouterr().out
         assert "scalar: 2/4 rows correct" in out
         assert "statevector: 2/4 rows correct" in out
@@ -803,7 +804,7 @@ class TestCliGateVerify:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(harness, "open", counting_open, raising=False)
-        assert cli(["gate-verify", "--summary", str(path)]) == 0
+        assert cli(["gate-verify", "--summary", str(path)]) == 2
         assert opened == [path]
 
 

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.optimize
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
 from qperceptron import (
+    TASK_IDS,
+    TEMPLATES,
     InvalidInputError,
     MultiQubitTerm,
     NeuralPotential,
@@ -25,7 +33,8 @@ from qperceptron import (
     train,
     verify_truth_table,
 )
-from qperceptron.tasks import _is_prime
+from qperceptron.core import _unpack, features
+from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _is_prime
 
 
 def _signed_potentials(task, output_index, potential):
@@ -367,6 +376,153 @@ class TestRepresentabilityOracle:
         wide = TaskSpec("wide", 6, ((),), examples)
         with pytest.raises(InvalidInputError):
             check_exact_representability(wide, 0)
+
+
+def _linprog_reference(task, output_index):
+    """The oracle's LP as scipy.optimize.linprog solved it before milp did.
+
+    Returns (feasible, delta, witness), the witness None when infeasible.
+    """
+    template = task.templates[output_index]
+    phi = features([ex.spins.spins for ex in task.examples], template)
+    signs = np.array(
+        [2 * ex.target[output_index] - 1 for ex in task.examples], dtype=float
+    )
+    n_rows, n_params = phi.shape
+    # variables: theta (n_params) then delta; maximize delta
+    c = np.zeros(n_params + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-signs[:, None] * phi, np.ones((n_rows, 1))])
+    b_ub = np.zeros(n_rows)
+    bounds = [(-1.0, 1.0)] * n_params + [(0.0, 1.0)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.success, res.message
+    delta = float(res.x[-1])
+    if delta <= FEASIBILITY_MARGIN:
+        return False, delta, None
+    return True, delta, _unpack(task.arity, template, res.x[:n_params] / delta)
+
+
+def _table(name, k, template, labels):
+    """A one-output TaskSpec with the given 0/1 labels in basis order."""
+    examples = tuple(
+        TrainingExample(s, (int(v),)) for s, v in zip(enumerate_inputs(k), labels)
+    )
+    return TaskSpec(name, k, (tuple(template),), examples)
+
+
+def _planted_labels(k, template, theta):
+    """Where the potential theta (features column order) is positive."""
+    spins = [s.spins for s in enumerate_inputs(k)]
+    return features(spins, template) @ theta > 0
+
+
+def _product_terms(k):
+    return [
+        t for r in range(2, k + 1) for t in itertools.combinations(range(1, k + 1), r)
+    ]
+
+
+def _resolvable_tasks():
+    cases = []
+    for task_id, template, order in itertools.product(
+        TASK_IDS, TEMPLATES, ("msb", "lsb")
+    ):
+        try:
+            task = resolve_task(task_id, order, template)
+        except InvalidInputError:  # "extended" exists for three tasks only
+            continue
+        cases += [
+            pytest.param(task, j, id=f"{task_id}:{template}-{order}-{j + 1}")
+            for j in range(task.n_outputs)
+        ]
+    return cases
+
+
+def _random_tables():
+    """Seeded tables at k = 2..5, each under a random product-term template:
+    uniform random labels (mostly infeasible at k = 5) and labels planted by
+    a random potential (always feasible)."""
+    rng = np.random.default_rng(11)
+    tables = []
+    for k in range(2, MAX_ORACLE_ARITY + 1):
+        terms = _product_terms(k)
+        for i in range(8):
+            size = rng.integers(0, min(3, len(terms)) + 1)
+            template = [terms[m] for m in sorted(rng.choice(len(terms), size, False))]
+            if i % 2:
+                labels = rng.integers(0, 2, 2**k)
+            else:
+                theta = rng.normal(size=k + len(template) + 1)
+                labels = _planted_labels(k, template, theta)
+            tables.append(_table(f"random-k{k}-{i}", k, template, labels))
+    return tables
+
+
+class TestOracleMatchesLinprogReference:
+    """check_exact_representability solves with milp; the verdicts and margins
+    must be those of the linprog formulation it replaced.  A degenerate
+    optimum may have other witnesses, so witnesses are checked by margin."""
+
+    @staticmethod
+    def _assert_matches(task, j):
+        verdict = check_exact_representability(task, j)
+        feasible, delta, reference = _linprog_reference(task, j)
+        assert verdict.feasible == feasible
+        assert abs(verdict.margin - delta) <= 1e-12
+        if feasible:
+            for witness in (verdict.witness, reference):
+                margin = min(_signed_potentials(task, j, witness))
+                # at delta* = 1 the cap on delta binds, not the rows, so the
+                # rescaled witness may clear every row by more than 1
+                assert margin >= 1.0 - 1e-7
+                if verdict.margin < 1.0:
+                    assert margin == pytest.approx(1.0, abs=1e-7)
+        else:
+            assert verdict.witness is None
+
+    @pytest.mark.parametrize("task, j", _resolvable_tasks())
+    def test_every_task_template_and_bit_order(self, task, j):
+        self._assert_matches(task, j)
+
+    def test_the_cases_cover_every_task_and_both_verdicts(self):
+        cases = [case.values for case in _resolvable_tasks()]
+        assert {task.name for task, _ in cases} == set(TASK_IDS)
+        verdicts = {check_exact_representability(t, j).feasible for t, j in cases}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("task", _random_tables(), ids=lambda t: t.name)
+    def test_seeded_random_tables(self, task):
+        self._assert_matches(task, 0)
+
+    def test_a_failed_lp_raises(self, monkeypatch):
+        def failed(*args, **kwargs):
+            return OptimizeResult(success=False, message="solver gave up")
+
+        monkeypatch.setattr(scipy.optimize, "milp", failed)
+        with pytest.raises(RuntimeError, match="feasibility LP failed: solver gave up"):
+            check_exact_representability(resolve_task("xor"), 0)
+
+
+@st.composite
+def _planted_tables(draw):
+    """A random template and integer weights with a half-integer bias, so the
+    potential is at least 1/2 away from 0 on every row; labels are its sign."""
+    k = draw(st.integers(2, MAX_ORACLE_ARITY))
+    terms = st.sampled_from(_product_terms(k))
+    template = draw(st.lists(terms, unique=True, max_size=3))
+    n_weights = k + len(template)
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n_weights, max_size=n_weights))
+    theta = np.array(weights + [draw(st.integers(-2, 2)) + 0.5])
+    return _table("planted", k, template, _planted_labels(k, template, theta))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_planted_tables())
+def test_a_planted_table_is_always_feasible(task):
+    verdict = check_exact_representability(task, 0)
+    assert verdict.feasible
+    assert min(_signed_potentials(task, 0, verdict.witness)) >= 1.0 - 1e-7
 
 
 class TestScalePotential:
