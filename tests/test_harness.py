@@ -810,8 +810,8 @@ class TestCliGateVerify:
 
 class TestModuleEntryPoint:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the LP oracle imports scipy.optimize on first use; importing the
-        # package alone must not pay for it
+        # scipy.optimize takes ~0.45 s to import; importing the package must
+        # not pay for it
         src = str(Path(qperceptron.__file__).resolve().parents[1])
         proc = subprocess.run(
             [
@@ -826,6 +826,28 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_the_oracle_runs_without_scipy(self):
+        # the LP oracle is a numpy simplex; scipy is only a test dependency
+        src = str(Path(qperceptron.__file__).resolve().parents[1])
+        argv = ["feasibility", "--task", "toffoli", "--template", "extended"]
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys; sys.path.insert(0, {src!r}); "
+                "from qperceptron.harness import cli; "
+                f"code = cli({argv!r}); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "0 []"
+        assert sum(": feasible (margin=1)" in line for line in lines) == 6
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -6,11 +6,10 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.optimize
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from qperceptron import (
     TASK_IDS,
@@ -30,6 +29,7 @@ from qperceptron import (
     initialize_network,
     resolve_task,
     scale_potential,
+    tasks,
     train,
     verify_truth_table,
 )
@@ -379,7 +379,7 @@ class TestRepresentabilityOracle:
 
 
 def _linprog_reference(task, output_index):
-    """The oracle's LP as scipy.optimize.linprog solved it before milp did.
+    """The oracle's LP as scipy.optimize.linprog solves it (HiGHS).
 
     Returns (feasible, delta, witness), the witness None when infeasible.
     """
@@ -460,9 +460,10 @@ def _random_tables():
 
 
 class TestOracleMatchesLinprogReference:
-    """check_exact_representability solves with milp; the verdicts and margins
-    must be those of the linprog formulation it replaced.  A degenerate
-    optimum may have other witnesses, so witnesses are checked by margin."""
+    """check_exact_representability solves with its own simplex; the verdicts
+    and margins must be those of scipy's linprog on the same LP.  A
+    degenerate optimum may have other witnesses, so witnesses are checked by
+    margin."""
 
     @staticmethod
     def _assert_matches(task, j):
@@ -495,13 +496,38 @@ class TestOracleMatchesLinprogReference:
     def test_seeded_random_tables(self, task):
         self._assert_matches(task, 0)
 
-    def test_a_failed_lp_raises(self, monkeypatch):
-        def failed(*args, **kwargs):
-            return OptimizeResult(success=False, message="solver gave up")
+    @pytest.mark.parametrize("order", ["msb", "lsb"])
+    @pytest.mark.parametrize("terms", ["pair", "product"])
+    def test_prime5_under_every_pair_or_product_term(self, terms, order):
+        # the largest LPs the oracle solves: 32 rows, up to 32 parameters
+        width = 2 if terms == "pair" else 5
+        template = tuple(t for t in _product_terms(5) if len(t) <= width)
+        examples = resolve_task("prime5", order).examples
+        self._assert_matches(TaskSpec("prime5", 5, (template,), examples), 0)
 
-        monkeypatch.setattr(scipy.optimize, "milp", failed)
-        with pytest.raises(RuntimeError, match="feasibility LP failed: solver gave up"):
+    def test_a_failed_lp_raises(self, monkeypatch):
+        monkeypatch.setattr(tasks, "_MAX_PIVOTS", 0)
+        with pytest.raises(
+            RuntimeError, match="feasibility LP failed: no optimum within 0 pivots"
+        ):
             check_exact_representability(resolve_task("xor"), 0)
+
+
+@st.composite
+def _random_label_tables(draw):
+    """Uniform random labels at k = 2..5 under any subset of the product
+    terms, up to all 2^k - k - 1 of them."""
+    k = draw(st.integers(2, MAX_ORACLE_ARITY))
+    terms = _product_terms(k)
+    template = draw(st.lists(st.sampled_from(terms), unique=True, max_size=len(terms)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=2**k, max_size=2**k))
+    return _table("random", k, sorted(template), labels)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(_random_label_tables())
+def test_a_random_table_matches_the_linprog_reference(task):
+    TestOracleMatchesLinprogReference._assert_matches(task, 0)
 
 
 @st.composite
