@@ -21,10 +21,8 @@ from .core import (
     activation_derivative,
     bits_to_spins,
     enumerate_inputs,
-    evaluate_potential,
     features,
     reparameterize_bits_to_spins,
-    spins_to_bits,
 )
 from .dynamics import (
     AdiabaticProfile,
@@ -42,9 +40,7 @@ from .dynamics import (
     default_schedule,
     excitation_probability,
     forward_statevector,
-    hamiltonian,
     instantaneous_upper_eigenstate,
-    prepare_superposition,
     statevector_table,
     zero_state,
 )
@@ -79,10 +75,8 @@ from .training import (
     TrainedNetwork,
     TrainerConfig,
     TrainingExample,
-    classical_gradients,
     cost,
     detect_plateau,
-    epoch_update,
     forward_network,
     initialize_network,
     quantum_gradients,

@@ -27,8 +27,6 @@ __all__ = [
     "activation",
     "activation_derivative",
     "bits_to_spins",
-    "spins_to_bits",
-    "evaluate_potential",
     "features",
     "enumerate_inputs",
     "reparameterize_bits_to_spins",
@@ -107,11 +105,6 @@ def bits_to_spins(bits: Sequence[int]) -> SpinConfig:
     return SpinConfig(tuple(2 * int(b) - 1 for b in bits))
 
 
-def spins_to_bits(s: SpinConfig) -> tuple[int, ...]:
-    """Inverse of bits_to_spins."""
-    return s.bits
-
-
 @dataclass(frozen=True)
 class MultiQubitTerm:
     """A weighted product of two or more spins, indexed 1-based."""
@@ -165,27 +158,6 @@ class NeuralPotential:
     @property
     def arity(self) -> int:
         return len(self.linear_weights)
-
-
-def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
-    """Evaluate the potential on one spin configuration.
-
-    Summation order is fixed: linear terms in index order, then multi-qubit
-    terms in declaration order, then the bias is subtracted.
-    """
-    if len(s) != p.arity:
-        raise InvalidInputError(
-            f"configuration has {len(s)} spins, potential expects {p.arity}"
-        )
-    total = 0.0
-    for w, spin in zip(p.linear_weights, s):
-        total += w * spin
-    for term in p.multi_terms:
-        prod = 1
-        for i in term.indices:
-            prod *= s[i - 1]
-        total += term.weight * prod
-    return total - p.bias
 
 
 def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:

@@ -59,7 +59,6 @@ __all__ = [
     "AdiabaticSchedule",
     "AdiabaticProfile",
     "default_schedule",
-    "hamiltonian",
     "instantaneous_upper_eigenstate",
     "adiabatic_evolve",
     "adiabatic_profile",
@@ -67,7 +66,6 @@ __all__ = [
     "zero_state",
     "basis_state",
     "apply_hadamard",
-    "prepare_superposition",
     "apply_perceptron_gate",
     "apply_network",
     "excitation_probability",
@@ -158,15 +156,10 @@ def default_schedule(x: float) -> AdiabaticSchedule:
     return AdiabaticSchedule(OMEGA_START_FACTOR * max(1.0, abs(float(x))))
 
 
-def hamiltonian(x: float, omega: float) -> np.ndarray:
-    """The 2x2 generator (x * sz + omega * sx) / 2 with sz = diag(-1, +1)."""
-    return 0.5 * np.array([[-x, omega], [omega, x]], dtype=complex)
-
-
 def instantaneous_upper_eigenstate(x, omega):
     """Amplitudes (sqrt(1 - f(x/omega)), sqrt(f(x/omega))) of the upper branch.
 
-    This is the eigenvector of hamiltonian(x, omega) with eigenvalue
+    This is the eigenvector of H = (x * sz + omega * sx) / 2 with eigenvalue
     +sqrt(x^2 + omega^2) / 2; at x = 0 it reduces to the equal superposition.
     x and omega may also be arrays, which broadcast.
     """
@@ -251,7 +244,8 @@ def _propagate_grid(
     """Evolve each (x, omega_start) pair; return final P(excited) and norm drift.
 
     The linear ramp starts in |+>, the smooth ramp in the upper eigenstate
-    of hamiltonian(x, omega_start).  Only _evolve, which checks x, calls it.
+    of H(0) = (x * sz + omega_start * sx) / 2.  Only _evolve, which checks
+    x, calls it.
 
     Each step applies the exact unitary of the midpoint Hamiltonian,
     U = cos(E dt) I - i sin(E dt) / E * H with E = sqrt(x^2 + Omega^2) / 2.
@@ -432,9 +426,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.amplitudes.copy(), self.n)
-
 
 def zero_state(n: int) -> Statevector:
     """|0...0> on n qubits."""
@@ -445,12 +436,10 @@ def zero_state(n: int) -> Statevector:
     return Statevector(amps, n)
 
 
-def _basis_index(bits: Sequence[int]) -> int:
-    """Index of the basis state of an MSB-first bit string."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
+def _basis_index(bits) -> np.ndarray:
+    """Basis index of an MSB-first bit string (k,), or of each row of (N, k)."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
 def basis_state(n: int, bits: Sequence[int]) -> Statevector:
@@ -487,11 +476,6 @@ def apply_hadamard(state: Statevector, j: int) -> Statevector:
     return _check_norm(Statevector(new.reshape(-1), state.n))
 
 
-def prepare_superposition(n: int, j: int) -> Statevector:
-    """All-zero register with qubit j rotated to the equal superposition."""
-    return apply_hadamard(zero_state(n), j)
-
-
 def excitation_probability(state: Statevector, j: int) -> float:
     """Marginal probability that qubit j reads 1."""
     _check_qubit(state, j)
@@ -501,25 +485,19 @@ def excitation_probability(state: Statevector, j: int) -> float:
 
 
 def apply_perceptron_gate(
-    state: Statevector,
-    p: NeuralPotential,
-    target: int,
-    strict: bool = False,
+    state: Statevector, p: NeuralPotential, target: int
 ) -> Statevector:
     """Rotate the target qubit conditioned on input qubits 1..p.arity.
 
     For each input basis configuration with potential value x, the target
     sees the rotation that maps |0> to sqrt(1 - f(x)) |0> + sqrt(f(x)) |1>,
-    completed as a real rotation (angle 2 * arcsin(sqrt(f(x)))).  With
-    strict=True the target must start indistinguishable from |0>.
+    completed as a real rotation (angle 2 * arcsin(sqrt(f(x)))).
     """
     _check_qubit(state, target)
     if target <= p.arity:
         raise InvalidWiringError(
             f"target qubit {target} is among the input qubits 1..{p.arity}"
         )
-    if strict and excitation_probability(state, target) > 1e-9:
-        raise InvalidWiringError("strict mode requires the target qubit in |0>")
 
     k = p.arity
     t = state.amplitudes.reshape([2] * state.n)

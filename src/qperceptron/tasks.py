@@ -12,7 +12,7 @@ only intended for small registers (k <= 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -26,7 +26,7 @@ from .core import (
     features,
 )
 from .dynamics import _basis_index, statevector_table
-from .training import TrainedNetwork, TrainingExample, _input_matrix, _outputs
+from .training import TrainedNetwork, TrainingExample, _input_matrix, _outputs, _rows
 
 __all__ = [
     "TaskSpec",
@@ -45,6 +45,8 @@ BitOrder = Literal["msb", "lsb"]
 Templates = tuple[tuple[tuple[int, ...], ...], ...]
 
 FEASIBILITY_MARGIN = 1e-9
+# verify_truth_table reads an output above this as 1, at or below it as 0
+OUTPUT_THRESHOLD = 0.5
 MAX_ORACLE_ARITY = 5
 # Bland's rule ends every solve in exact arithmetic; the cap, ~7x the most
 # pivots seen on 4,900 random k <= 5 tables (147), stops a numerical stall
@@ -54,23 +56,29 @@ _PIVOT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A truth-table learning problem with per-output term templates."""
+    """A truth-table learning problem with per-output term templates.
+
+    bits (2^arity, arity) and targets (2^arity, n_outputs) are the examples'
+    input bits and target bits as read-only int arrays, row for row; they
+    are derived once, on construction, and take no part in equality.
+    """
 
     name: str
     arity: int
     templates: Templates
     examples: tuple[TrainingExample, ...]
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.templates) == 0:
             raise InvalidInputError("task needs at least one output")
         if len(self.examples) != 2**self.arity:
             raise InvalidInputError("task must enumerate the full truth table")
-        for ex in self.examples:
-            if len(ex.spins) != self.arity:
-                raise InvalidInputError("example arity mismatch")
-            if len(ex.target) != len(self.templates):
-                raise InvalidInputError("example target width mismatch")
+        arrays = _rows(self.examples, self.arity, len(self.templates))
+        for name, array in zip(("bits", "targets"), arrays):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_outputs(self) -> int:
@@ -194,10 +202,9 @@ class TruthTableReport:
 def verify_truth_table(
     net: TrainedNetwork,
     task: TaskSpec,
-    threshold: float = 0.5,
     engine: Literal["scalar", "statevector"] = "scalar",
 ) -> TruthTableReport:
-    """Threshold every output on every row; outputs at the threshold read 0.
+    """Threshold every output on every row at OUTPUT_THRESHOLD.
 
     The scalar engine evaluates every row at once with the activation of
     each output's potential; the statevector engine builds
@@ -208,25 +215,22 @@ def verify_truth_table(
     if net.n_outputs != task.n_outputs:
         raise InvalidInputError("network output count does not match task")
     if engine == "scalar":
-        y = _outputs(net, _input_matrix([ex.spins for ex in task.examples], "spin"))
+        y = _outputs(net, _input_matrix(task.bits, "spin"))
     elif engine == "statevector":
-        rows = [_basis_index(ex.bits) for ex in task.examples]
-        y = statevector_table(net.perceptrons)[rows]
+        y = statevector_table(net.perceptrons)[_basis_index(task.bits)]
     else:
         raise InvalidInputError(f"unknown engine {engine!r}")
-    predicted = [tuple(row) for row in (y > threshold).astype(int).tolist()]
-    mismatches = tuple(
-        (ex.bits, row, ex.target)
-        for ex, row in zip(task.examples, predicted)
-        if row != ex.target
-    )
-    targets = np.array([ex.target for ex in task.examples])
+    predicted = (y > OUTPUT_THRESHOLD).astype(int)
+    wrong = (predicted != task.targets).any(axis=1)
+    columns = (a[wrong].tolist() for a in (task.bits, predicted, task.targets))
+    mismatches = tuple(tuple(map(tuple, row)) for row in zip(*columns))
+    n_rows = len(task.bits)
     return TruthTableReport(
         task_name=task.name,
-        n_rows=len(task.examples),
-        n_correct=len(task.examples) - len(mismatches),
+        n_rows=n_rows,
+        n_correct=n_rows - len(mismatches),
         mismatches=mismatches,
-        max_abs_error=float(np.max(np.abs(y - targets))),
+        max_abs_error=float(np.max(np.abs(y - task.targets))),
     )
 
 
@@ -267,10 +271,8 @@ def check_exact_representability(
     if not (0 <= output_index < task.n_outputs):
         raise InvalidInputError(f"output_index {output_index} out of range")
     template = task.templates[output_index]
-    phi = features([ex.spins.spins for ex in task.examples], template)
-    signs = np.array(
-        [2 * ex.target[output_index] - 1 for ex in task.examples], dtype=float
-    )
+    phi = features(_input_matrix(task.bits, "spin"), template)
+    signs = 2.0 * task.targets[:, output_index] - 1.0
     n_rows, n_params = phi.shape
     signed = signs[:, None] * phi
     eye = np.eye(n_params + 1)

@@ -15,8 +15,8 @@ All training runs one batched kernel: the parameters of S networks that
 share a template (one per seed) form one tensor (S, O, P), evaluated against
 one zero-padded design tensor (O, N, P) for O outputs, N rows and P
 parameter slots.  One forward pass per epoch gives both the cost recorded
-for that epoch and the next epoch's gradient.  cost, the gradients and
-epoch_update are batches of one.
+for that epoch and the next epoch's gradient.  cost and quantum_gradients
+are batches of one.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ __all__ = [
     "forward_network",
     "cost",
     "quantum_gradients",
-    "classical_gradients",
-    "epoch_update",
     "train",
     "detect_plateau",
     "initialize_network",
@@ -144,23 +142,32 @@ class CostCurve:
     epochs_to_tolerance: int | None = None
 
 
-def _validate_set(
-    net: TrainedNetwork, training_set: Sequence[TrainingExample]
-) -> None:
-    if len(training_set) == 0:
+def _rows(
+    rows: Sequence[TrainingExample], arity: int, n_outputs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input bits (N, arity) and targets (N, n_outputs) of rows, as int arrays."""
+    if len(rows) == 0:
         raise InvalidInputError("training set must not be empty")
-    for ex in training_set:
-        if len(ex.spins) != net.arity:
-            raise InvalidInputError("training input arity does not match network")
-        if len(ex.target) != net.n_outputs:
-            raise InvalidInputError("target width does not match network outputs")
+    for ex in rows:
+        if len(ex.spins) != arity:
+            raise InvalidInputError(
+                f"example input arity {len(ex.spins)} does not match {arity}"
+            )
+        if len(ex.target) != n_outputs:
+            raise InvalidInputError(
+                f"example target width {len(ex.target)} does not match "
+                f"{n_outputs} outputs"
+            )
+    spins = np.array([ex.spins.spins for ex in rows])
+    return (spins + 1) // 2, np.array([ex.target for ex in rows])
 
 
-def _input_matrix(configs: Sequence[SpinConfig], encoding: Encoding) -> np.ndarray:
+def _input_matrix(bits: np.ndarray, encoding: Encoding) -> np.ndarray:
+    """Bit rows (N, k) encoded as spins or bits, as floats."""
     if encoding == "spin":
-        return np.array([s.spins for s in configs], dtype=float)
+        return 2.0 * bits - 1.0
     if encoding == "bit":
-        return np.array([s.bits for s in configs], dtype=float)
+        return bits.astype(float)
     raise InvalidInputError(f"unknown encoding {encoding!r}")
 
 
@@ -186,8 +193,8 @@ def _stack(
         raise InvalidInputError(
             "networks trained together must share arity and template"
         )
-    _validate_set(first, training_set)
-    inputs = _input_matrix([ex.spins for ex in training_set], encoding)
+    bits, targets = _rows(training_set, first.arity, first.n_outputs)
+    inputs = _input_matrix(bits, encoding)
     widths = [first.arity + len(terms) + 1 for terms in template]
     design = np.zeros((len(widths), len(training_set), max(widths)))
     theta = np.zeros((len(nets), len(widths), max(widths)))
@@ -196,8 +203,7 @@ def _stack(
     for s, net in enumerate(nets):
         for j, p in enumerate(net.perceptrons):
             theta[s, j, : widths[j]] = _pack(p)
-    targets = np.array([ex.target for ex in training_set], dtype=float).T
-    return design, theta, targets
+    return design, theta, targets.T.astype(float)
 
 
 def _forward(
@@ -252,7 +258,7 @@ def forward_network(
     """Output vector y = f(x_j) for one input configuration."""
     if len(s) != net.arity:
         raise InvalidInputError("input arity does not match network")
-    return _outputs(net, _input_matrix([s], encoding))[0]
+    return _outputs(net, _input_matrix(np.array([s.bits]), encoding))[0]
 
 
 def cost(
@@ -261,58 +267,29 @@ def cost(
     encoding: Encoding = "spin",
 ) -> float:
     """Mean squared error with the 1 / (2 N k) normalization."""
-    return float(_costs(_batch_of_one(net, training_set, encoding)[1])[0])
+    return float(_costs(_batch_of_one(net, training_set, encoding)[0])[0])
 
 
 def _batch_of_one(
     net: TrainedNetwork, training_set: Sequence[TrainingExample], encoding: Encoding
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameters, errors and gradient of one network as a batch of one."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Errors and gradient of one network as a batch of one."""
     design, theta, targets = _stack([net], training_set, encoding)
     with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
         q, err = _forward(design, theta, targets)
-        return theta, err, _gradients(design, q, err)
-
-
-def _gradient_rows(
-    net: TrainedNetwork, training_set: Sequence[TrainingExample], encoding: Encoding
-) -> tuple[PotentialGradient, ...]:
-    grad = _batch_of_one(net, training_set, encoding)[2][0]
-    out = []
-    for p, g in zip(net.perceptrons, grad):
-        k = p.arity
-        m = len(p.multi_terms)
-        out.append(
-            PotentialGradient(
-                linear=g[:k].copy(), multi=g[k : k + m].copy(), bias=float(g[k + m])
-            )
-        )
-    return tuple(out)
+        return err, _gradients(design, q, err)
 
 
 def quantum_gradients(
     net: TrainedNetwork, training_set: Sequence[TrainingExample]
 ) -> tuple[PotentialGradient, ...]:
     """Exact cost gradients for every perceptron under the spin encoding."""
-    return _gradient_rows(net, training_set, "spin")
-
-
-def classical_gradients(
-    p: NeuralPotential, training_set: Sequence[TrainingExample]
-) -> PotentialGradient:
-    """Exact cost gradient of a single perceptron under the bit encoding."""
-    return _gradient_rows(TrainedNetwork((p,), p.arity), training_set, "bit")[0]
-
-
-def epoch_update(
-    net: TrainedNetwork,
-    training_set: Sequence[TrainingExample],
-    config: TrainerConfig,
-    encoding: Encoding = "spin",
-) -> TrainedNetwork:
-    """One full-batch update: every parameter moves against its gradient."""
-    theta, _, grad = _batch_of_one(net, training_set, encoding)
-    return _network(net, (theta - config.eta * grad)[0], net.epochs_run)
+    grad = _batch_of_one(net, training_set, "spin")[1][0]
+    sizes = [(p.arity, len(p.multi_terms)) for p in net.perceptrons]
+    return tuple(
+        PotentialGradient(g[:k].copy(), g[k : k + m].copy(), float(g[k + m]))
+        for (k, m), g in zip(sizes, grad)
+    )
 
 
 def train(

@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
+
+# When an @given test fails, hypothesis's report hook imports
+# hypothesis.extra._patching, which imports libcst and through it
+# mypy_extensions, whose import raises a DeprecationWarning.  Under
+# filterwarnings = error that warning is an INTERNALERROR that ends the run
+# after the first failing property, so the module is imported here, once,
+# with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # hypothesis or libcst missing: nothing to pre-load
+        pass
 
 _ACCEPTANCE_LINES: list[tuple[float, str]] = []
 

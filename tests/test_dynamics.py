@@ -23,24 +23,25 @@ from qperceptron import (
     default_schedule,
     excitation_probability,
     forward_statevector,
-    hamiltonian,
     instantaneous_upper_eigenstate,
-    prepare_superposition,
     statevector_table,
     zero_state,
 )
 from qperceptron import dynamics
+from qperceptron.core import _bit_rows
 from qperceptron.dynamics import (
     MAX_MAGNITUDE,
     MAX_POINT_STEPS,
     IntegratorError,
     InvalidWiringError,
     Statevector,
+    _basis_index,
     _drive,
     _hamilton,
     _propagate_grid,
     _ramp_steps,
 )
+from references import hamiltonian
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -493,6 +494,13 @@ class TestRegister:
         state = basis_state(2, (1, 0))
         assert state.amplitudes[2] == 1.0
 
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_basis_index_of_a_row_or_of_a_table(self, k):
+        table = _bit_rows(k)
+        np.testing.assert_array_equal(_basis_index(table), np.arange(2**k))
+        assert _basis_index(table[-1].tolist()) == 2**k - 1
+        assert _basis_index((1,) + (0,) * (k - 1)) == 2 ** (k - 1)
+
     def test_basis_state_rejects_bad_bits(self):
         with pytest.raises(InvalidInputError):
             basis_state(2, (1, 2))
@@ -500,11 +508,11 @@ class TestRegister:
             basis_state(2, (1,))
 
     def test_single_qubit_superposition(self):
-        state = prepare_superposition(1, 1)
+        state = apply_hadamard(zero_state(1), 1)
         np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2])
 
     def test_second_qubit_superposition(self):
-        state = prepare_superposition(2, 2)
+        state = apply_hadamard(zero_state(2), 2)
         np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2, 0, 0])
 
     def test_hadamard_involution(self):
@@ -514,9 +522,8 @@ class TestRegister:
 
     def test_excitation_probability_basics(self):
         assert excitation_probability(zero_state(3), 2) == 0.0
-        assert excitation_probability(prepare_superposition(2, 1), 1) == pytest.approx(
-            0.5
-        )
+        state = apply_hadamard(zero_state(2), 1)
+        assert excitation_probability(state, 1) == pytest.approx(0.5)
 
     def test_excitation_sums_to_one_with_ground(self):
         rng = np.random.default_rng(3)
@@ -613,19 +620,16 @@ class TestPerceptronGate:
         with pytest.raises(InvalidWiringError):
             apply_perceptron_gate(zero_state(3), p, target)
 
-    def test_strict_mode_rejects_excited_target(self):
+    def test_an_excited_target_is_a_valid_rotation(self):
         state = basis_state(3, (0, 0, 1))
         p = NeuralPotential((0.1, 0.2), 0.0)
-        with pytest.raises(InvalidWiringError):
-            apply_perceptron_gate(state, p, 3, strict=True)
-        # the same call without strict mode is a valid rotation
         out = apply_perceptron_gate(state, p, 3)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNetworkApplication:
     def test_empty_wiring_is_identity(self):
-        state = prepare_superposition(2, 1)
+        state = apply_hadamard(zero_state(2), 1)
         out = apply_network(state, [])
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
@@ -646,8 +650,8 @@ class TestNetworkApplication:
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         state = Statevector(amps, 4)
-        ab = apply_network(state.copy(), [(p1, 3), (p2, 4)])
-        ba = apply_network(state.copy(), [(p2, 4), (p1, 3)])
+        ab = apply_network(state, [(p1, 3), (p2, 4)])
+        ba = apply_network(state, [(p2, 4), (p1, 3)])
         np.testing.assert_allclose(ab.amplitudes, ba.amplitudes, atol=1e-12)
 
     def test_duplicate_targets_rejected(self):

@@ -774,6 +774,9 @@ class TestCliGateVerify:
         assert "mismatch at input (1, 0)" not in out
         assert out.count("mismatch at input (0, 1)") == 2
         assert out.count("mismatch at input (1, 1)") == 2
+        # a whole line, which a numpy scalar's repr (np.int64(0)) would break
+        line = "  mismatch at input (0, 1): predicted (0, 0), expected (0, 1)\n"
+        assert out.count(line) == 2
         assert "verdict=fail" in out
 
     @pytest.mark.parametrize(

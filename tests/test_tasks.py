@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,7 +26,6 @@ from qperceptron import (
     check_exact_representability,
     cost,
     enumerate_inputs,
-    evaluate_potential,
     initialize_network,
     resolve_task,
     scale_potential,
@@ -35,6 +35,7 @@ from qperceptron import (
 )
 from qperceptron.core import _unpack, features
 from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _is_prime
+from references import evaluate_potential
 
 
 def _signed_potentials(task, output_index, potential):
@@ -173,13 +174,54 @@ class TestTaskSpec:
         [
             ((), resolve_task("xor").examples, "at least one output"),
             (((),), resolve_task("xor").examples[:3], "full truth table"),
-            (((),), resolve_task("toffoli").examples[:4], "example arity mismatch"),
-            (((), ()), resolve_task("xor").examples, "target width mismatch"),
+            (((),), resolve_task("toffoli").examples[:4], "example input arity"),
+            (((), ()), resolve_task("xor").examples, "example target width"),
         ],
     )
     def test_rejects_an_inconsistent_table(self, templates, examples, message):
         with pytest.raises(InvalidInputError, match=message):
             TaskSpec("table", 2, templates, examples)
+
+    @staticmethod
+    def _assert_arrays_match_examples(task):
+        assert task.bits.dtype.kind == task.targets.dtype.kind == "i"
+        assert task.bits.tolist() == [list(ex.bits) for ex in task.examples]
+        assert task.targets.tolist() == [list(ex.target) for ex in task.examples]
+
+    @pytest.mark.parametrize("bit_order", ["msb", "lsb"])
+    @pytest.mark.parametrize("task_id", TASK_IDS)
+    def test_arrays_are_the_examples_row_for_row(self, task_id, bit_order):
+        for template in TEMPLATES:
+            try:
+                task = resolve_task(task_id, bit_order, template)
+            except InvalidInputError:  # no extended template for this task
+                continue
+            self._assert_arrays_match_examples(task)
+
+    def test_arrays_follow_a_permuted_table(self):
+        task = resolve_task("fredkin", template="extended")
+        order = np.random.default_rng(5).permutation(len(task.examples))
+        examples = tuple(task.examples[i] for i in order)
+        shuffled = TaskSpec(task.name, task.arity, task.templates, examples)
+        self._assert_arrays_match_examples(shuffled)
+        np.testing.assert_array_equal(shuffled.bits, task.bits[order])
+
+    def test_equality_and_hash_see_only_the_four_fields(self):
+        assert resolve_task("xor") == resolve_task("xor")
+        assert hash(resolve_task("xor")) == hash(resolve_task("xor"))
+        assert resolve_task("xor") != resolve_task("xor", template="two-qubit")
+        assert "bits" not in repr(resolve_task("xor"))
+
+    def test_arrays_cannot_be_set(self):
+        task = resolve_task("xor")
+        with pytest.raises(TypeError):
+            TaskSpec(task.name, task.arity, task.templates, task.examples, task.bits)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.targets = task.targets
+        with pytest.raises(ValueError, match="read-only"):
+            task.bits[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            task.targets[0, 0] = 1
 
 
 class TestResolveTask:

@@ -17,10 +17,8 @@ from qperceptron import (
     TrainerConfig,
     TrainingExample,
     bits_to_spins,
-    classical_gradients,
     cost,
     detect_plateau,
-    epoch_update,
     forward_network,
     forward_statevector,
     initialize_network,
@@ -170,9 +168,8 @@ class TestCost:
         calls = [
             lambda: cost(net, examples),
             lambda: quantum_gradients(net, examples),
-            lambda: classical_gradients(p, examples),
-            lambda: epoch_update(net, examples, TrainerConfig()),
             lambda: train(net, examples, TrainerConfig(max_epochs=5)),
+            lambda: train(net, examples, TrainerConfig(max_epochs=5), "bit"),
             # a finite start whose first step overflows the potential
             lambda: train(start, examples, TrainerConfig(eta=1e308, max_epochs=5)),
         ]
@@ -211,14 +208,17 @@ class TestQuantumGradients:
             assert float(np.linalg.norm(_flatten(a) - n)) / ref < 1e-6
 
 
-class TestClassicalGradients:
-    def test_matches_finite_differences_in_bit_space(self):
+class TestBitEncoding:
+    def test_one_unit_step_matches_finite_differences_in_bit_space(self):
+        # at eta = 1 one epoch moves theta by exactly minus its gradient
         task = resolve_task("xor", template="two-qubit")
         net = _random_network(task, seed=13)
-        g = classical_gradients(net.perceptrons[0], task.examples)
+        config = TrainerConfig(eta=1.0, max_epochs=1)
+        stepped, _ = train(net, task.examples, config, "bit")
+        g = np.subtract(_weights(net), _weights(stepped))
         (n,) = _fd_gradient(net, task.examples, encoding="bit")
         ref = max(float(np.linalg.norm(n)), 1e-12)
-        assert float(np.linalg.norm(_flatten(g) - n)) / ref < 1e-6
+        assert float(np.linalg.norm(g - n)) / ref < 1e-6
 
     def test_reparameterized_potentials_agree_with_bit_space(self):
         rng = np.random.default_rng(19)
@@ -234,11 +234,12 @@ class TestClassicalGradients:
             assert y_bit == pytest.approx(y_spin, abs=1e-12)
 
 
-class TestEpochUpdate:
+class TestUpdateStep:
     def test_zero_learning_rate_changes_nothing(self):
         task = resolve_task("xor")
         net = _random_network(task, seed=2)
-        updated = epoch_update(net, task.examples, TrainerConfig(eta=0.0))
+        config = TrainerConfig(eta=0.0, max_epochs=3)
+        updated, _ = train(net, task.examples, config)
         for before, after in zip(net.perceptrons, updated.perceptrons):
             assert before.linear_weights == after.linear_weights
             assert before.bias == after.bias
@@ -248,21 +249,19 @@ class TestEpochUpdate:
 
     def test_single_step_is_reproducible(self):
         task = resolve_task("xor")
-        config = TrainerConfig(seed=6)
-        a = epoch_update(_random_network(task, 6), task.examples, config)
-        b = epoch_update(_random_network(task, 6), task.examples, config)
+        config = TrainerConfig(seed=6, max_epochs=1)
+        a, _ = train(_random_network(task, 6), task.examples, config)
+        b, _ = train(_random_network(task, 6), task.examples, config)
         assert a.perceptrons == b.perceptrons
 
     def test_small_steps_never_increase_the_cost(self):
         task = resolve_task("xor")
         net = _random_network(task, seed=8)
-        config = TrainerConfig(eta=1e-3)
-        previous = cost(net, task.examples)
-        for _ in range(100):
-            net = epoch_update(net, task.examples, config)
-            current = cost(net, task.examples)
-            assert current <= previous + 1e-15
-            previous = current
+        config = TrainerConfig(eta=1e-3, max_epochs=100)
+        _, curve = train(net, task.examples, config)
+        assert len(curve.costs) == 100
+        costs = np.concatenate([[cost(net, task.examples)], curve.costs])
+        assert np.all(np.diff(costs) <= 1e-15)
 
 
 class TestTrain:
@@ -292,12 +291,11 @@ class TestTrain:
             train(net, examples, config, "ternary")
 
     def test_cost_recorded_after_each_update(self):
-        # one epoch of training equals one epoch_update step
+        # the cost of epoch 1 is that of the network after one update
         task = resolve_task("xor")
         config = TrainerConfig(seed=4, max_epochs=1)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        stepped = epoch_update(net0, task.examples, config)
-        _, curve = train(net0, task.examples, config)
+        stepped, curve = train(net0, task.examples, config)
         assert curve.costs[0] == pytest.approx(
             cost(stepped, task.examples), abs=1e-15
         )
