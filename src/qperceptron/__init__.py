@@ -18,7 +18,6 @@ from .core import (
     NeuralPotential,
     SpinConfig,
     activation,
-    activation_derivative,
     bits_to_spins,
     enumerate_inputs,
     features,

@@ -25,7 +25,6 @@ __all__ = [
     "MultiQubitTerm",
     "NeuralPotential",
     "activation",
-    "activation_derivative",
     "bits_to_spins",
     "features",
     "enumerate_inputs",
@@ -59,15 +58,6 @@ def activation(x):
     # np.minimum/np.maximum cost about half as much as np.clip per call
     x = np.minimum(np.maximum(x, -ACTIVATION_CLIP), ACTIVATION_CLIP)
     out = 0.5 * (1.0 + x / np.sqrt(1.0 + x * x))
-    return float(out) if out.ndim == 0 else out
-
-
-def activation_derivative(x):
-    """Slope of the activation, f'(x) = 1 / (2 (1 + x^2)^(3/2))."""
-    x = np.asarray(x, dtype=float)
-    _check_finite(x, "activation input")
-    with np.errstate(over="ignore"):  # beyond |x| ~ 1e154 the slope is exactly 0
-        out = 0.5 / np.power(1.0 + x * x, 1.5)
     return float(out) if out.ndim == 0 else out
 
 

@@ -147,9 +147,6 @@ class AdiabaticSchedule:
         if not (0.0 < self.dt <= self.t_f / 1000.0):
             raise InvalidInputError("dt must satisfy 0 < dt <= t_f / 1000")
 
-    def omega(self, t: float) -> float:
-        return float(_drive(self.omega_start, self.omega_end, t, self.t_f, self.ramp))
-
 
 def default_schedule(x: float) -> AdiabaticSchedule:
     """Default ramp for x: start at OMEGA_START_FACTOR * max(1, |x|), end at 1."""
@@ -372,6 +369,25 @@ class AdiabaticProfile:
     max_drift: float
 
 
+def _profile_schedule(
+    xs: np.ndarray,
+    t_f: float,
+    dt: float,
+    omega_start_factor: float,
+    omega_end: float,
+    ramp: str,
+) -> tuple[np.ndarray, AdiabaticSchedule]:
+    """Each x's drive start, and the checked schedule of the largest start.
+
+    The schedule depends on xs only through the largest |x|, which a grid's
+    end points hold, so adiabatic-check checks it before building the grid.
+    """
+    # Bound both before their product forms the drive, which could overflow.
+    _check_magnitudes(x=xs, omega_start_factor=omega_start_factor)
+    starts = omega_start_factor * np.maximum(1.0, np.abs(xs))
+    return starts, AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)
+
+
 def adiabatic_profile(
     xs: Sequence[float],
     t_f: float = AdiabaticSchedule.t_f,
@@ -389,10 +405,9 @@ def adiabatic_profile(
     grid = np.asarray(list(xs), dtype=float)
     if grid.size == 0:
         raise InvalidInputError("empty x grid")
-    # Bound both before their product forms the drive, which could overflow.
-    _check_magnitudes(x=grid, omega_start_factor=omega_start_factor)
-    starts = omega_start_factor * np.maximum(1.0, np.abs(grid))
-    schedule = AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)
+    starts, schedule = _profile_schedule(
+        grid, t_f, dt, omega_start_factor, omega_end, ramp
+    )
     # omega_end <= omega_start must hold at every point: no drive ramps up.
     replace(schedule, omega_start=float(starts.min()))
     probs, drift = _evolve(grid, starts, schedule)
@@ -409,7 +424,7 @@ def adiabatic_profile(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Statevector:
     """Dense complex amplitudes over n qubits, qubit 1 most significant."""
 
@@ -417,7 +432,8 @@ class Statevector:
     n: int
 
     def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        object.__setattr__(self, "amplitudes", amplitudes)
         if self.n < 1 or self.amplitudes.shape != (2**self.n,):
             raise InvalidInputError(
                 f"amplitude vector of length {self.amplitudes.shape} does not match n={self.n}"

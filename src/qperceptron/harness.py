@@ -32,7 +32,7 @@ from .core import (
     reparameterize_bits_to_spins,
 )
 from .dynamics import _RAMPS, OMEGA_START_FACTOR, AdiabaticSchedule, _ramp_steps
-from .dynamics import adiabatic_profile
+from .dynamics import _profile_schedule, adiabatic_profile
 from .tasks import (
     TEMPLATES,
     FeasibilityVerdict,
@@ -107,21 +107,21 @@ class ExperimentConfig:
 
     The one place a setting is named, defaulted, typed and checked: the CLI
     passes flag and config-file values straight in.  Each field's value must
-    have its annotated type, and reals are stored as float.  The range rules
-    shared with TrainerConfig are TrainerConfig's own.  Task, template and
-    mode are checked together by building the TaskSpec that run_experiment
-    would train.
+    have its annotated type, and reals are stored as float.  The defaults
+    and range rules shared with TrainerConfig are TrainerConfig's own.  Task,
+    template and mode are checked together by building the TaskSpec that
+    run_experiment would train.
     """
 
     task: str
     mode: str = "quantum"
-    eta: float = 1.5
+    eta: float = TrainerConfig.eta
     seeds: tuple[int, ...] = (0,)
-    max_epochs: int = 5000
-    cost_tolerance: float = 0.01
-    init_range: float = 0.5
-    plateau_window: int = 200
-    plateau_epsilon: float = 5e-4
+    max_epochs: int = TrainerConfig.max_epochs
+    cost_tolerance: float = TrainerConfig.cost_tolerance
+    init_range: float = TrainerConfig.init_range
+    plateau_window: int = TrainerConfig.plateau_window
+    plateau_epsilon: float = TrainerConfig.plateau_epsilon
     bit_order: str = "msb"
     template: str = "paper"
     out_dir: str = "results"
@@ -141,6 +141,8 @@ class ExperimentConfig:
         object.__setattr__(self, "task", canonical_task_id(self.task))
         if not 0 < len(self.seeds) <= MAX_SEEDS or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be 1 to {MAX_SEEDS} non-negative integers")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must not repeat")
         try:
             _resolve(self)
             self.trainer_config(self.seeds[0])
@@ -169,13 +171,16 @@ class SeedOutcome:
     seed: int
     curve: CostCurve
     network: TrainedNetwork
-    final_cost: float
     plateau: float | None
     elapsed_seconds: float
 
     @property
     def epochs_to_tolerance(self) -> int | None:
         return self.curve.epochs_to_tolerance
+
+    @property
+    def final_cost(self) -> float:
+        return float(self.curve.costs[-1])
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     task: TaskSpec
-    encoding: str
     outcomes: tuple[SeedOutcome, ...]
     oracle: tuple[FeasibilityVerdict, ...]
     median_epochs_to_tolerance: float | None
@@ -228,16 +232,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         plateau = None
         if len(curve.costs) > trainer.plateau_window:
             plateau = detect_plateau(curve, trainer)
-        outcomes.append(
-            SeedOutcome(
-                seed=seed,
-                curve=curve,
-                network=net,
-                final_cost=float(curve.costs[-1]),
-                plateau=plateau,
-                elapsed_seconds=train_seconds,
-            )
-        )
+        outcomes.append(SeedOutcome(seed, curve, net, plateau, train_seconds))
 
     oracle = tuple(
         check_exact_representability(task, j) for j in range(task.n_outputs)
@@ -250,7 +245,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         config=config,
         task=task,
-        encoding=encoding,
         outcomes=tuple(outcomes),
         oracle=oracle,
         median_epochs_to_tolerance=None if np.isinf(median) else median,
@@ -383,14 +377,7 @@ def _network_from_summary(
         perceptrons = tuple(_potential_from_payload(w) for w in entry["weights"])
         if not perceptrons:
             raise ConfigError(f"{path}: seed entry has no weights")
-        epochs = entry["epochs_to_tolerance"]
-        return TrainedNetwork(
-            perceptrons=perceptrons,
-            arity=perceptrons[0].arity,
-            task_name=doc["task"],
-            seed=entry["seed"],
-            epochs_run=0 if epochs is None else int(epochs),
-        )
+        return TrainedNetwork(perceptrons, perceptrons[0].arity, doc["task"])
     except ConfigError:
         raise
     except KeyError as exc:
@@ -531,15 +518,11 @@ def _cmd_adiabatic_check(args: argparse.Namespace) -> int:
     _ramp_steps(args.points, args.t_f, args.dt)
     if not np.isfinite(args.x_max - args.x_min):  # also catches an inf or nan bound
         raise ConfigError("--x-min and --x-max must be finite, with a finite span")
+    ramp = (args.t_f, args.dt, args.omega_factor, args.omega_end, args.ramp)
+    # The grid's end points check its schedule's rules before the grid exists.
+    _profile_schedule(np.array([args.x_min, args.x_max][: args.points]), *ramp)
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    profile = adiabatic_profile(
-        xs,
-        t_f=args.t_f,
-        dt=args.dt,
-        omega_start_factor=args.omega_factor,
-        omega_end=args.omega_end,
-        ramp=args.ramp,
-    )
+    profile = adiabatic_profile(xs, *ramp)
     print("x,probability,target,error")
     for x, p, t, e in zip(
         profile.xs, profile.probabilities, profile.targets, profile.errors

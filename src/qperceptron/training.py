@@ -118,8 +118,6 @@ class TrainedNetwork:
     perceptrons: tuple[NeuralPotential, ...]
     arity: int
     task_name: str = ""
-    seed: int | None = None
-    epochs_run: int = 0
 
     def __post_init__(self) -> None:
         if len(self.perceptrons) == 0:
@@ -133,13 +131,18 @@ class TrainedNetwork:
         return len(self.perceptrons)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostCurve:
     """Per-epoch cost trace; epoch e corresponds to costs[e - 1]."""
 
     costs: np.ndarray
     cost_tolerance: float
-    epochs_to_tolerance: int | None = None
+
+    @property
+    def epochs_to_tolerance(self) -> int | None:
+        """Epochs run if the last cost is below the tolerance, else None."""
+        n = len(self.costs)
+        return n if n and self.costs[-1] < self.cost_tolerance else None
 
 
 def _rows(
@@ -238,11 +241,11 @@ def _costs(err: np.ndarray) -> np.ndarray:
     return np.einsum("son,son->s", err, err) / (2.0 * n_examples * n_outputs)
 
 
-def _network(net: TrainedNetwork, theta: np.ndarray, epochs_run: int) -> TrainedNetwork:
+def _network(net: TrainedNetwork, theta: np.ndarray) -> TrainedNetwork:
     perceptrons = tuple(
         _unpack(net.arity, terms, th) for terms, th in zip(_template(net), theta)
     )
-    return replace(net, perceptrons=perceptrons, epochs_run=epochs_run)
+    return replace(net, perceptrons=perceptrons)
 
 
 def _outputs(net: TrainedNetwork, inputs: np.ndarray) -> np.ndarray:
@@ -339,13 +342,11 @@ def train(
                 if active.size == 0:
                     break
     final[active] = theta
-    pairs = []
-    for s, net_s in enumerate(nets):
-        n = int(ran[s])
-        curve = CostCurve(costs[s, :n].copy(), config.cost_tolerance)
-        if curve.costs[-1] < config.cost_tolerance:
-            curve.epochs_to_tolerance = n
-        pairs.append((_network(net_s, final[s], net_s.epochs_run + n), curve))
+    tol = config.cost_tolerance
+    pairs = [
+        (_network(net_s, final[s]), CostCurve(costs[s, : ran[s]].copy(), tol))
+        for s, net_s in enumerate(nets)
+    ]
     return pairs[0] if single else pairs
 
 
@@ -380,4 +381,4 @@ def initialize_network(
         _unpack(arity, terms, rng.uniform(-r, r, arity + len(terms) + 1))
         for terms in templates
     )
-    return TrainedNetwork(perceptrons, arity, task_name=task_name, seed=config.seed)
+    return TrainedNetwork(perceptrons, arity, task_name=task_name)

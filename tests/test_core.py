@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from qperceptron import (
     NeuralPotential,
     SpinConfig,
     activation,
-    activation_derivative,
     bits_to_spins,
     enumerate_inputs,
     features,
@@ -183,31 +181,6 @@ class TestActivation:
         assert [activation(float(x)) for x in xs] == list(formula)
 
 
-class TestActivationDerivative:
-    def test_slope_at_origin(self):
-        assert activation_derivative(0.0) == 0.5
-
-    @pytest.mark.parametrize("x", [-3.0, -1.0, 0.0, 1.0, 3.0])
-    def test_matches_central_finite_difference(self, x):
-        h = 1e-5
-        fd = (activation(x + h) - activation(x - h)) / (2 * h)
-        assert activation_derivative(x) == pytest.approx(fd, rel=1e-8)
-
-    def test_tail_decay(self):
-        assert activation_derivative(1000.0) < 1e-8
-        assert activation_derivative(-1000.0) < 1e-8
-
-    def test_far_tail_rounds_to_zero(self):
-        # the true slope at 1e200 is ~5e-601, below the smallest subnormal
-        with np.errstate(over="ignore"):
-            assert activation_derivative(1e200) == 0.0
-            assert activation_derivative(-1e200) == 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            activation_derivative(float("-inf"))
-
-
 class TestEnumerateInputs:
     def test_single_qubit(self):
         assert [s.spins for s in enumerate_inputs(1)] == [(-1,), (1,)]
@@ -299,10 +272,3 @@ class TestFeatures:
             x = features(spins, template) @ theta
             ref = [evaluate_potential(p, s) for s in configs]
             np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
-
-
-def test_far_tail_slope_warns_nothing():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert activation_derivative(1e200) == 0.0
-        assert activation_derivative(np.array([-1e200, 0.0])).tolist() == [0.0, 0.5]

@@ -18,6 +18,7 @@ from qperceptron import (
     TEMPLATES,
     ConfigError,
     ExperimentConfig,
+    TrainerConfig,
     cli,
     cost,
     emit_cost_curve_csv,
@@ -83,6 +84,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(task="xor", seeds=(True,))
 
+    def test_rejects_a_repeated_seed(self):
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            ExperimentConfig(task="xor", seeds=(2, 0, 2))
+
+    def test_training_defaults_are_the_trainer_configs(self):
+        assert ExperimentConfig(task="xor").trainer_config(0) == TrainerConfig()
+
 
 class TestRunExperiment:
     def test_xor_single_seed(self):
@@ -101,7 +109,9 @@ class TestRunExperiment:
         result = _run(
             ExperimentConfig(task="xor", mode="classical", seeds=(0,), max_epochs=500)
         )
-        assert result.encoding == "bit"
+        outcome = result.outcomes[0]
+        bit_cost = cost(outcome.network, result.task.examples, encoding="bit")
+        assert bit_cost == pytest.approx(outcome.final_cost, rel=1e-12)
         assert result.task.templates == ((),)
         assert result.outcomes[0].epochs_to_tolerance is None
         assert result.median_epochs_to_tolerance is None
@@ -164,6 +174,15 @@ class TestCostCurveCsv:
             epoch, value = line.split(",")
             assert int(epoch) == i
             assert np.isfinite(float(value))
+
+    def test_final_cost_is_the_last_row_and_the_summary_value(self, tmp_path):
+        result = _run(ExperimentConfig(task="toffoli", seeds=(0, 1), max_epochs=40))
+        paths = emit_cost_curve_csv(result, tmp_path)
+        doc = load_summary(emit_summary(result, tmp_path / "summary.json"))
+        for outcome, path, entry in zip(result.outcomes, paths, doc["per_seed"]):
+            last = path.read_text().splitlines()[-1]
+            assert last == "40,%.12g" % outcome.final_cost
+            assert entry["final_cost"] == outcome.final_cost
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = ExperimentConfig(task="xor", seeds=(7,), max_epochs=100)
@@ -494,6 +513,7 @@ class TestCliConfigFile:
             {"seeds": 5},
             {"seeds": list(range(10_001))},
             {"task": 5},
+            {"seeds": [3, 0, 3]},
         ],
     )
     def test_non_integer_seeds_are_rejected(self, tmp_path, capsys, seeds):
@@ -587,6 +607,7 @@ class TestCliSeedList:
             ("5-3", "descending seed range '5-3'"),
             ("1,x", "bad seed entry 'x'"),
             ("1,,2", "empty entry in seed list '1,,2'"),
+            ("1,1,0-2", "seeds must not repeat"),
         ],
     )
     def test_bad_lists_exit_one_before_training(
@@ -682,21 +703,31 @@ class TestCliAdiabaticCheck:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert message in err
 
+    @staticmethod
+    def _exits_one_before_building_the_grid(monkeypatch, capsys, flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(harness.np, "linspace", never)
+        monkeypatch.setattr(harness, "adiabatic_profile", never)
+        assert cli(["adiabatic-check", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "grid", [["--t-f", "1", "--dt", "1e-9"], ["--points", "1000000000"]]
     )
     def test_step_budget_exits_one_before_building_the_grid(
         self, monkeypatch, capsys, grid
     ):
-        def never(*args, **kwargs):
-            raise AssertionError("the grid was built")
+        self._exits_one_before_building_the_grid(monkeypatch, capsys, grid, "budget")
 
-        monkeypatch.setattr(harness.np, "linspace", never)
-        monkeypatch.setattr(harness, "adiabatic_profile", never)
-        assert cli(["adiabatic-check", *grid]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "budget" in err
-        assert len(err.splitlines()) == 1
+    def test_dt_rule_exits_one_before_building_the_grid(self, monkeypatch, capsys):
+        # t_f / dt rounds up to one step, so 1e8 points fit the step budget
+        flags = ["--points", "100000000", "--t-f", "1", "--dt", "2"]
+        message = "dt must satisfy 0 < dt <= t_f / 1000"
+        self._exits_one_before_building_the_grid(monkeypatch, capsys, flags, message)
 
 
 class TestCliFeasibility:

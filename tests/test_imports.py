@@ -4,7 +4,9 @@ the package re-exports exactly each module's public names."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,19 @@ def test_package_exports_exactly_the_public_names_of_each_module():
         if path.stem != "__main__"  # the entry point, not a library module
     }
     assert exported == public
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(path):
+    module = importlib.import_module(f"qperceptron.{path.stem}")
+    mutable = [
+        name
+        for name, obj in inspect.getmembers(module, inspect.isclass)
+        if obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj)
+        and not obj.__dataclass_params__.frozen
+    ]
+    assert mutable == []
 
 
 def test_the_check_sees_an_unused_import():

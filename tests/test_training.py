@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -269,12 +270,28 @@ class TestTrain:
         task = resolve_task("xor")
         config = TrainerConfig(seed=0, max_epochs=1000)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        net, curve = train(net0, task.examples, config)
+        _, curve = train(net0, task.examples, config)
         assert curve.epochs_to_tolerance == 7
         assert len(curve.costs) == 7
         assert curve.costs[-1] < 0.01
         assert np.all(curve.costs[:-1] >= 0.01)
-        assert net.epochs_run == 7
+
+    @pytest.mark.parametrize("budget, expected", [(7, 7), (6, None)])
+    def test_a_budget_ending_at_the_crossing_still_counts_it(self, budget, expected):
+        task = resolve_task("xor")
+        config = TrainerConfig(seed=0, max_epochs=budget)
+        net0 = initialize_network(task.arity, task.templates, config, task.name)
+        _, curve = train(net0, task.examples, config)
+        assert len(curve.costs) == budget
+        assert curve.epochs_to_tolerance == expected
+
+    def test_curve_is_frozen(self):
+        curve = CostCurve(costs=np.full(3, 0.001), cost_tolerance=0.01)
+        assert curve.epochs_to_tolerance == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.epochs_to_tolerance = 1  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.costs = np.full(3, 0.5)  # type: ignore[misc]
 
     @pytest.mark.parametrize(
         "task_id, message", [("toffoli", "input arity"), ("cnot", "target width")]
@@ -395,7 +412,7 @@ class TestBatchedTraining:
         task = resolve_task(task_id)
         config = TrainerConfig(seed=seed, max_epochs=budget)
         net, curve = train(_random_network(task, seed), task.examples, config)
-        assert len(curve.costs) == ran == net.epochs_run
+        assert len(curve.costs) == ran
         assert curve.epochs_to_tolerance == to_tolerance
         for epoch, value in costs.items():
             assert curve.costs[epoch - 1] == pytest.approx(value, abs=1e-12)
