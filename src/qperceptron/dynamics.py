@@ -21,7 +21,12 @@ the complex 2x2 matrix is formed once per grid point, to apply the whole
 ramp to the start state.  A step's q component is 0, so a block of steps is
 built as an even-offset and an odd-offset half of (w, p, r), which the
 tree's first level pairs with the q = 0 product, 9 multiplies instead of
-16; the upper levels write each product in place.  A grid may take at most
+16; the upper levels write each product in place.  The tree is evaluated
+depth first, in chunks of at most _CHUNK_POINT_STEPS point-steps whose
+products a binary-counter stack folds into the same tree.  The chunk arrays
+share one workspace, a fixed 3.25 MiB up to 2^15 points, so past the
+per-point products (under 0.6 kB a point) the working set does not grow
+with the grid.  A grid may take at most
 MAX_POINT_STEPS point-steps, and no |x|, omega_start or t_f may exceed
 MAX_MAGNITUDE, below which no square or product of two of them overflows,
 nor may omega_end fall below 1 / MAX_MAGNITUDE.  AdiabaticSchedule checks the
@@ -37,6 +42,7 @@ which no gate changes, so one superposed input register serves every row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -99,13 +105,18 @@ class IntegratorError(RuntimeError):
 _RAMPS = ("linear", "smooth")
 
 
-def _drive(omega_start, omega_end, t, t_f, ramp):
-    """Omega(t) of the named ramp; broadcasts over array arguments."""
+def _drive(omega_start, omega_end, t, t_f, ramp, out=None):
+    """Omega(t) of the named ramp; broadcasts over array arguments.
+
+    The terms of the broadcast shape are written into out, if given.
+    """
     if ramp == "linear":
-        return omega_start + (omega_end - omega_start) * t / t_f
+        drop = np.multiply(omega_end - omega_start, t, out=out)
+        return np.add(omega_start, np.divide(drop, t_f, out=out), out=out)
     u = t / t_f
     rest = 1.0 - u**3 * (10.0 + u * (6.0 * u - 15.0))  # 1 - smootherstep(u)
-    return omega_end + (omega_start - omega_end) * rest
+    fall = np.multiply(omega_start - omega_end, rest, out=out)
+    return np.add(omega_end, fall, out=out)
 
 
 def _check_magnitudes(**values) -> None:
@@ -203,14 +214,16 @@ _HAMILTON = (
 _STEP_PAIR = tuple(tuple(t for t in row if 2 not in t[:2]) for row in _HAMILTON)
 
 
-def _accumulate(a, b, out: np.ndarray, terms) -> np.ndarray:
+def _accumulate(a, b, out: np.ndarray, terms, scratch=None) -> np.ndarray:
     """Write the sums that terms (laid out as _HAMILTON) name into out.
 
-    Each product goes into one scratch buffer and is added into out in the
-    order of terms, so out equals the written-out expression bitwise and no
-    other temporary is allocated.
+    Each product goes into one scratch buffer of out[0]'s shape (a new one
+    unless given) and is added into out in the order of terms, so out
+    equals the written-out expression bitwise and no other temporary is
+    allocated.
     """
-    scratch = np.empty_like(out[0])
+    if scratch is None:
+        scratch = np.empty_like(out[0])
     for dst, ((j, k, _), *rest) in zip(out, terms):
         np.multiply(a[j], b[k], out=dst)
         for j, k, sign in rest:
@@ -219,7 +232,7 @@ def _accumulate(a, b, out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch=None):
     """Write the Hamilton products a * b into out and return it.
 
     a, b and out stack the components (w, p, q, r) on their first axis, and
@@ -227,7 +240,17 @@ def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     SU(2) element w I - i (p X + q Y + r Z) in the standard Pauli matrices,
     Z = diag(+1, -1), so a * b stands for the matrix product of a and b.
     """
-    return _accumulate(a, b, out, _HAMILTON)
+    return _accumulate(a, b, out, _HAMILTON, scratch)
+
+
+# Steps per block; the blocks of a ramp are chained in time order.
+_BLOCK = 1 << 14
+# Most point-steps one chunk of a block holds, unless the chunk is 2 steps.
+# A chunk's working set is 13 half-chunk arrays, 3.25 MiB at this budget.
+# Of 2^14 .. 2^18 it ran the benchmark's adiabatic grids fastest (one CPU
+# of a 2-vCPU Xeon, 3 interleaved runs): 2^14 took ~45% longer, 2^15 and
+# 2^18 7-25%, 2^17 -2 to +12%.
+_CHUNK_POINT_STEPS = 1 << 16
 
 
 def _propagate_grid(
@@ -248,20 +271,36 @@ def _propagate_grid(
     U = cos(E dt) I - i sin(E dt) / E * H with E = sqrt(x^2 + Omega^2) / 2.
     U lies in SU(2) and is held as a real unit quaternion (see _hamilton);
     since sz = -Z, a step is (cos(E dt), k Omega, 0, -k x) with
-    k = sin(E dt) / (2 E).  Within a block of 16384 steps a pairwise tree
+    k = sin(E dt) / (2 E).  Within a block of _BLOCK steps a pairwise tree
     composes the steps, later step on the left, carrying an odd tail to the
-    next level; the blocks are then chained in time order.  A block holds
+    next level; the blocks are then chained in time order.
+
+    The tree is evaluated depth first.  A block is cut into aligned chunks
+    of the largest power of two of steps, at most _BLOCK and at least 2,
+    whose points x steps stay within _CHUNK_POINT_STEPS.  A chunk holds
     its steps as two (point, step) halves of (w, p, r), one of the even
     offsets and one of the odd, and writes the tree's first level from
     them directly: each odd step times the even step before it.  With both
     q components 0 that product takes 9 multiplies instead of 16 and is
     bitwise the full one; an odd last step goes up as (w, p, 0, r).  The
-    upper levels and the chaining use _hamilton, which composes in place
-    without temporaries.  Only each point's final product
-    becomes a complex 2x2 matrix, applied to the start state.  Every
-    operation is elementwise over points, so a point's result does not
-    depend on the rest of the grid, and the norm is preserved to rounding
-    error by construction.
+    upper levels alternate between a 4-row and a 2-row buffer.  The chunk
+    products go on a binary-counter stack: two subtrees of equal size
+    merge, the later on the left, and at the end of the block the stack
+    folds from the top.  That is the same pairwise-with-carry tree as over
+    the whole block at once, so every product keeps its bits.  The fold
+    goes on into the product of the earlier blocks, at the bottom of the
+    stack, which chains the block after them.
+
+    Every chunk array is a contiguous view into one workspace of 13
+    half-chunk rows, allocated once per call, with cos, k Omega and k (-x)
+    written over the angle, Omega and 2 E they came from.  The working set
+    is that workspace, at most 3.25 MiB (104 bytes a point beyond 2^15
+    points, where a chunk is the minimum 2 steps), and a stack of at most
+    16 (4, points) products, whatever the number of steps.  Only each
+    point's final product becomes a complex 2x2 matrix, applied to the
+    start state.  Every operation is elementwise over points, so a point's
+    result does not depend on the rest of the grid, and the norm is
+    preserved to rounding error by construction.
 
     Raises InvalidInputError, before any step, beyond MAX_POINT_STEPS.
     """
@@ -269,40 +308,71 @@ def _propagate_grid(
     n_steps = _ramp_steps(g, t_f, dt)
     step = t_f / n_steps
     x_sq, minus_x = xs[:, None] ** 2, -xs[:, None]
+    chunk = 2
+    while chunk < _BLOCK and 2 * chunk * g <= _CHUNK_POINT_STEPS:
+        chunk *= 2
+    rows = np.empty((13, g * (chunk // 2)))
+    even, odd, scratch = rows[0:3], rows[3:6], rows[6]
+    four, two = rows[7:11].reshape(-1), rows[11:13].reshape(-1)
+    stack = np.empty(((_BLOCK // chunk).bit_length() + 2, 4, g))
+    sizes: list[int] = []  # chunks under each stack entry, bottom first
 
-    def steps(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, p, r) of the steps numbered idx, each laid out (point, step)."""
-        om = _drive(omega_starts[:, None], omega_end, (idx + 0.5) * step, t_f, ramp)
-        rate = np.sqrt(x_sq + om**2)  # 2 E
-        angle = (0.5 * step) * rate
-        k = np.sin(angle) / rate
-        return np.cos(angle), k * om, k * minus_x
+    def view(buf: np.ndarray, *shape: int) -> np.ndarray:
+        """The contiguous front of buf laid out as shape."""
+        return buf[: math.prod(shape)].reshape(shape)
 
-    total: np.ndarray | None = None
-    block = 1 << 14
-    for start in range(0, n_steps, block):
-        idx = np.arange(start, min(start + block, n_steps))
-        ew, ep, er = steps(idx[0::2])
-        lw, lp, lr = steps(idx[1::2])
-        pairs = lw.shape[1]
-        u = np.empty((4, g, ew.shape[1]))
-        earlier = (ew[:, :pairs], ep[:, :pairs], None, er[:, :pairs])
-        _accumulate((lw, lp, None, lr), earlier, u[..., :pairs], _STEP_PAIR)
-        if pairs < u.shape[2]:  # the odd last step
-            u[..., -1] = np.stack([ew[:, -1], ep[:, -1], np.zeros(g), er[:, -1]])
-        while u.shape[2] > 1:
-            pairs = u.shape[2] // 2
-            nxt = np.empty((4, g, u.shape[2] - pairs))
-            later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
-            _hamilton(later, earlier, nxt[..., :pairs])
-            if u.shape[2] % 2:
-                nxt[..., -1] = u[..., -1]
-            u = nxt
-        if total is None:
-            total = u[..., 0]
-        else:
-            total = _hamilton(u[..., 0], total, np.empty((4, g)))
-    w, p, q, r = total
+    def steps(first: int, stop: int, bufs: np.ndarray):
+        """(w, p, r) of every other step from first up to stop, (point, step)."""
+        t = (np.arange(first, stop, 2) + 0.5) * step
+        om, rate, angle = (view(b, g, t.shape[0]) for b in bufs)
+        _drive(omega_starts[:, None], omega_end, t, t_f, ramp, out=om)
+        np.add(x_sq, np.square(om, out=rate), out=rate)
+        np.sqrt(rate, out=rate)  # 2 E
+        np.multiply(0.5 * step, rate, out=angle)
+        k = view(scratch, *om.shape)
+        np.divide(np.sin(angle, out=k), rate, out=k)
+        np.cos(angle, out=angle)
+        return angle, np.multiply(k, om, out=om), np.multiply(k, minus_x, out=rate)
+
+    def merge() -> None:
+        """Replace the top two stack entries by their product, later on the left."""
+        i = len(sizes) - 1
+        _hamilton(stack[i], stack[i - 1], stack[i + 1], view(scratch, g))
+        stack[i - 1] = stack[i + 1]
+        sizes[-1] += sizes.pop(-2)
+
+    for start in range(0, n_steps, _BLOCK):
+        stop = min(start + _BLOCK, n_steps)
+        for first in range(start, stop, chunk):
+            last = min(first + chunk, stop)
+            ew, ep, er = steps(first, last, even)
+            lw, lp, lr = steps(first + 1, last, odd)
+            pairs = lw.shape[1]
+            u = view(four, 4, g, ew.shape[1])
+            later = (lw, lp, None, lr)
+            earlier = (ew[:, :pairs], ep[:, :pairs], None, er[:, :pairs])
+            spill = view(scratch, g, pairs)
+            _accumulate(later, earlier, u[..., :pairs], _STEP_PAIR, spill)
+            if pairs < u.shape[2]:  # the odd last step
+                u[0, :, -1], u[1, :, -1], u[3, :, -1] = ew[:, -1], ep[:, -1], er[:, -1]
+                u[2, :, -1] = 0.0
+            spare, held = two, four
+            while u.shape[2] > 1:
+                pairs = u.shape[2] // 2
+                nxt = view(spare, 4, g, u.shape[2] - pairs)
+                later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
+                _hamilton(later, earlier, nxt[..., :pairs], view(scratch, g, pairs))
+                if u.shape[2] % 2:
+                    nxt[..., -1] = u[..., -1]
+                u, spare, held = nxt, held, spare
+            stack[len(sizes)] = u[..., 0]
+            sizes.append(1)
+            while len(sizes) > 1 and sizes[-1] == sizes[-2]:
+                merge()
+        while len(sizes) > 1:
+            merge()
+        sizes[0] = 0  # the blocks so far, which no chunk subtree matches
+    w, p, q, r = stack[0]
     mat = np.empty((g, 2, 2), dtype=complex)
     mat[:, 0, 0] = w - 1j * r
     mat[:, 0, 1] = -q - 1j * p
@@ -424,7 +494,7 @@ def adiabatic_profile(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Statevector:
     """Dense complex amplitudes over n qubits, qubit 1 most significant."""
 

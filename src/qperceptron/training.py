@@ -102,7 +102,7 @@ class TrainerConfig:
             raise InvalidInputError("plateau_epsilon must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialGradient:
     """Cost gradient with the same layout as a NeuralPotential."""
 
@@ -131,7 +131,7 @@ class TrainedNetwork:
         return len(self.perceptrons)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostCurve:
     """Per-epoch cost trace; epoch e corresponds to costs[e - 1]."""
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from qperceptron import (
@@ -411,6 +413,79 @@ class TestQuaternionPropagator:
             for x in xs
         ]
         assert evolved == list(profile.probabilities)
+
+
+# The chunk _propagate_grid cuts its blocks into, by the number of points:
+# the largest power of two of steps, at most 16384 and at least 2, with
+# points x chunk <= 2^16.
+_CHUNKS = {4: 16384, 5: 8192, 8: 8192, 9: 4096, 16: 4096, 17: 2048, 1000: 64}
+
+
+def _boundary_cases():
+    """(points, steps) at each side of a chunk, one block plus a step, and
+    two blocks plus a chunk and 3 steps; one ramp each, alternating.
+
+    1000 points skip the last, which alone would take ~2 s: their 256
+    chunks a block already fill the stack at one block plus a step.
+    """
+    cases = sorted(
+        {
+            (points, n_steps)
+            for points, chunk in _CHUNKS.items()
+            for n_steps in (chunk - 1, chunk, chunk + 1, 16385, 2 * 16384 + chunk + 3)
+            if (points, n_steps) != (1000, 2 * 16384 + chunk + 3)
+        }
+    )
+    return [
+        (points, n_steps, ("linear", "smooth")[i % 2])
+        for i, (points, n_steps) in enumerate(cases)
+    ]
+
+
+def _grid(points, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-3.0, 3.0, points))
+    return xs, 50.0 * np.maximum(1.0, np.abs(xs))
+
+
+class TestDepthFirstPropagator:
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 80),
+        st.integers(1, 40_000),
+        st.sampled_from(["linear", "smooth"]),
+    )
+    def test_is_bitwise_the_breadth_first_tree(self, points, n_steps, ramp):
+        xs, starts = _grid(points, n_steps)
+        t_f = 1e-3 * n_steps
+        probs, drift = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        ref_probs, ref_drift = _quaternion_propagate(xs, starts, 1.0, t_f, 1e-3, ramp)
+        np.testing.assert_array_equal(probs, ref_probs)
+        np.testing.assert_array_equal(drift, ref_drift)
+
+    @pytest.mark.parametrize("points, n_steps, ramp", _boundary_cases())
+    def test_is_bitwise_the_tree_across_chunk_boundaries(self, points, n_steps, ramp):
+        xs, starts = _grid(points, points)
+        t_f = 1e-3 * n_steps
+        probs, drift = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        # A point's result does not depend on the rest of the grid, so the
+        # reference needs only some of the points.
+        some = np.unique(np.linspace(0, points - 1, 9).astype(int))
+        ref_probs, ref_drift = _quaternion_propagate(
+            xs[some], starts[some], 1.0, t_f, 1e-3, ramp
+        )
+        np.testing.assert_array_equal(probs[some], ref_probs)
+        np.testing.assert_array_equal(drift[some], ref_drift)
+
+    def test_working_set_does_not_grow_with_the_grid(self):
+        xs, starts = _grid(1000, 0)
+        tracemalloc.start()
+        try:
+            _propagate_grid(xs, starts, 1.0, 2.048, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestStepBudget:

@@ -9,9 +9,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qperceptron
+from qperceptron import NeuralPotential, TrainedNetwork
+from qperceptron.dynamics import Statevector
+from qperceptron.harness import SeedOutcome
+from qperceptron.training import CostCurve, PotentialGradient
 
 MODULES = sorted(
     p for p in Path(qperceptron.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -64,6 +69,30 @@ def test_every_dataclass_is_frozen(path):
         and not obj.__dataclass_params__.frozen
     ]
     assert mutable == []
+
+
+def _outcome():
+    net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
+    return SeedOutcome(0, CostCurve(np.ones(2), 0.1), net, None, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CostCurve(np.ones(2), 0.1),
+        lambda: PotentialGradient(np.ones(2), np.ones(1), 0.0),
+        lambda: Statevector(np.array([1.0, 0.0]), 1),
+        _outcome,
+    ],
+    ids=["CostCurve", "PotentialGradient", "Statevector", "SeedOutcome"],
+)
+def test_records_holding_arrays_compare_and_hash(make):
+    # an array field compares by identity: equality is a bool, never an
+    # ambiguous array truth value, and the record hashes
+    first, second = make(), make()
+    assert (first == first) is True
+    assert (first == second) is False
+    assert len({first, first, second}) == 2
 
 
 def test_the_check_sees_an_unused_import():
