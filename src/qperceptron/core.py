@@ -42,8 +42,11 @@ class InvalidInputError(ValueError):
 
 
 def _check_finite(x: np.ndarray | float, name: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"{name} must be finite, got {x!r}")
+    """InvalidInputError naming the first non-finite value of x, if any."""
+    finite = np.isfinite(x)
+    if not np.all(finite):
+        bad = float(np.asarray(x)[~finite].flat[0])
+        raise InvalidInputError(f"{name} must be finite, got {bad!r}")
 
 
 def activation(x):
@@ -210,4 +213,10 @@ def reparameterize_bits_to_spins(p: NeuralPotential) -> NeuralPotential:
     if p.multi_terms:
         raise InvalidInputError("only linear potentials admit the bit-to-spin map")
     half = tuple(w / 2.0 for w in p.linear_weights)
-    return NeuralPotential(half, p.bias - math.fsum(p.linear_weights) / 2.0)
+    try:
+        shift = math.fsum(p.linear_weights) / 2.0
+    except OverflowError:  # a partial sum passed the largest float
+        raise InvalidInputError(
+            "spin bias overflows: linear weights too large"
+        ) from None
+    return NeuralPotential(half, p.bias - shift)

@@ -589,7 +589,8 @@ def apply_perceptron_gate(
     t = state.amplitudes.reshape([2] * state.n)
     # Potential value for every input configuration, in basis index order.
     spins = 2.0 * _bit_rows(k) - 1.0
-    x = features(spins, [term.indices for term in p.multi_terms]) @ _pack(p)
+    with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
+        x = features(spins, [term.indices for term in p.multi_terms]) @ _pack(p)
     # Broadcast over the axes past the inputs, once the target axis is taken.
     prob = activation(x).reshape([2] * k + [1] * (state.n - 1 - k))
     c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)

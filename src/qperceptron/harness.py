@@ -15,13 +15,14 @@ seed; ExperimentConfig checks every value's type and range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import numbers
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .tasks import (
     TEMPLATES,
     FeasibilityVerdict,
     TaskSpec,
-    canonical_task_id,
     check_exact_representability,
     resolve_task,
     verify_truth_table,
@@ -109,8 +109,8 @@ class ExperimentConfig:
     passes flag and config-file values straight in.  Each field's value must
     have its annotated type, and reals are stored as float.  The defaults
     and range rules shared with TrainerConfig are TrainerConfig's own.  Task,
-    template and mode are checked together by building the TaskSpec that
-    run_experiment would train.
+    template and mode are checked together by building spec, the TaskSpec
+    that run_experiment trains, and task is stored as its canonical id.
     """
 
     task: str
@@ -138,19 +138,34 @@ class ExperimentConfig:
             else:
                 value = _typed(f.name, value, f.type)
             object.__setattr__(self, f.name, value)
-        object.__setattr__(self, "task", canonical_task_id(self.task))
         if not 0 < len(self.seeds) <= MAX_SEEDS or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be 1 to {MAX_SEEDS} non-negative integers")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError("seeds must not repeat")
         try:
-            _resolve(self)
+            object.__setattr__(self, "task", self.spec.name)
             self.trainer_config(self.seeds[0])
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("eta", "init_range"):  # TrainerConfig allows 0
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+
+    @functools.cached_property
+    def spec(self) -> TaskSpec:
+        """The TaskSpec run_experiment trains.  Classical mode strips every
+        product term (the two-qubit template), so it rejects 'extended'."""
+        template = self.template
+        if self.mode == "classical":
+            if template == "extended":
+                raise ConfigError("mode 'classical' cannot train template 'extended'")
+            template = "two-qubit"
+        return resolve_task(self.task, bit_order=self.bit_order, template=template)
+
+    @property
+    def encoding(self) -> str:
+        """The input encoding of training: "bit" in classical mode, else "spin"."""
+        return "bit" if self.mode == "classical" else "spin"
 
     def trainer_config(self, seed: int) -> TrainerConfig:
         names = [f.name for f in fields(TrainerConfig) if f.name != "seed"]
@@ -188,32 +203,16 @@ class ExperimentResult:
     """Outcome of a full seed sweep plus the template's oracle verdict."""
 
     config: ExperimentConfig
-    task: TaskSpec
     outcomes: tuple[SeedOutcome, ...]
     oracle: tuple[FeasibilityVerdict, ...]
     median_epochs_to_tolerance: float | None
     elapsed_seconds: float
 
 
-def _resolve(config: ExperimentConfig) -> tuple[TaskSpec, str]:
-    """The TaskSpec and input encoding of a config's task, template and mode.
-
-    Classical mode trains on raw bits with every product term stripped (the
-    two-qubit template), so it takes the paper or two-qubit template only.
-    """
-    template = config.template
-    if config.mode == "classical":
-        if template == "extended":
-            raise ConfigError("mode 'classical' cannot train template 'extended'")
-        template = "two-qubit"
-    spec = resolve_task(config.task, bit_order=config.bit_order, template=template)
-    return spec, "bit" if config.mode == "classical" else "spin"
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Train every seed, detect plateaus, and audit the template."""
     started = time.perf_counter()
-    task, encoding = _resolve(config)
+    task = config.spec
 
     nets = [
         initialize_network(
@@ -225,7 +224,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # initialize_network uses; all seeds train in one batch, in lockstep
     trainer = config.trainer_config(config.seeds[0])
     t0 = time.perf_counter()
-    trained = train(nets, task.examples, trainer, encoding)  # type: ignore[arg-type]
+    trained = train(nets, task.examples, trainer, config.encoding)  # type: ignore[arg-type]
     train_seconds = time.perf_counter() - t0
     outcomes = []
     for seed, (net, curve) in zip(config.seeds, trained):
@@ -244,7 +243,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     median = float(np.median(epoch_counts))
     return ExperimentResult(
         config=config,
-        task=task,
         outcomes=tuple(outcomes),
         oracle=oracle,
         median_epochs_to_tolerance=None if np.isinf(median) else median,
@@ -538,14 +536,13 @@ def _cmd_gate_verify(args: argparse.Namespace) -> int:
     doc = load_summary(args.summary)
     keys = ("task", "template", "bit_order", "mode")
     config = ExperimentConfig(**{k: doc[k] for k in keys if k in doc})
-    task, encoding = _resolve(config)
     net = _network_from_summary(doc, args.summary, args.seed)
-    if encoding == "bit":  # both engines read spins
+    if config.encoding == "bit":  # both engines read spins
         spins = tuple(reparameterize_bits_to_spins(p) for p in net.perceptrons)
         net = replace(net, perceptrons=spins)
     ok = True
     for engine in ("scalar", "statevector"):
-        report = verify_truth_table(net, task, engine=engine)  # type: ignore[arg-type]
+        report = verify_truth_table(net, config.spec, engine=engine)  # type: ignore[arg-type]
         print(
             f"{engine}: {report.n_correct}/{report.n_rows} rows correct, "
             f"max |y - t| = {report.max_abs_error:.6g}"
@@ -560,7 +557,7 @@ def _cmd_gate_verify(args: argparse.Namespace) -> int:
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     config = _config_from(_settings(args), args.template)
     for bit_order in _CHOICES["bit_order"]:
-        task, _ = _resolve(replace(config, bit_order=bit_order))
+        task = replace(config, bit_order=bit_order).spec
         for j in range(task.n_outputs):
             verdict = check_exact_representability(task, j)
             state = "feasible" if verdict.feasible else "infeasible"
@@ -573,6 +570,13 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 
 # --- parser ---
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, here and in every subparser."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -604,7 +608,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qperceptron",
         description=(
             "Train quantum perceptron networks on truth-table tasks and "
@@ -664,14 +668,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def cli(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns 0 ok, 1 config, 2 non-convergence or a failed
     gate-verify, 3 I/O."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return 0 if exc.code == 0 else 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit:  # argparse exits only after printing --help
+        return 0
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -251,7 +251,8 @@ def _network(net: TrainedNetwork, theta: np.ndarray) -> TrainedNetwork:
 def _outputs(net: TrainedNetwork, inputs: np.ndarray) -> np.ndarray:
     """Outputs f(x_j) (N, O) of every output j on every input row (N, k)."""
     pairs = zip(net.perceptrons, _template(net))
-    xs = [features(inputs, t) @ _pack(p) for p, t in pairs]
+    with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
+        xs = [features(inputs, t) @ _pack(p) for p, t in pairs]
     return activation(np.stack(xs, axis=1))
 
 

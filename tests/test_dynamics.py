@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -486,6 +487,18 @@ class TestDepthFirstPropagator:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_a_call_leaves_no_reference_cycle(self):
+        # a cycle would hold the call's workspace until the next collection,
+        # which tracemalloc's peak inside one call cannot see
+        xs, starts = _grid(7, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            _propagate_grid(xs, starts, 1.0, 20.0, 1e-3)  # 20,000 steps
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestStepBudget:

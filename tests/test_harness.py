@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qperceptron
 from qperceptron import harness
@@ -64,7 +67,7 @@ class TestExperimentConfig:
         settings = dict(task=task, template=template, mode=mode, max_epochs=1)
         if runs:
             result = run_experiment(ExperimentConfig(**settings))
-            assert result.task.name == task
+            assert result.config.spec.name == task
         else:
             with pytest.raises(ConfigError, match="'extended'") as info:
                 ExperimentConfig(**settings)
@@ -110,9 +113,9 @@ class TestRunExperiment:
             ExperimentConfig(task="xor", mode="classical", seeds=(0,), max_epochs=500)
         )
         outcome = result.outcomes[0]
-        bit_cost = cost(outcome.network, result.task.examples, encoding="bit")
+        bit_cost = cost(outcome.network, result.config.spec.examples, encoding="bit")
         assert bit_cost == pytest.approx(outcome.final_cost, rel=1e-12)
-        assert result.task.templates == ((),)
+        assert result.config.spec.templates == ((),)
         assert result.outcomes[0].epochs_to_tolerance is None
         assert result.median_epochs_to_tolerance is None
 
@@ -262,6 +265,9 @@ def _corrupt(doc, case):
         bad = {k: v for k, v in entry.items() if k != "weights"}
     elif case == "empty-weights":
         bad = {**entry, "weights": []}
+    elif case == "overflowing-weights":  # the potential sums past 1.8e308
+        huge = [{**w, "linear": [1e308] * len(w["linear"])} for w in entry["weights"]]
+        bad = {**entry, "weights": huge}
     else:  # "non-numeric-weight"
         weights = [{**entry["weights"][0], "linear": [1, "a"]}]
         bad = {**entry, "weights": weights}
@@ -291,7 +297,8 @@ class TestMalformedSummary:
         with pytest.raises(ConfigError):
             load_network_from_summary(path)
 
-    @pytest.mark.parametrize("case", CASES)
+    # read as a network, but no engine can evaluate it
+    @pytest.mark.parametrize("case", [*CASES, "overflowing-weights"])
     def test_gate_verify_exits_one_with_one_line(
         self, tmp_path, capsys, good_doc, case
     ):
@@ -399,16 +406,30 @@ class TestCliTrain:
         assert doc["template"] == "two-qubit"
         assert doc["per_seed"][0]["weights"][2]["multi"] == []
 
-    def test_config_errors_exit_one(self, tmp_path):
-        assert cli(["train", "--task", "majority"]) == 1
-        assert cli(["train"]) == 1  # no task given
-        assert cli(["train", "--task", "xor", "--bogus-flag"]) == 1
-        assert cli(["train", "--task", "xor", "--seed", "1", "--seeds", "2"]) == 1
-        assert (
-            cli(["train", "--task", "toffoli:paper", "--template", "extended"]) == 1
-        )
-        assert cli(["train", "--task", "xor", "--seeds", "5-2"]) == 1
-        assert cli(["train", "--task", "xor", "--eta", "-1"]) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--task", "majority"],
+            ["train"],  # no task given
+            ["train", "--task", "xor", "--seed", "1", "--seeds", "2"],
+            ["train", "--task", "toffoli:paper", "--template", "extended"],
+            ["train", "--task", "xor", "--seeds", "5-2"],
+            ["train", "--task", "xor", "--eta", "-1"],
+            # argparse's own errors, which it would follow with its usage block
+            ["train", "--task", "xor", "--bogus-flag"],
+            ["train", "--task", "xor", "--max-epochs", "ten"],
+            ["adiabatic-check", "--x-min", "-1e2"],  # a flag to argparse: use --x-min=
+            ["feasibility"],  # no task given
+            ["bogus-command"],
+        ],
+    )
+    def test_config_errors_exit_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(harness, "initialize_network", _must_not_run)
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -828,6 +849,17 @@ class TestCliGateVerify:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_overflowing_bit_weights_exit_one_with_one_line(self, tmp_path, capsys):
+        # their spin bias is a sum past the largest float
+        path = self._cnot_summary(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["per_seed"][0]["weights"][0]["linear"] = [1e308, 1e308]
+        path.write_text(json.dumps(doc))
+        assert cli(["gate-verify", "--summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: spin bias overflows: linear weights too large\n"
+        assert captured.out == ""
+
     def test_summary_is_opened_once(self, tmp_path, capsys, monkeypatch):
         path = self._cnot_summary(tmp_path)
         opened = []
@@ -840,6 +872,79 @@ class TestCliGateVerify:
         monkeypatch.setattr(harness, "open", counting_open, raising=False)
         assert cli(["gate-verify", "--summary", str(path)]) == 2
         assert opened == [path]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("toffoli", "extended", "quantum"), ("xor", "paper", "classical")],
+    ids=lambda p: f"{p[0]}-{p[2]}",
+)
+def trained_summary(request, tmp_path_factory):
+    """A short run's summary document and a path to write variants of it to."""
+    task, template, mode = request.param
+    config = ExperimentConfig(task=task, template=template, mode=mode, max_epochs=20)
+    path = emit_summary(_run(config), tmp_path_factory.mktemp("run") / "summary.json")
+    return json.loads(path.read_text()), path
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_gate_verify_exits_cleanly_on_any_finite_weights(trained_summary, data):
+    doc, path = trained_summary
+    entry = doc["per_seed"][0]
+    weights = [
+        {
+            "linear": [data.draw(FINITE) for _ in w["linear"]],
+            "multi": [{**t, "weight": data.draw(FINITE)} for t in w["multi"]],
+            "bias": data.draw(FINITE),
+        }
+        for w in entry["weights"]
+    ]
+    path.write_text(json.dumps({**doc, "per_seed": [{**entry, "weights": weights}]}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli(["gate-verify", "--summary", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["train", "--seed", "0"], 1),
+        (["sweep", "--seeds", "0-2"], 1),
+        (["gate-verify"], 1),
+        (["feasibility"], 3),  # the config's own, then one per bit order
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_a_command_builds_each_task_spec_once(
+    tmp_path, monkeypatch, capsys, argv, builds
+):
+    summary = tmp_path / "summary.json"
+    run = ["--task", "xor", "--max-epochs", "50", "--out", str(tmp_path)]
+    if argv[0] == "gate-verify":
+        assert cli(["train", *run]) == 0
+        argv = [*argv, "--summary", str(summary)]
+    elif argv[0] == "feasibility":
+        argv = [*argv, "--task", "prime5"]
+    else:
+        argv = [*argv, *run]
+    calls = []
+
+    def counting_resolve_task(*args, **kwargs):
+        calls.append(args)
+        return resolve_task(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "resolve_task", counting_resolve_task)
+    assert cli(argv) == 0
+    assert len(calls) == builds
+    capsys.readouterr()
 
 
 class TestModuleEntryPoint:

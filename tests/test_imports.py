@@ -1,5 +1,5 @@
 """Source hygiene: every name a module imports is used in that module, and
-the package re-exports exactly each module's public names."""
+the package exports exactly the names in its modules' __all__ lists."""
 
 from __future__ import annotations
 
@@ -44,18 +44,20 @@ def test_no_unused_imports(path):
 
 
 def test_package_exports_exactly_the_public_names_of_each_module():
-    tree = ast.parse(Path(qperceptron.__file__).read_text())
-    exported = {
-        node.module: sorted(alias.name for alias in node.names)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-    }
-    public = {
-        path.stem: sorted(importlib.import_module(f"qperceptron.{path.stem}").__all__)
+    modules = [
+        importlib.import_module(f"qperceptron.{path.stem}")
         for path in MODULES
         if path.stem != "__main__"  # the entry point, not a library module
+    ]
+    public = {name: module for module in modules for name in module.__all__}
+    exported = {
+        name
+        for name, obj in vars(qperceptron).items()
+        if not name.startswith("__") and not inspect.ismodule(obj)
     }
-    assert exported == public
+    assert exported == set(public)
+    for name, module in public.items():
+        assert getattr(qperceptron, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -307,6 +307,15 @@ class TestVerifyTruthTable:
             verify_truth_table(net, resolve_task("xor"), engine=engine)
 
     @pytest.mark.parametrize("engine", ["scalar", "statevector"])
+    def test_an_overflowing_potential_raises_one_line(self, engine):
+        # row (1, 1) sums to inf, or to nan where inf meets -inf
+        term = MultiQubitTerm((1, 2), -1e308)
+        net = TrainedNetwork((NeuralPotential((1e308, 1e308), 1e308, (term,)),), 2)
+        with pytest.raises(InvalidInputError, match="must be finite") as info:
+            verify_truth_table(net, resolve_task("xor"), engine=engine)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("engine", ["scalar", "statevector"])
     def test_report_does_not_depend_on_example_order(self, engine):
         task = resolve_task("toffoli")  # the published template misses rows
         net = initialize_network(task.arity, task.templates, TrainerConfig(seed=4))
