@@ -26,7 +26,10 @@ depth first, in chunks of at most _CHUNK_POINT_STEPS point-steps whose
 products a binary-counter stack folds into the same tree.  The chunk arrays
 share one workspace, a fixed 3.25 MiB up to 2^15 points, so past the
 per-point products (under 0.6 kB a point) the working set does not grow
-with the grid.  A grid may take at most
+with the grid.  H(-x) = X H(x) X, so the ramp of -x is the ramp of x with
+the signs of its q and r components flipped, exactly (see _propagate_grid),
+and the tree runs once per distinct (|x|, omega_start) of the grid: a grid
+mirrored about 0 costs about half.  A grid may take at most
 MAX_POINT_STEPS point-steps, and no |x|, omega_start or t_f may exceed
 MAX_MAGNITUDE, below which no square or product of two of them overflows,
 nor may omega_end fall below 1 / MAX_MAGNITUDE.  AdiabaticSchedule checks the
@@ -302,12 +305,22 @@ def _propagate_grid(
     result does not depend on the rest of the grid, and the norm is
     preserved to rounding error by construction.
 
+    The tree runs once per distinct (|x|, omega_start); a point whose x has
+    its sign bit set takes that product with q and r negated.  That is
+    bitwise its own steps' product: -x's step is (w, p, 0, -r), each term
+    of a Hamilton product keeps its sign or flips with q and r, negation is
+    exact and rounding symmetric (save for the sign of an exact 0, which no
+    probability sees).  Start state, matrix, P and drift stay per point.
+
     Raises InvalidInputError, before any step, beyond MAX_POINT_STEPS.
     """
-    g = xs.shape[0]
-    n_steps = _ramp_steps(g, t_f, dt)
+    n_steps = _ramp_steps(xs.shape[0], t_f, dt)
     step = t_f / n_steps
-    x_sq, minus_x = xs[:, None] ** 2, -xs[:, None]
+    (mags, starts), inverse = np.unique(
+        np.stack([np.abs(xs), omega_starts]), axis=1, return_inverse=True
+    )
+    g = mags.shape[0]
+    x_sq, minus_x = mags[:, None] ** 2, -mags[:, None]
     chunk = 2
     while chunk < _BLOCK and 2 * chunk * g <= _CHUNK_POINT_STEPS:
         chunk *= 2
@@ -325,7 +338,7 @@ def _propagate_grid(
         """(w, p, r) of every other step from first up to stop, (point, step)."""
         t = (np.arange(first, stop, 2) + 0.5) * step
         om, rate, angle = (view(b, g, t.shape[0]) for b in bufs)
-        _drive(omega_starts[:, None], omega_end, t, t_f, ramp, out=om)
+        _drive(starts[:, None], omega_end, t, t_f, ramp, out=om)
         np.add(x_sq, np.square(om, out=rate), out=rate)
         np.sqrt(rate, out=rate)  # 2 E
         np.multiply(0.5 * step, rate, out=angle)
@@ -372,14 +385,16 @@ def _propagate_grid(
         while len(sizes) > 1:
             merge()
         sizes[0] = 0  # the blocks so far, which no chunk subtree matches
-    w, p, q, r = stack[0]
-    mat = np.empty((g, 2, 2), dtype=complex)
+    w, p, q, r = wpqr = stack[0][:, inverse]
+    del stack  # the per-point matrices below need not sit on top of it
+    np.negative(wpqr[2:], out=wpqr[2:], where=np.signbit(xs))
+    mat = np.empty((xs.shape[0], 2, 2), dtype=complex)
     mat[:, 0, 0] = w - 1j * r
     mat[:, 0, 1] = -q - 1j * p
     mat[:, 1, 0] = q - 1j * p
     mat[:, 1, 1] = w + 1j * r
     if ramp == "linear":
-        psi0 = np.full((g, 2), 1.0 / np.sqrt(2.0), dtype=complex)
+        psi0 = np.full((xs.shape[0], 2), 1.0 / np.sqrt(2.0), dtype=complex)
     else:
         start = instantaneous_upper_eigenstate(xs, omega_starts)
         psi0 = np.stack(start, axis=1).astype(complex)

@@ -501,6 +501,101 @@ class TestDepthFirstPropagator:
             gc.enable()
 
 
+def _mirrored_grid(points, mirrors, duplicates, seed):
+    """A shuffled grid of random points, the exact mirror -x of the first
+    mirrors of them, exact duplicates of the first duplicates, +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-3.0, 3.0, points)
+    xs = np.concatenate([xs, -xs[:mirrors], xs[:duplicates], [0.0, -0.0]])
+    rng.shuffle(xs)
+    return xs
+
+
+def _drive_widths(monkeypatch):
+    """The number of points each later call of dynamics._drive sees."""
+    widths = []
+
+    def spy(omega_start, *args, **kwargs):
+        widths.append(np.shape(omega_start)[0])
+        return _drive(omega_start, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_drive", spy)
+    return widths
+
+
+class TestMirroredGrid:
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 30),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.integers(1, 40_000),
+        st.sampled_from(["linear", "smooth"]),
+    )
+    def test_is_bitwise_each_points_own_steps(
+        self, points, mirrors, duplicates, n_steps, ramp
+    ):
+        xs = _mirrored_grid(points, mirrors, duplicates, n_steps)
+        starts = 50.0 * np.maximum(1.0, np.abs(xs))
+        t_f = 1e-3 * n_steps
+        probs, drift = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        ref_probs, ref_drift = _quaternion_propagate(xs, starts, 1.0, t_f, 1e-3, ramp)
+        np.testing.assert_array_equal(probs, ref_probs)
+        np.testing.assert_array_equal(drift, ref_drift)
+
+    def test_the_criterion_grid_propagates_its_distinct_magnitudes(self, monkeypatch):
+        widths = _drive_widths(monkeypatch)
+        xs = np.linspace(-3.0, 3.0, 7)
+        _propagate_grid(xs, 50.0 * np.maximum(1.0, np.abs(xs)), 1.0, 2.0, 1e-3)
+        assert widths and set(widths) == {4}
+
+    def test_a_grid_without_mirrors_propagates_every_point(self, monkeypatch):
+        widths = _drive_widths(monkeypatch)
+        xs, starts = _grid(9, 0)
+        _propagate_grid(xs, starts, 1.0, 2.0, 1e-3)
+        assert widths and set(widths) == {9}
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    def test_mirrors_with_different_starts_share_nothing(self, monkeypatch, ramp):
+        widths = _drive_widths(monkeypatch)
+        xs, starts = np.array([-1.5, 1.5, 0.0, -0.0]), np.array([75.0, 80.0, 50.0, 60.0])
+        probs, drift = _propagate_grid(xs, starts, 1.0, 2.0, 1e-3, ramp)
+        assert widths and set(widths) == {4}
+        ref_probs, ref_drift = _quaternion_propagate(xs, starts, 1.0, 2.0, 1e-3, ramp)
+        np.testing.assert_array_equal(probs, ref_probs)
+        np.testing.assert_array_equal(drift, ref_drift)
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 4),
+        st.floats(0.01, 5.0),
+        st.integers(1000, 5000),
+        st.floats(10.0, 100.0),
+        st.floats(0.05, 10.0),
+        st.sampled_from(["linear", "smooth"]),
+    )
+    def test_evolve_equals_the_profile_bitwise(
+        self, points, mirrors, t_f, n_steps, factor, omega_end, ramp
+    ):
+        xs = _mirrored_grid(points, mirrors, 1, n_steps)
+        dt = t_f / n_steps
+        profile = adiabatic_profile(
+            xs, t_f=t_f, dt=dt, omega_start_factor=factor, omega_end=omega_end, ramp=ramp
+        )
+        evolved = [
+            adiabatic_evolve(
+                x,
+                AdiabaticSchedule(
+                    factor * max(1.0, abs(x)), omega_end, t_f=t_f, dt=dt, ramp=ramp
+                ),
+            )
+            for x in xs
+        ]
+        assert evolved == list(profile.probabilities)
+        assert profile.max_drift < 1e-9
+
+
 class TestStepBudget:
     def test_counts_steps_up_to_the_budget(self):
         assert _ramp_steps(7, 200.0, 1e-3) == 200_000
