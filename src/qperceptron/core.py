@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -106,7 +107,11 @@ class MultiQubitTerm:
     weight: float = 0.0
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(map(operator.index, self.indices))
+        except TypeError:
+            msg = f"term indices must be integers, got {self.indices!r}"
+            raise InvalidInputError(msg) from None
         if len(idx) < 2:
             raise InvalidInputError("a multi-qubit term needs at least two indices")
         if any(i < 1 for i in idx):
@@ -160,12 +165,15 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
     each product term.  The k + len(template) + 1 columns are the inputs,
     each term's product, then -1, so features(inputs, template) @ _pack(p)
     evaluates p on every row.  On spins or bits every entry is exact.
+    An index outside 1..k raises InvalidInputError.
     """
     inputs = np.asarray(inputs, dtype=float)
     n, k = inputs.shape
     out = np.empty((n, k + len(template) + 1))
     out[:, :k] = inputs
     for m, indices in enumerate(template):
+        if not all(1 <= i <= k for i in indices):
+            raise InvalidInputError(f"term {tuple(indices)} is outside spins 1..{k}")
         out[:, k + m] = np.prod(inputs[:, np.subtract(indices, 1)], axis=1)
     out[:, -1] = -1.0
     return out
@@ -178,12 +186,22 @@ def _pack(p: NeuralPotential) -> np.ndarray:
     )
 
 
+def _activations(potentials: Sequence[NeuralPotential], inputs) -> np.ndarray:
+    """f(x) (N, len(potentials)) of each potential x on every encoded row (N, k)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
+        xs = [
+            features(inputs, [t.indices for t in p.multi_terms]) @ _pack(p)
+            for p in potentials
+        ]
+    return activation(np.stack(xs, axis=1))
+
+
 def _unpack(
     k: int, template: Sequence[Sequence[int]], theta: np.ndarray
 ) -> NeuralPotential:
     """The potential over k inputs whose _pack is theta; later slots are padding."""
     terms = tuple(
-        MultiQubitTerm(tuple(indices), float(theta[k + m]))
+        MultiQubitTerm(indices, float(theta[k + m]))
         for m, indices in enumerate(template)
     )
     bias = float(theta[k + len(terms)])

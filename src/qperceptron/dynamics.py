@@ -55,10 +55,9 @@ from .core import (
     InvalidInputError,
     NeuralPotential,
     SpinConfig,
+    _activations,
     _bit_rows,
-    _pack,
     activation,
-    features,
 )
 
 __all__ = [
@@ -217,16 +216,13 @@ _HAMILTON = (
 _STEP_PAIR = tuple(tuple(t for t in row if 2 not in t[:2]) for row in _HAMILTON)
 
 
-def _accumulate(a, b, out: np.ndarray, terms, scratch=None) -> np.ndarray:
+def _accumulate(a, b, out: np.ndarray, terms, scratch: np.ndarray) -> np.ndarray:
     """Write the sums that terms (laid out as _HAMILTON) name into out.
 
-    Each product goes into one scratch buffer of out[0]'s shape (a new one
-    unless given) and is added into out in the order of terms, so out
-    equals the written-out expression bitwise and no other temporary is
-    allocated.
+    Each product goes into scratch, a buffer of out[0]'s shape, and is added
+    into out in the order of terms, so out equals the written-out expression
+    bitwise and no other temporary is allocated.
     """
-    if scratch is None:
-        scratch = np.empty_like(out[0])
     for dst, ((j, k, _), *rest) in zip(out, terms):
         np.multiply(a[j], b[k], out=dst)
         for j, k, sign in rest:
@@ -235,13 +231,13 @@ def _accumulate(a, b, out: np.ndarray, terms, scratch=None) -> np.ndarray:
     return out
 
 
-def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch=None):
+def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """Write the Hamilton products a * b into out and return it.
 
-    a, b and out stack the components (w, p, q, r) on their first axis, and
-    out must not overlap a or b.  The quaternion (w, p, q, r) stands for the
-    SU(2) element w I - i (p X + q Y + r Z) in the standard Pauli matrices,
-    Z = diag(+1, -1), so a * b stands for the matrix product of a and b.
+    a, b and out stack (w, p, q, r) on their first axis, scratch is one
+    component's buffer, and out must not overlap a or b.  (w, p, q, r)
+    stands for the SU(2) element w I - i (p X + q Y + r Z) in the standard
+    Pauli matrices, Z = diag(+1, -1), so a * b is their matrix product.
     """
     return _accumulate(a, b, out, _HAMILTON, scratch)
 
@@ -602,12 +598,10 @@ def apply_perceptron_gate(
 
     k = p.arity
     t = state.amplitudes.reshape([2] * state.n)
-    # Potential value for every input configuration, in basis index order.
-    spins = 2.0 * _bit_rows(k) - 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
-        x = features(spins, [term.indices for term in p.multi_terms]) @ _pack(p)
-    # Broadcast over the axes past the inputs, once the target axis is taken.
-    prob = activation(x).reshape([2] * k + [1] * (state.n - 1 - k))
+    # f of the potential on every input configuration, in basis index order,
+    # broadcast over the axes past the inputs once the target axis is taken.
+    prob = _activations([p], 2.0 * _bit_rows(k) - 1.0)
+    prob = prob.reshape([2] * k + [1] * (state.n - 1 - k))
     c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)
     axis = target - 1
     a0 = np.take(t, 0, axis=axis)

@@ -346,7 +346,7 @@ def _potential_from_payload(w: dict[str, Any]) -> NeuralPotential:
         linear_weights=tuple(float(v) for v in w["linear"]),
         bias=float(w["bias"]),
         multi_terms=tuple(
-            MultiQubitTerm(tuple(int(i) for i in t["indices"]), float(t["weight"]))
+            MultiQubitTerm(t["indices"], float(t["weight"]))
             for t in w["multi"]
         ),
     )

@@ -20,13 +20,14 @@ import numpy as np
 from .core import (
     InvalidInputError,
     NeuralPotential,
+    _activations,
     _pack,
     _unpack,
     enumerate_inputs,
     features,
 )
 from .dynamics import _basis_index, statevector_table
-from .training import TrainedNetwork, TrainingExample, _input_matrix, _outputs, _rows
+from .training import TrainedNetwork, TrainingExample, _input_matrix, _rows
 
 __all__ = [
     "TaskSpec",
@@ -61,6 +62,8 @@ class TaskSpec:
     bits (2^arity, arity) and targets (2^arity, n_outputs) are the examples'
     input bits and target bits as read-only int arrays, row for row; they
     are derived once, on construction, and take no part in equality.
+    Construction checks that the rows hold each input exactly once and
+    that every template is one a NeuralPotential over arity spins accepts.
     """
 
     name: str
@@ -73,9 +76,12 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if len(self.templates) == 0:
             raise InvalidInputError("task needs at least one output")
-        if len(self.examples) != 2**self.arity:
-            raise InvalidInputError("task must enumerate the full truth table")
+        for template in self.templates:
+            _unpack(self.arity, template, np.zeros(self.arity + len(template) + 1))
         arrays = _rows(self.examples, self.arity, len(self.templates))
+        rows = np.sort(_basis_index(arrays[0]))
+        if not np.array_equal(rows, np.arange(2**self.arity)):
+            raise InvalidInputError("task must enumerate the full truth table")
         for name, array in zip(("bits", "targets"), arrays):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -215,7 +221,7 @@ def verify_truth_table(
     if net.n_outputs != task.n_outputs:
         raise InvalidInputError("network output count does not match task")
     if engine == "scalar":
-        y = _outputs(net, _input_matrix(task.bits, "spin"))
+        y = _activations(net.perceptrons, _input_matrix(task.bits, "spin"))
     elif engine == "statevector":
         y = statevector_table(net.perceptrons)[_basis_index(task.bits)]
     else:

@@ -30,9 +30,9 @@ from .core import (
     InvalidInputError,
     NeuralPotential,
     SpinConfig,
+    _activations,
     _pack,
     _unpack,
-    activation,
     features,
 )
 
@@ -248,21 +248,14 @@ def _network(net: TrainedNetwork, theta: np.ndarray) -> TrainedNetwork:
     return replace(net, perceptrons=perceptrons)
 
 
-def _outputs(net: TrainedNetwork, inputs: np.ndarray) -> np.ndarray:
-    """Outputs f(x_j) (N, O) of every output j on every input row (N, k)."""
-    pairs = zip(net.perceptrons, _template(net))
-    with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
-        xs = [features(inputs, t) @ _pack(p) for p, t in pairs]
-    return activation(np.stack(xs, axis=1))
-
-
 def forward_network(
     net: TrainedNetwork, s: SpinConfig, encoding: Encoding = "spin"
 ) -> np.ndarray:
     """Output vector y = f(x_j) for one input configuration."""
     if len(s) != net.arity:
         raise InvalidInputError("input arity does not match network")
-    return _outputs(net, _input_matrix(np.array([s.bits]), encoding))[0]
+    inputs = _input_matrix(np.array([s.bits]), encoding)
+    return _activations(net.perceptrons, inputs)[0]
 
 
 def cost(
@@ -297,25 +290,22 @@ def quantum_gradients(
 
 
 def train(
-    net: TrainedNetwork | Sequence[TrainedNetwork],
+    nets: Sequence[TrainedNetwork],
     training_set: Sequence[TrainingExample],
     config: TrainerConfig,
     encoding: Encoding = "spin",
-) -> tuple[TrainedNetwork, CostCurve] | list[tuple[TrainedNetwork, CostCurve]]:
+) -> list[tuple[TrainedNetwork, CostCurve]]:
     """Run full-batch epochs until the cost tolerance or the epoch budget.
 
     The cost recorded for epoch e is evaluated after the e-th update, so
     epochs_to_tolerance counts the updates needed to cross the tolerance.
 
-    net is one network, or a sequence of networks sharing one arity and
-    template (one per seed, say); a sequence returns one (network, curve)
-    pair per network, in order.  Networks train in lockstep on one stacked
-    parameter tensor, and each leaves the batch at the first epoch its cost
-    falls below the tolerance.  A network's results are the same whatever
-    other networks share its batch.
+    nets share one arity and template (one per seed, say); the result holds
+    one (network, curve) pair per network, in order.  Networks train in
+    lockstep on one stacked parameter tensor, and each leaves the batch at
+    the first epoch its cost falls below the tolerance.  A network's
+    results are the same whatever other networks share its batch.
     """
-    single = isinstance(net, TrainedNetwork)
-    nets = [net] if single else list(net)
     design, theta, targets = _stack(nets, training_set, encoding)
     n_nets = len(nets)
     costs = np.empty((n_nets, min(config.max_epochs, _INITIAL_EPOCHS)))
@@ -344,11 +334,10 @@ def train(
                     break
     final[active] = theta
     tol = config.cost_tolerance
-    pairs = [
+    return [
         (_network(net_s, final[s]), CostCurve(costs[s, : ran[s]].copy(), tol))
         for s, net_s in enumerate(nets)
     ]
-    return pairs[0] if single else pairs
 
 
 def detect_plateau(curve: CostCurve, config: TrainerConfig) -> float | None:

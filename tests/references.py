@@ -3,14 +3,18 @@
 evaluate_potential sums a potential on one spin configuration, the
 reference for core.features; hamiltonian is the 2x2 generator whose upper
 eigenvector dynamics.instantaneous_upper_eigenstate returns.  Nothing in the
-package calls either, so they live with the tests.
+package calls either, so they live with the tests, as does potentials_over,
+the hypothesis strategy that the engine properties draw from.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
-from qperceptron import InvalidInputError, NeuralPotential, SpinConfig
+import numpy as np
+from hypothesis import strategies as st
+
+from qperceptron import InvalidInputError, MultiQubitTerm, NeuralPotential, SpinConfig
 
 
 def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
@@ -37,3 +41,21 @@ def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
 def hamiltonian(x: float, omega: float) -> np.ndarray:
     """The 2x2 generator (x * sz + omega * sx) / 2 with sz = diag(-1, +1)."""
     return 0.5 * np.array([[-x, omega], [omega, x]], dtype=complex)
+
+
+@st.composite
+def potentials_over(draw, k: int) -> NeuralPotential:
+    """A potential over k spins: weights in [-2, 2] on up to six product
+    terms, drawn from every index set of two or more spins, in any order."""
+    weight = st.floats(-2.0, 2.0)
+    candidates = [
+        c for r in range(2, k + 1) for c in itertools.combinations(range(1, k + 1), r)
+    ]
+    picks = []
+    if candidates:
+        picks = draw(st.lists(st.sampled_from(candidates), max_size=6, unique=True))
+    return NeuralPotential(
+        tuple(draw(weight) for _ in range(k)),
+        draw(weight),
+        tuple(MultiQubitTerm(t, draw(weight)) for t in picks),
+    )

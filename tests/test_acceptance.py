@@ -25,7 +25,6 @@ from qperceptron import (
     check_exact_representability,
     cli,
     cost,
-    excitation_probability,
     forward_network,
     forward_statevector,
     initialize_network,

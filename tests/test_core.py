@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from qperceptron import (
     InvalidInputError,
@@ -20,7 +20,8 @@ from qperceptron import (
     features,
     reparameterize_bits_to_spins,
 )
-from references import evaluate_potential
+from qperceptron.core import _activations, _pack
+from references import evaluate_potential, potentials_over
 
 
 class TestSpinEncoding:
@@ -65,6 +66,17 @@ class TestPotentialTypes:
     def test_term_indices_are_one_based(self):
         with pytest.raises(InvalidInputError):
             MultiQubitTerm((0, 1), 0.5)
+
+    @pytest.mark.parametrize("indices", [(1.5, 2.9), (1, 2.0), ("1", "2"), 12])
+    def test_term_indices_must_be_integers(self, indices):
+        # int() would have read (1.5, 2.9) as the term (1, 2)
+        with pytest.raises(InvalidInputError, match="term indices must be integers"):
+            MultiQubitTerm(indices, 0.5)
+
+    def test_term_indices_may_be_numpy_integers(self):
+        term = MultiQubitTerm(np.array([1, 3]), 0.5)
+        assert term.indices == (1, 3)
+        assert all(type(i) is int for i in term.indices)
 
     def test_potential_rejects_term_beyond_arity(self):
         with pytest.raises(InvalidInputError):
@@ -258,6 +270,13 @@ class TestFeatures:
             [1, 1, 1, 1, 1, -1],
         ])
 
+    @pytest.mark.parametrize("term", [(0, 2), (1, 3), (3,)])
+    def test_an_index_outside_the_spins_raises(self, term):
+        # index 0 would wrap to -1 and read spin k; 3 is past k = 2
+        spins = np.array([[1.0, -1.0], [-1.0, -1.0]])
+        with pytest.raises(InvalidInputError, match=r"outside spins 1\.\.2"):
+            features(spins, [(1, 2), term])
+
     @pytest.mark.parametrize("k", range(1, 8))
     def test_matmul_agrees_with_evaluate_potential(self, k):
         rng = np.random.default_rng(300 + k)
@@ -272,3 +291,25 @@ class TestFeatures:
             x = features(spins, template) @ theta
             ref = [evaluate_potential(p, s) for s in configs]
             np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda k: st.lists(potentials_over(k), min_size=1, max_size=3)
+    )
+)
+def test_the_evaluator_and_the_feature_map_agree_with_the_reference(network):
+    k = network[0].arity
+    configs = enumerate_inputs(k)
+    spins = np.array([s.spins for s in configs], dtype=float)
+    ref = np.array([[evaluate_potential(p, s) for p in network] for s in configs])
+    templates = [[t.indices for t in p.multi_terms] for p in network]
+    xs = np.column_stack(
+        [features(spins, t) @ _pack(p) for p, t in zip(network, templates)]
+    )
+    np.testing.assert_allclose(xs, ref, rtol=0, atol=1e-12)
+    y = _activations(network, spins)
+    assert y.shape == (2**k, len(network))
+    np.testing.assert_array_equal(y, activation(xs))
+    np.testing.assert_allclose(y, activation(ref), rtol=0, atol=1e-12)

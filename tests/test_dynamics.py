@@ -46,7 +46,7 @@ from qperceptron.dynamics import (
     _propagate_grid,
     _ramp_steps,
 )
-from references import hamiltonian
+from references import hamiltonian, potentials_over
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -362,7 +362,7 @@ class TestQuaternionPropagator:
         a, b = rng.standard_normal((2, 4, 500))
         a /= np.linalg.norm(a, axis=0)
         b /= np.linalg.norm(b, axis=0)
-        product = _hamilton(a, b, np.empty((4, 500)))
+        product = _hamilton(a, b, np.empty((4, 500)), np.empty(500))
         np.testing.assert_allclose(
             _su2(product), _su2(a) @ _su2(b), rtol=0, atol=1e-15
         )
@@ -891,6 +891,29 @@ class TestStatevectorTable:
             state = apply_network(basis_state(k + n_out, bits + (0,) * n_out), wiring)
             row = [excitation_probability(state, k + 1 + j) for j in range(n_out)]
             np.testing.assert_allclose(table[i], row, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
+            lambda ko: st.lists(
+                potentials_over(ko[0]), min_size=ko[1], max_size=ko[1]
+            )
+        )
+    )
+    def test_equals_one_register_per_row_and_every_gate_keeps_the_norm(self, network):
+        k, n_out = network[0].arity, len(network)
+        table = statevector_table(network)
+        wiring = [(p, k + 1 + j) for j, p in enumerate(network)]
+        for i, bits in enumerate(_bit_rows(k).tolist()):
+            state = apply_network(basis_state(k + n_out, bits + [0] * n_out), wiring)
+            row = [excitation_probability(state, t) for _, t in wiring]
+            np.testing.assert_allclose(table[i], row, rtol=0, atol=1e-12)
+        state = zero_state(k + n_out)
+        for j in range(1, k + 1):
+            state = apply_hadamard(state, j)
+        for p, target in wiring:
+            state = apply_perceptron_gate(state, p, target)
+            assert abs(state.norm() - 1.0) <= 1e-12
 
     def test_forward_statevector_is_the_row_of_its_input(self):
         rng = np.random.default_rng(41)

@@ -265,6 +265,10 @@ def _corrupt(doc, case):
         bad = {k: v for k, v in entry.items() if k != "weights"}
     elif case == "empty-weights":
         bad = {**entry, "weights": []}
+    elif case == "fractional-index":  # int() would have read the term (1, 2)
+        w = entry["weights"][0]
+        multi = [{**w["multi"][0], "indices": [1.5, 2.9]}]
+        bad = {**entry, "weights": [{**w, "multi": multi}]}
     elif case == "overflowing-weights":  # the potential sums past 1.8e308
         huge = [{**w, "linear": [1e308] * len(w["linear"])} for w in entry["weights"]]
         bad = {**entry, "weights": huge}
@@ -282,6 +286,7 @@ class TestMalformedSummary:
         "entry-without-weights",
         "empty-weights",
         "non-numeric-weight",
+        "fractional-index",
     ]
 
     @pytest.fixture(scope="class")

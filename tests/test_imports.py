@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the package exports exactly the names in its modules' __all__ lists."""
+"""Source hygiene: every name a module or test file imports is used in that
+file, and the package exports exactly the names in its modules' __all__
+lists."""
 
 from __future__ import annotations
 
@@ -21,24 +22,29 @@ from qperceptron.training import CostCurve, PotentialGradient
 MODULES = sorted(
     p for p in Path(qperceptron.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
-    """Names bound by import statements that no expression reads."""
+    """Names bound by import statements that no expression reads.
+
+    An import whose line carries "# noqa: F401" is kept for its side effect.
+    """
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -100,3 +106,11 @@ def test_records_holding_arrays_compare_and_hash(make):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Any, Sequence\n\nx: Sequence[int] = []\n"
     assert _unused_imports(source) == ["Any (line 1)"]
+
+
+def test_the_check_keeps_an_import_marked_for_its_side_effect():
+    source = (
+        "import os  # noqa: F401\n"
+        "from typing import (\n    Any,  # noqa: F401\n    Sequence,\n)\n"
+    )
+    assert _unused_imports(source) == ["Sequence (line 2)"]

@@ -176,11 +176,34 @@ class TestTaskSpec:
             (((),), resolve_task("xor").examples[:3], "full truth table"),
             (((),), resolve_task("toffoli").examples[:4], "example input arity"),
             (((), ()), resolve_task("xor").examples, "example target width"),
+            # row (1, 1) is missing and row (0, 0) is there twice: linear XOR
+            # would be judged on a table it can represent
+            (
+                ((),),
+                tuple(resolve_task("xor").examples[i] for i in (0, 0, 1, 2)),
+                "full truth table",
+            ),
         ],
     )
     def test_rejects_an_inconsistent_table(self, templates, examples, message):
         with pytest.raises(InvalidInputError, match=message):
             TaskSpec("table", 2, templates, examples)
+
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            (((0, 2),), "1-based"),  # features would read index 0 as spin 2
+            (((1, 3),), "beyond arity 2"),
+            (((1,),), "at least two indices"),
+            (((1, 1),), "strictly increasing"),
+            (((2, 1),), "strictly increasing"),
+            (((1.5, 2),), "must be integers"),
+            (((1, 2), (1, 2)), "duplicate term"),
+        ],
+    )
+    def test_rejects_a_template_no_potential_accepts(self, template, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TaskSpec("xor", 2, (template,), resolve_task("xor").examples)
 
     @staticmethod
     def _assert_arrays_match_examples(task):
@@ -286,7 +309,7 @@ class TestVerifyTruthTable:
         task = resolve_task("cnot")
         config = TrainerConfig(seed=0, max_epochs=600)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        net, curve = train(net0, task.examples, config)
+        ((net, curve),) = train([net0], task.examples, config)
         assert curve.epochs_to_tolerance is not None
         for engine in ("scalar", "statevector"):
             report = verify_truth_table(net, task, engine=engine)

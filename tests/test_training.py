@@ -169,10 +169,10 @@ class TestCost:
         calls = [
             lambda: cost(net, examples),
             lambda: quantum_gradients(net, examples),
-            lambda: train(net, examples, TrainerConfig(max_epochs=5)),
-            lambda: train(net, examples, TrainerConfig(max_epochs=5), "bit"),
+            lambda: train([net], examples, TrainerConfig(max_epochs=5)),
+            lambda: train([net], examples, TrainerConfig(max_epochs=5), "bit"),
             # a finite start whose first step overflows the potential
-            lambda: train(start, examples, TrainerConfig(eta=1e308, max_epochs=5)),
+            lambda: train([start], examples, TrainerConfig(eta=1e308, max_epochs=5)),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -215,7 +215,7 @@ class TestBitEncoding:
         task = resolve_task("xor", template="two-qubit")
         net = _random_network(task, seed=13)
         config = TrainerConfig(eta=1.0, max_epochs=1)
-        stepped, _ = train(net, task.examples, config, "bit")
+        ((stepped, _),) = train([net], task.examples, config, "bit")
         g = np.subtract(_weights(net), _weights(stepped))
         (n,) = _fd_gradient(net, task.examples, encoding="bit")
         ref = max(float(np.linalg.norm(n)), 1e-12)
@@ -240,7 +240,7 @@ class TestUpdateStep:
         task = resolve_task("xor")
         net = _random_network(task, seed=2)
         config = TrainerConfig(eta=0.0, max_epochs=3)
-        updated, _ = train(net, task.examples, config)
+        ((updated, _),) = train([net], task.examples, config)
         for before, after in zip(net.perceptrons, updated.perceptrons):
             assert before.linear_weights == after.linear_weights
             assert before.bias == after.bias
@@ -251,15 +251,15 @@ class TestUpdateStep:
     def test_single_step_is_reproducible(self):
         task = resolve_task("xor")
         config = TrainerConfig(seed=6, max_epochs=1)
-        a, _ = train(_random_network(task, 6), task.examples, config)
-        b, _ = train(_random_network(task, 6), task.examples, config)
+        ((a, _),) = train([_random_network(task, 6)], task.examples, config)
+        ((b, _),) = train([_random_network(task, 6)], task.examples, config)
         assert a.perceptrons == b.perceptrons
 
     def test_small_steps_never_increase_the_cost(self):
         task = resolve_task("xor")
         net = _random_network(task, seed=8)
         config = TrainerConfig(eta=1e-3, max_epochs=100)
-        _, curve = train(net, task.examples, config)
+        ((_, curve),) = train([net], task.examples, config)
         assert len(curve.costs) == 100
         costs = np.concatenate([[cost(net, task.examples)], curve.costs])
         assert np.all(np.diff(costs) <= 1e-15)
@@ -270,7 +270,7 @@ class TestTrain:
         task = resolve_task("xor")
         config = TrainerConfig(seed=0, max_epochs=1000)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        _, curve = train(net0, task.examples, config)
+        ((_, curve),) = train([net0], task.examples, config)
         assert curve.epochs_to_tolerance == 7
         assert len(curve.costs) == 7
         assert curve.costs[-1] < 0.01
@@ -281,7 +281,7 @@ class TestTrain:
         task = resolve_task("xor")
         config = TrainerConfig(seed=0, max_epochs=budget)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        _, curve = train(net0, task.examples, config)
+        ((_, curve),) = train([net0], task.examples, config)
         assert len(curve.costs) == budget
         assert curve.epochs_to_tolerance == expected
 
@@ -299,20 +299,20 @@ class TestTrain:
     def test_rejects_a_mismatched_training_set(self, task_id, message):
         net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
         with pytest.raises(InvalidInputError, match=message):
-            train(net, resolve_task(task_id).examples, TrainerConfig(max_epochs=1))
+            train([net], resolve_task(task_id).examples, TrainerConfig(max_epochs=1))
 
     def test_rejects_an_unknown_encoding(self):
         net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
         examples, config = resolve_task("xor").examples, TrainerConfig(max_epochs=1)
         with pytest.raises(InvalidInputError, match="unknown encoding 'ternary'"):
-            train(net, examples, config, "ternary")
+            train([net], examples, config, "ternary")
 
     def test_cost_recorded_after_each_update(self):
         # the cost of epoch 1 is that of the network after one update
         task = resolve_task("xor")
         config = TrainerConfig(seed=4, max_epochs=1)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        stepped, curve = train(net0, task.examples, config)
+        ((stepped, curve),) = train([net0], task.examples, config)
         assert curve.costs[0] == pytest.approx(
             cost(stepped, task.examples), abs=1e-15
         )
@@ -321,7 +321,7 @@ class TestTrain:
         task = resolve_task("xor", template="two-qubit")
         config = TrainerConfig(seed=0, max_epochs=2000)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        net, curve = train(net0, task.examples, config, encoding="bit")
+        ((net, curve),) = train([net0], task.examples, config, encoding="bit")
         assert curve.epochs_to_tolerance is None
         plateau = detect_plateau(curve, config)
         assert plateau == pytest.approx(0.125, abs=1e-6)
@@ -399,7 +399,7 @@ class TestBatchedTraining:
         config = TrainerConfig(max_epochs=max_epochs, cost_tolerance=tol)
         nets = [_random_network(task, seed) for seed in range(12)]
         batch = train(nets, task.examples, config, encoding)
-        alone = [train(net, task.examples, config, encoding) for net in nets]
+        alone = [train([net], task.examples, config, encoding)[0] for net in nets]
         assert len(batch) == len(nets)
         for (net_b, curve_b), (net_a, curve_a) in zip(batch, alone):
             assert net_b == net_a
@@ -411,7 +411,7 @@ class TestBatchedTraining:
         task_id, seed, budget, ran, to_tolerance, costs, weights = pin
         task = resolve_task(task_id)
         config = TrainerConfig(seed=seed, max_epochs=budget)
-        net, curve = train(_random_network(task, seed), task.examples, config)
+        ((net, curve),) = train([_random_network(task, seed)], task.examples, config)
         assert len(curve.costs) == ran
         assert curve.epochs_to_tolerance == to_tolerance
         for epoch, value in costs.items():
@@ -459,7 +459,7 @@ class TestDetectPlateau:
         task = resolve_task("prime3", template="two-qubit")
         config = TrainerConfig(seed=0, max_epochs=3500)
         net0 = initialize_network(task.arity, task.templates, config, task.name)
-        _, curve = train(net0, task.examples, config, encoding="bit")
+        ((_, curve),) = train([net0], task.examples, config, encoding="bit")
         assert curve.epochs_to_tolerance is None
         plateau = detect_plateau(curve, config)
         assert plateau == pytest.approx(0.06273320849461182, abs=1e-9)
