@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 MAX_ARITY = 16
-# activation clips its input to +-ACTIVATION_CLIP, where x * x stays finite
-# and f already rounds to exactly 0 or 1.
+# activation is exactly 0 or 1 at and beyond +-ACTIVATION_CLIP; below it
+# x * x stays finite.
 ACTIVATION_CLIP = 1e150
 
 
@@ -54,14 +54,18 @@ def activation(x):
     """Excitation probability response f(x) = (1 + x / sqrt(1 + x^2)) / 2.
 
     Smooth, strictly increasing, f(0) = 1/2, with limits 0 and 1 at -inf
-    and +inf, reached exactly beyond |x| = ACTIVATION_CLIP.  Accepts scalars
-    or arrays; rejects non-finite input.
+    and +inf, reached exactly from |x| = ACTIVATION_CLIP on.  f is t for
+    x < 0, else 1 - t, with t = 1 / (2 s (s + |x|)) and s = sqrt(1 + x^2):
+    no step cancels and each is monotone, so f never decreases from one
+    float to the next.  Accepts scalars or arrays; rejects non-finite input.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x, "activation input")
-    # np.minimum/np.maximum cost about half as much as np.clip per call
-    x = np.minimum(np.maximum(x, -ACTIVATION_CLIP), ACTIVATION_CLIP)
-    out = 0.5 * (1.0 + x / np.sqrt(1.0 + x * x))
+    a = np.abs(x)
+    a = np.where(a < ACTIVATION_CLIP, a, np.inf)  # an infinite |x| gives t = 0
+    s = np.sqrt(1.0 + a * a)
+    t = 0.5 / (s * (s + a))
+    out = np.where(x < 0.0, t, 1.0 - t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,6 +103,15 @@ def bits_to_spins(bits: Sequence[int]) -> SpinConfig:
     return SpinConfig(tuple(2 * int(b) - 1 for b in bits))
 
 
+def _integer_indices(indices) -> tuple[int, ...]:
+    """indices as a tuple of ints; InvalidInputError unless each is an integer."""
+    try:
+        return tuple(map(operator.index, indices))
+    except TypeError:
+        msg = f"term indices must be integers, got {indices!r}"
+        raise InvalidInputError(msg) from None
+
+
 @dataclass(frozen=True)
 class MultiQubitTerm:
     """A weighted product of two or more spins, indexed 1-based."""
@@ -107,11 +120,7 @@ class MultiQubitTerm:
     weight: float = 0.0
 
     def __post_init__(self) -> None:
-        try:
-            idx = tuple(map(operator.index, self.indices))
-        except TypeError:
-            msg = f"term indices must be integers, got {self.indices!r}"
-            raise InvalidInputError(msg) from None
+        idx = _integer_indices(self.indices)
         if len(idx) < 2:
             raise InvalidInputError("a multi-qubit term needs at least two indices")
         if any(i < 1 for i in idx):
@@ -165,15 +174,16 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
     each product term.  The k + len(template) + 1 columns are the inputs,
     each term's product, then -1, so features(inputs, template) @ _pack(p)
     evaluates p on every row.  On spins or bits every entry is exact.
-    An index outside 1..k raises InvalidInputError.
+    An index that is not an integer in 1..k raises InvalidInputError.
     """
     inputs = np.asarray(inputs, dtype=float)
     n, k = inputs.shape
     out = np.empty((n, k + len(template) + 1))
     out[:, :k] = inputs
     for m, indices in enumerate(template):
+        indices = _integer_indices(indices)
         if not all(1 <= i <= k for i in indices):
-            raise InvalidInputError(f"term {tuple(indices)} is outside spins 1..{k}")
+            raise InvalidInputError(f"term {indices} is outside spins 1..{k}")
         out[:, k + m] = np.prod(inputs[:, np.subtract(indices, 1)], axis=1)
     out[:, -1] = -1.0
     return out

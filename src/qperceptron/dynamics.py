@@ -76,7 +76,6 @@ __all__ = [
     "apply_hadamard",
     "apply_perceptron_gate",
     "apply_network",
-    "excitation_probability",
     "statevector_table",
     "forward_statevector",
 ]
@@ -183,14 +182,14 @@ def _ramp_steps(points: int, t_f: float, dt: float) -> int:
     """Number of steps of a ramp of length t_f at step dt.
 
     Rejects a step dt that is not positive, and a grid whose points * steps
-    exceed MAX_POINT_STEPS (or are not a number), before any work is done.
+    are not a count up to MAX_POINT_STEPS, before any work is done.
     """
     if not dt > 0.0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
     steps = t_f / dt
-    if steps <= MAX_POINT_STEPS:
+    if abs(steps) <= MAX_POINT_STEPS:
         steps = max(1, int(round(steps)))
-    if not points * steps <= MAX_POINT_STEPS:
+    if not 0 < points * steps <= MAX_POINT_STEPS:
         raise InvalidInputError(
             f"t_f / dt = {steps:.6g} steps over {points} points is outside "
             f"the budget of {MAX_POINT_STEPS:.0e} point-steps"
@@ -555,30 +554,23 @@ def _check_qubit(state: Statevector, j: int) -> None:
         raise InvalidWiringError(f"qubit {j} outside register 1..{state.n}")
 
 
-def _check_norm(state: Statevector) -> Statevector:
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise IntegratorError(f"state norm drifted to {state.norm()!r}")
-    return state
+def _update_qubit(state: Statevector, j: int, pair) -> Statevector:
+    """state with the amplitude halves (a0, a1) on qubit j's axis replaced by
+    pair(a0, a1); IntegratorError if the norm drifts past NORM_TOL."""
+    t = state.amplitudes.reshape([2] * state.n)
+    axis = j - 1
+    halves = np.take(t, 0, axis=axis), np.take(t, 1, axis=axis)
+    new = Statevector(np.stack(pair(*halves), axis=axis).reshape(-1), state.n)
+    if abs(new.norm() - 1.0) > NORM_TOL:
+        raise IntegratorError(f"state norm drifted to {new.norm()!r}")
+    return new
 
 
 def apply_hadamard(state: Statevector, j: int) -> Statevector:
     """Hadamard on qubit j (an involution)."""
     _check_qubit(state, j)
-    t = state.amplitudes.reshape([2] * state.n)
-    axis = j - 1
-    a0 = np.take(t, 0, axis=axis)
-    a1 = np.take(t, 1, axis=axis)
     r = 1.0 / np.sqrt(2.0)
-    new = np.stack([(a0 + a1) * r, (a0 - a1) * r], axis=axis)
-    return _check_norm(Statevector(new.reshape(-1), state.n))
-
-
-def excitation_probability(state: Statevector, j: int) -> float:
-    """Marginal probability that qubit j reads 1."""
-    _check_qubit(state, j)
-    t = state.amplitudes.reshape([2] * state.n)
-    a1 = np.take(t, 1, axis=j - 1)
-    return float(np.sum(np.abs(a1) ** 2))
+    return _update_qubit(state, j, lambda a0, a1: ((a0 + a1) * r, (a0 - a1) * r))
 
 
 def apply_perceptron_gate(
@@ -597,17 +589,14 @@ def apply_perceptron_gate(
         )
 
     k = p.arity
-    t = state.amplitudes.reshape([2] * state.n)
     # f of the potential on every input configuration, in basis index order,
     # broadcast over the axes past the inputs once the target axis is taken.
     prob = _activations([p], 2.0 * _bit_rows(k) - 1.0)
     prob = prob.reshape([2] * k + [1] * (state.n - 1 - k))
     c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)
-    axis = target - 1
-    a0 = np.take(t, 0, axis=axis)
-    a1 = np.take(t, 1, axis=axis)
-    new = np.stack([c0 * a0 - s0 * a1, s0 * a0 + c0 * a1], axis=axis)
-    return _check_norm(Statevector(new.reshape(-1), state.n))
+    return _update_qubit(
+        state, target, lambda a0, a1: (c0 * a0 - s0 * a1, s0 * a0 + c0 * a1)
+    )
 
 
 def apply_network(

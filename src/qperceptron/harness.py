@@ -46,6 +46,7 @@ from .training import (
     CostCurve,
     TrainedNetwork,
     TrainerConfig,
+    _check_seed_epochs,
     detect_plateau,
     initialize_network,
     train,
@@ -60,7 +61,6 @@ __all__ = [
     "emit_cost_curve_csv",
     "emit_summary",
     "load_summary",
-    "load_network_from_summary",
     "cli",
     "main",
 ]
@@ -76,7 +76,7 @@ _CHOICES = {
     "mode": ("quantum", "classical"),
 }
 
-# at most this many seeds in one experiment
+# at most this many seeds in one experiment (see training.MAX_SEED_EPOCHS)
 MAX_SEEDS = 10_000
 
 # annotation -> (accepted type, stored type)
@@ -98,7 +98,10 @@ def _typed(name: str, value: Any, annotation: str) -> Any:
         raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
     if name in _CHOICES and value not in _CHOICES[name]:
         raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
-    return stored(value)
+    try:
+        return stored(value)
+    except OverflowError:  # an int past the largest float, from a JSON file
+        raise ConfigError(f"{name} is an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,7 @@ class ExperimentConfig:
         try:
             object.__setattr__(self, "task", self.spec.name)
             self.trainer_config(self.seeds[0])
+            _check_seed_epochs(len(self.seeds), self.max_epochs)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("eta", "init_range"):  # TrainerConfig allows 0
@@ -228,9 +232,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     train_seconds = time.perf_counter() - t0
     outcomes = []
     for seed, (net, curve) in zip(config.seeds, trained):
-        plateau = None
-        if len(curve.costs) > trainer.plateau_window:
-            plateau = detect_plateau(curve, trainer)
+        plateau = detect_plateau(curve, trainer)
         outcomes.append(SeedOutcome(seed, curve, net, plateau, train_seconds))
 
     oracle = tuple(
@@ -352,23 +354,16 @@ def _potential_from_payload(w: dict[str, Any]) -> NeuralPotential:
     )
 
 
-def load_network_from_summary(
-    path: str | Path, seed: int | None = None
-) -> TrainedNetwork:
-    """Rebuild the trained network stored for one seed (default: first).
-
-    A malformed summary raises ConfigError, whatever part of it is wrong.
-    """
-    return _network_from_summary(load_summary(path), path, seed)
-
-
 def _network_from_summary(
     doc: dict[str, Any], path: str | Path, seed: int | None
 ) -> TrainedNetwork:
-    """load_network_from_summary on a summary already read by load_summary."""
-    entries = doc["per_seed"]
+    """The trained network stored for one seed (default: first) of a summary
+    read by load_summary from path.
+
+    A malformed summary raises ConfigError, whatever part of it is wrong.
+    """
     try:
-        matches = [e for e in entries if seed is None or e["seed"] == seed]
+        matches = [e for e in doc["per_seed"] if seed is None or e["seed"] == seed]
         if not matches:
             raise ConfigError(f"summary has no seed {seed}")
         entry = matches[0]

@@ -194,7 +194,6 @@ def resolve_task(
 class TruthTableReport:
     """Row-by-row comparison of thresholded network outputs to targets."""
 
-    task_name: str
     n_rows: int
     n_correct: int
     mismatches: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
@@ -232,7 +231,6 @@ def verify_truth_table(
     mismatches = tuple(tuple(map(tuple, row)) for row in zip(*columns))
     n_rows = len(task.bits)
     return TruthTableReport(
-        task_name=task.name,
         n_rows=n_rows,
         n_correct=n_rows - len(mismatches),
         mismatches=mismatches,
@@ -244,7 +242,6 @@ def verify_truth_table(
 class FeasibilityVerdict:
     """Outcome of the sign-representability LP for one output perceptron."""
 
-    task_name: str
     output_index: int
     feasible: bool
     margin: float
@@ -293,10 +290,10 @@ def check_exact_representability(
     x = _simplex(a, b, np.concatenate([np.zeros(2 * n_params), [1.0]]))
     delta = float(x[-1])
     if delta <= FEASIBILITY_MARGIN:
-        return FeasibilityVerdict(task.name, output_index, False, delta, None)
+        return FeasibilityVerdict(output_index, False, delta, None)
     theta = x[:n_params] - x[n_params:-1]
     witness = _unpack(task.arity, template, theta / delta)
-    return FeasibilityVerdict(task.name, output_index, True, delta, witness)
+    return FeasibilityVerdict(output_index, True, delta, witness)
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -52,8 +52,9 @@ __all__ = [
 
 Encoding = Literal["spin", "bit"]
 
-# columns of the cost buffer at the start; it doubles when training runs longer
-_INITIAL_EPOCHS = 1024
+# at most this many seed-epochs (seeds x max_epochs) in one run: 10,000 seeds
+# at the default max_epochs, a cost record of at most 400 MB
+MAX_SEED_EPOCHS = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -264,29 +265,32 @@ def cost(
     encoding: Encoding = "spin",
 ) -> float:
     """Mean squared error with the 1 / (2 N k) normalization."""
-    return float(_costs(_batch_of_one(net, training_set, encoding)[0])[0])
-
-
-def _batch_of_one(
-    net: TrainedNetwork, training_set: Sequence[TrainingExample], encoding: Encoding
-) -> tuple[np.ndarray, np.ndarray]:
-    """Errors and gradient of one network as a batch of one."""
     design, theta, targets = _stack([net], training_set, encoding)
     with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
-        q, err = _forward(design, theta, targets)
-        return err, _gradients(design, q, err)
+        return float(_costs(_forward(design, theta, targets)[1])[0])
 
 
 def quantum_gradients(
     net: TrainedNetwork, training_set: Sequence[TrainingExample]
 ) -> tuple[PotentialGradient, ...]:
     """Exact cost gradients for every perceptron under the spin encoding."""
-    grad = _batch_of_one(net, training_set, "spin")[1][0]
+    design, theta, targets = _stack([net], training_set, "spin")
+    with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
+        grad = _gradients(design, *_forward(design, theta, targets))[0]
     sizes = [(p.arity, len(p.multi_terms)) for p in net.perceptrons]
     return tuple(
         PotentialGradient(g[:k].copy(), g[k : k + m].copy(), float(g[k + m]))
         for (k, m), g in zip(sizes, grad)
     )
+
+
+def _check_seed_epochs(seeds: int, max_epochs: int) -> None:
+    """InvalidInputError if seeds x max_epochs exceeds MAX_SEED_EPOCHS."""
+    if seeds * max_epochs > MAX_SEED_EPOCHS:
+        raise InvalidInputError(
+            f"seeds x max_epochs = {seeds} x {max_epochs} exceeds the budget of "
+            f"{MAX_SEED_EPOCHS} seed-epochs"
+        )
 
 
 def train(
@@ -304,11 +308,14 @@ def train(
     one (network, curve) pair per network, in order.  Networks train in
     lockstep on one stacked parameter tensor, and each leaves the batch at
     the first epoch its cost falls below the tolerance.  A network's
-    results are the same whatever other networks share its batch.
+    results are the same whatever other networks share its batch.  The
+    cost record, (max_epochs, len(nets)) and at most MAX_SEED_EPOCHS
+    entries, is allocated once; only the epochs that run touch its memory.
     """
+    _check_seed_epochs(len(nets), config.max_epochs)
     design, theta, targets = _stack(nets, training_set, encoding)
     n_nets = len(nets)
-    costs = np.empty((n_nets, min(config.max_epochs, _INITIAL_EPOCHS)))
+    costs = np.empty((config.max_epochs, n_nets))
     ran = np.full(n_nets, config.max_epochs)
     final = np.empty_like(theta)
     active = np.arange(n_nets)
@@ -319,10 +326,7 @@ def train(
             theta = theta - config.eta * _gradients(design, q, err)
             q, err = _forward(design, theta, targets)
             c = _costs(err)
-            if e == costs.shape[1]:  # double the buffer, up to the budget
-                more = np.empty((n_nets, min(e, config.max_epochs - e)))
-                costs = np.hstack([costs, more])
-            costs[active, e] = c
+            costs[e, active] = c
             done = c < config.cost_tolerance
             if done.any():
                 stopped = active[done]
@@ -335,18 +339,16 @@ def train(
     final[active] = theta
     tol = config.cost_tolerance
     return [
-        (_network(net_s, final[s]), CostCurve(costs[s, : ran[s]].copy(), tol))
+        (_network(net_s, final[s]), CostCurve(costs[: ran[s], s].copy(), tol))
         for s, net_s in enumerate(nets)
     ]
 
 
 def detect_plateau(curve: CostCurve, config: TrainerConfig) -> float | None:
-    """Mean of the trailing window when its spread is below plateau_epsilon."""
+    """Mean of the trailing window when its spread is below plateau_epsilon;
+    None otherwise, and for a curve no longer than the window."""
     if len(curve.costs) <= config.plateau_window:
-        raise InvalidInputError(
-            f"curve of {len(curve.costs)} epochs is too short for window "
-            f"{config.plateau_window}"
-        )
+        return None
     window = curve.costs[-config.plateau_window :]
     if float(window.max() - window.min()) < config.plateau_epsilon:
         return float(window.mean())

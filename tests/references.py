@@ -2,9 +2,11 @@
 
 evaluate_potential sums a potential on one spin configuration, the
 reference for core.features; hamiltonian is the 2x2 generator whose upper
-eigenvector dynamics.instantaneous_upper_eigenstate returns.  Nothing in the
-package calls either, so they live with the tests, as does potentials_over,
-the hypothesis strategy that the engine properties draw from.
+eigenvector dynamics.instantaneous_upper_eigenstate returns;
+excitation_probability reads one qubit's marginal off a register, the
+reference for dynamics.statevector_table.  Nothing in the package calls
+them, so they live with the tests, as does potentials_over, the hypothesis
+strategy that the engine properties draw from.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qperceptron import InvalidInputError, MultiQubitTerm, NeuralPotential, SpinConfig
+from qperceptron.dynamics import Statevector
 
 
 def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
@@ -41,6 +44,12 @@ def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
 def hamiltonian(x: float, omega: float) -> np.ndarray:
     """The 2x2 generator (x * sz + omega * sx) / 2 with sz = diag(-1, +1)."""
     return 0.5 * np.array([[-x, omega], [omega, x]], dtype=complex)
+
+
+def excitation_probability(state: Statevector, j: int) -> float:
+    """Marginal probability that qubit j (1-based, 1 most significant) reads 1."""
+    t = state.amplitudes.reshape([2] * state.n)
+    return float(np.sum(np.abs(np.take(t, 1, axis=j - 1)) ** 2))
 
 
 @st.composite

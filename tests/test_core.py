@@ -20,7 +20,7 @@ from qperceptron import (
     features,
     reparameterize_bits_to_spins,
 )
-from qperceptron.core import _activations, _pack
+from qperceptron.core import ACTIVATION_CLIP, _activations, _pack
 from references import evaluate_potential, potentials_over
 
 
@@ -179,7 +179,7 @@ class TestActivation:
             activation(np.array([-1e300, 1e300, 0.0])), [0.0, 1.0, 0.5]
         )
 
-    def test_unchanged_up_to_the_clip(self):
+    def test_agrees_with_exact_arithmetic_on_both_tails(self):
         rng = np.random.default_rng(11)
         xs = np.concatenate(
             [
@@ -188,9 +188,44 @@ class TestActivation:
             ]
         )
         xs = np.concatenate([xs, -xs])
-        formula = 0.5 * (1.0 + xs / np.sqrt(1.0 + xs * xs))
-        np.testing.assert_array_equal(activation(xs), formula)
-        assert [activation(float(x)) for x in xs] == list(formula)
+        inside = np.abs(xs) < ACTIVATION_CLIP
+        # at 400 digits every float is exact, and 1 + x / sqrt(1 + x^2)
+        # cancels at most ~300 of them
+        exact = [
+            float((1 + r / sympy.sqrt(1 + r * r)) / 2)
+            for r in (sympy.Float(x, 400) for x in xs[inside])
+        ]
+        # relative, so the lower tail (down to 2.5e-301) is held to its own
+        # scale; f rounds the upper tail to 1 from x ~ 1e8 on
+        np.testing.assert_allclose(activation(xs[inside]), exact, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(
+            activation(xs[~inside]), (xs[~inside] > 0).astype(float)
+        )
+        assert [activation(float(x)) for x in xs] == list(activation(xs))
+
+    def test_never_decreases_between_adjacent_floats(self):
+        # around x = -854.65, where f ~ 3.4e-7, the cancelling form
+        # 0.5 * (1 + x / sqrt(1 + x^2)) dropped by up to 5.6e-17 (2^20 ulps
+        # of f) between neighbouring floats: 702 drops in this window
+        x0 = -854.65
+        xs = x0 + np.arange(-200_000, 200_000) * abs(np.spacing(x0))
+        assert np.all(np.diff(xs) > 0)
+        assert np.all(np.diff(activation(xs)) >= 0)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_bounded_monotone_and_saturating_on_every_finite_float(self, x, y):
+        fx, fy = activation(x), activation(y)
+        assert 0.0 <= fx <= 1.0
+        if x <= y:
+            assert fx <= fy
+        if x == 0.0:  # either sign
+            assert fx == 0.5
+        if abs(x) >= ACTIVATION_CLIP:
+            assert fx == (1.0 if x > 0 else 0.0)
 
 
 class TestEnumerateInputs:
@@ -270,11 +305,20 @@ class TestFeatures:
             [1, 1, 1, 1, 1, -1],
         ])
 
-    @pytest.mark.parametrize("term", [(0, 2), (1, 3), (3,)])
-    def test_an_index_outside_the_spins_raises(self, term):
-        # index 0 would wrap to -1 and read spin k; 3 is past k = 2
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ((0, 2), r"outside spins 1\.\.2"),
+            ((1, 3), r"outside spins 1\.\.2"),
+            ((3,), r"outside spins 1\.\.2"),
+            ((1.5, 2), r"term indices must be integers, got \(1\.5, 2\)"),
+        ],
+    )
+    def test_an_index_outside_the_spins_raises(self, term, message):
+        # index 0 would wrap to -1 and read spin k; 3 is past k = 2; 1.5
+        # would reach numpy's indexing as a float
         spins = np.array([[1.0, -1.0], [-1.0, -1.0]])
-        with pytest.raises(InvalidInputError, match=r"outside spins 1\.\.2"):
+        with pytest.raises(InvalidInputError, match=message):
             features(spins, [(1, 2), term])
 
     @pytest.mark.parametrize("k", range(1, 8))

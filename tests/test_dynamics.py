@@ -26,7 +26,6 @@ from qperceptron import (
     apply_perceptron_gate,
     basis_state,
     default_schedule,
-    excitation_probability,
     forward_statevector,
     instantaneous_upper_eigenstate,
     statevector_table,
@@ -46,7 +45,7 @@ from qperceptron.dynamics import (
     _propagate_grid,
     _ramp_steps,
 )
-from references import hamiltonian, potentials_over
+from references import excitation_probability, hamiltonian, potentials_over
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -601,7 +600,13 @@ class TestStepBudget:
         assert _ramp_steps(7, 200.0, 1e-3) == 200_000
         assert _ramp_steps(1, 1e-3, 1e-3) == 1
         assert _ramp_steps(500, 200.0, 1e-3) * 500 == MAX_POINT_STEPS
-        for points, t_f, dt in [(501, 200.0, 1e-3), (1, 1.0, 1e-9), (1, 1e300, 1e-10)]:
+        for points, t_f, dt in [
+            (501, 200.0, 1e-3),
+            (1, 1.0, 1e-9),
+            (1, 1e300, 1e-10),
+            (1, float("-inf"), 1e-3),
+            (1, -1e300, 1e-10),
+        ]:
             with pytest.raises(InvalidInputError, match="budget"):
                 _ramp_steps(points, t_f, dt)
 
@@ -750,8 +755,11 @@ class TestRegister:
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_rejects_a_qubit_outside_the_register(self, j):
+        p = NeuralPotential((0.5,), 0.0, ())
         with pytest.raises(InvalidWiringError, match="outside register 1..2"):
-            excitation_probability(zero_state(2), j)
+            apply_hadamard(zero_state(2), j)
+        with pytest.raises(InvalidWiringError, match="outside register 1..2"):
+            apply_perceptron_gate(zero_state(2), p, j)
 
 
 class TestPerceptronGate:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qperceptron
-from qperceptron import harness
+from qperceptron import detect_plateau, harness
 from qperceptron import (
     TASK_IDS,
     TEMPLATES,
@@ -26,15 +26,20 @@ from qperceptron import (
     cost,
     emit_cost_curve_csv,
     emit_summary,
-    load_network_from_summary,
     load_summary,
     resolve_task,
     run_experiment,
 )
+from qperceptron.training import MAX_SEED_EPOCHS
 
 
 def _run(config: ExperimentConfig):
     return run_experiment(config)
+
+
+def load_network_from_summary(path, seed=None):
+    """The network gate-verify reads for one seed (default: first) of a summary."""
+    return harness._network_from_summary(load_summary(path), path, seed)
 
 
 def _must_not_run(*args, **kwargs):
@@ -159,6 +164,23 @@ class TestRunExperiment:
             csv_all = (tmp_path / "all" / name).read_bytes()
             assert (tmp_path / f"seed{k}" / name).read_bytes() == csv_all
             assert json.dumps(alone["per_seed"][0]) == json.dumps(entry)
+
+    @pytest.mark.parametrize("task", ["toffoli", "xor"])
+    def test_every_seed_goes_through_detect_plateau(self, monkeypatch, task):
+        # toffoli's published template runs the whole budget; xor's curves
+        # end within the window, so detect_plateau finds no plateau on them
+        curves = []
+
+        def spy(curve, config):
+            curves.append(curve)
+            return detect_plateau(curve, config)
+
+        monkeypatch.setattr(harness, "detect_plateau", spy)
+        result = _run(ExperimentConfig(task=task, seeds=(0, 1, 2), max_epochs=250))
+        assert curves == [o.curve for o in result.outcomes]
+        if task == "xor":
+            assert all(len(c.costs) <= 200 for c in curves)
+            assert all(o.plateau is None for o in result.outcomes)
 
     def test_median_is_the_middle_order_statistic(self):
         result = _run(ExperimentConfig(task="xor", seeds=(0, 1, 2, 3, 4)))
@@ -426,6 +448,9 @@ class TestCliTrain:
             ["adiabatic-check", "--x-min", "-1e2"],  # a flag to argparse: use --x-min=
             ["feasibility"],  # no task given
             ["bogus-command"],
+            # 10^12 seed-epochs, over the budget
+            ["sweep", "--task", "toffoli", "--seeds", "0-9999"]
+            + ["--max-epochs", "100000000"],
         ],
     )
     def test_config_errors_exit_one(self, capsys, monkeypatch, argv):
@@ -454,13 +479,25 @@ class TestCliTrain:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert message in err
 
-    def test_huge_epoch_budget_allocates_only_what_runs(self, tmp_path):
+    def test_huge_epoch_budget_allocates_only_what_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # one seed may spend the whole seed-epoch budget: the cost record is
+        # allocated for it once, and only the 7 epochs that run touch it
         out = tmp_path / "run"
-        args = ["train", "--task", "xor", "--max-epochs", "100000000000"]
+        args = ["train", "--task", "xor", "--max-epochs", str(MAX_SEED_EPOCHS)]
         assert cli(args + ["--out", str(out)]) == 0
         doc = load_summary(out / "summary.json")
         assert doc["per_seed"][0]["epochs_to_tolerance"] == 7
         assert len((out / "cost_seed0.csv").read_text().splitlines()) == 8
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "initialize_network", _must_not_run)
+        args = ["train", "--task", "xor", "--max-epochs", "100000000000"]
+        assert cli(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seeds x max_epochs = 1 x 100000000000 exceeds the budget "
+            "of 50000000 seed-epochs\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
@@ -557,8 +594,9 @@ class TestCliConfigFile:
             b"[" * 100_000 + b"]" * 100_000,
             b"\xff\xfe{",
             b'["xor"]',
+            b'{"task": "xor", "eta": 1' + b"0" * 400 + b"}",
         ],
-        ids=["1e400", "deep", "undecodable", "not-an-object"],
+        ids=["1e400", "deep", "undecodable", "not-an-object", "int-past-float"],
     )
     def test_malformed_file_text_exits_one_before_training(
         self, tmp_path, capsys, monkeypatch, text
@@ -648,6 +686,23 @@ class TestCliSeedList:
     def test_a_list_of_max_seeds_is_accepted(self):
         seeds = harness._parse_seed_list(f"1-{harness.MAX_SEEDS - 1},0")
         assert sorted(seeds) == list(range(harness.MAX_SEEDS))
+
+
+class TestSeedEpochBudget:
+    def test_every_legal_seed_list_runs_at_the_default_budget(self):
+        assert harness.MAX_SEEDS * TrainerConfig.max_epochs <= MAX_SEED_EPOCHS
+        config = ExperimentConfig(task="xor", seeds=tuple(range(harness.MAX_SEEDS)))
+        assert config.max_epochs == TrainerConfig.max_epochs
+
+    def test_the_edge_of_the_budget(self, tmp_path, capsys, monkeypatch):
+        half = MAX_SEED_EPOCHS // 2
+        assert ExperimentConfig(task="xor", seeds=(0, 1), max_epochs=half)
+        monkeypatch.setattr(harness, "initialize_network", _must_not_run)
+        cfg = tmp_path / "config.json"
+        doc = {"task": "xor", "seeds": [0, 1], "max_epochs": half + 1}
+        cfg.write_text(json.dumps(doc))
+        assert cli(["train", "--config", str(cfg)]) == 1
+        assert "seeds x max_epochs = 2 x 25000001 exceeds" in capsys.readouterr().err
 
 
 class TestCliSweep:
@@ -742,7 +797,12 @@ class TestCliAdiabaticCheck:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "grid", [["--t-f", "1", "--dt", "1e-9"], ["--points", "1000000000"]]
+        "grid",
+        [
+            ["--t-f", "1", "--dt", "1e-9"],
+            ["--points", "1000000000"],
+            ["--t-f=-inf"],  # -inf steps
+        ],
     )
     def test_step_budget_exits_one_before_building_the_grid(
         self, monkeypatch, capsys, grid
@@ -950,6 +1010,147 @@ def test_a_command_builds_each_task_spec_once(
     assert cli(argv) == 0
     assert len(calls) == builds
     capsys.readouterr()
+
+
+# Flag values for the CLI property: junk text, and numbers of every size.
+# The budget flags (--max-epochs, --seeds, --points, --t-f, --dt) draw only
+# small or invalid values, so no case trains or propagates for long.
+JUNK = ["", "nan", "inf", "-inf", "-1", "0", "abc", "1e400", "9" * 30, "1.5", " 3"]
+REALS = st.one_of(
+    st.floats().map(repr), st.integers().map(str), st.sampled_from(JUNK)
+)
+INTS = st.one_of(st.integers().map(str), st.sampled_from(JUNK))
+
+
+def _small_or_invalid(*valid: str):
+    invalid = [*JUNK, "-3", "12345678901234567890", "1,1", "5-3", "0-99999"]
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+TASKS = st.sampled_from(
+    ["xor", "cnot", "toffoli", "toffoli:extended", "fredkin:paper", "prime-3"]
+    + ["prime5:extended", "prime3:two-qubit", "majority", "xor:bogus"]
+)
+RUN_FLAGS = {
+    "--mode": st.sampled_from(["quantum", "classical", "hybrid"]),
+    "--eta": REALS,
+    "--seed": INTS,
+    "--tol": REALS,
+    "--init-range": REALS,
+    "--plateau-window": INTS,
+    "--plateau-epsilon": REALS,
+    "--bit-order": st.sampled_from(["msb", "lsb", "big"]),
+    "--template": st.sampled_from([*TEMPLATES, "full"]),
+    "--config": st.sampled_from(["config.json", "missing.json", ""]),
+}
+COMMANDS = {
+    "train": (
+        {
+            "--task": TASKS,
+            "--max-epochs": _small_or_invalid("1", "5", "30"),
+            "--out": st.just("out"),
+        },
+        RUN_FLAGS,
+    ),
+    "sweep": (
+        {
+            "--task": TASKS,
+            "--max-epochs": _small_or_invalid("1", "5", "30"),
+            "--seeds": _small_or_invalid("0", "0-2", "3,1"),
+            "--out": st.sampled_from(["out", "", "blocker/out"]),
+        },
+        RUN_FLAGS,
+    ),
+    "adiabatic-check": (
+        {
+            "--points": _small_or_invalid("1", "3", "5"),
+            "--t-f": _small_or_invalid("1", "2"),
+            "--dt": _small_or_invalid("0.001", "0.002", "1e-12"),
+        },
+        {
+            "--x-min": REALS,
+            "--x-max": REALS,
+            "--omega-factor": REALS,
+            "--omega-end": REALS,
+            "--ramp": st.sampled_from(["linear", "smooth", "cubic"]),
+        },
+    ),
+    "gate-verify": (
+        {"--summary": st.sampled_from(["good.json", "config.json", "missing.json", ""])},
+        {"--seed": INTS},
+    ),
+    "feasibility": (
+        {},
+        {"--task": TASKS, "--template": st.sampled_from([*TEMPLATES, "full"])},
+    ),
+}
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_VALUES = {
+    **dict.fromkeys(
+        ["eta", "cost_tolerance", "init_range", "plateau_epsilon"],
+        st.one_of(JSON_LEAVES, st.sampled_from([10**400, -(10**309)])),
+    ),
+    "task": TASKS,
+    "max_epochs": st.sampled_from([1, 30, 0, -5, 2.7, "5", None, 10**30]),
+    "seeds": st.sampled_from([[0], [0, 1], [1, 1], [], [-1], "0-2", [0.5], None]),
+    "seed": st.sampled_from([0, 3, -1, 1.5, "0", None, True]),
+}
+
+
+@pytest.fixture(scope="module")
+def good_summary_text(tmp_path_factory):
+    config = ExperimentConfig(task="cnot", max_epochs=20)
+    path = tmp_path_factory.mktemp("good") / "summary.json"
+    return emit_summary(_run(config), path).read_text()
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_any_command_line_exits_cleanly(good_summary_text, tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    required, optional = COMMANDS[command]
+    names = data.draw(
+        st.lists(st.sampled_from(sorted(optional)), max_size=5, unique=True)
+    )
+    tmp = tmp_path_factory.mktemp("cli")
+    paths = ("--out", "--config", "--summary")  # files live under tmp
+    argv = [command]
+    for name in [*required, *names]:
+        value = data.draw({**required, **optional}[name], label=name)
+        argv.append(f"{name}={tmp / value if name in paths else value}")
+    if command in ("train", "sweep") and data.draw(st.booleans()):
+        argv.append("--require-convergence")
+    config = data.draw(
+        st.one_of(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    key: CONFIG_VALUES.get(key, JSON_VALUES)
+                    for key in sorted(harness._SETTINGS | {"seed", "bogus"})
+                },
+            ),
+            JSON_VALUES,
+        ),
+        label="config.json",
+    )
+    (tmp / "config.json").write_text(json.dumps(config))
+    (tmp / "good.json").write_text(good_summary_text)
+    (tmp / "blocker").write_text("not a directory")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code != 0:
+        assert len(err.getvalue().splitlines()) <= 1
 
 
 class TestModuleEntryPoint:

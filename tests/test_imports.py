@@ -1,6 +1,6 @@
 """Source hygiene: every name a module or test file imports is used in that
-file, and the package exports exactly the names in its modules' __all__
-lists."""
+file, the package exports exactly the names in its modules' __all__ lists,
+and each of those names has a caller outside the unit tests."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,14 @@ MODULES = sorted(
     p for p in Path(qperceptron.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+# the code a public name may be called from: the package itself, the
+# acceptance criteria and the benchmark (read only)
+CALLERS = [
+    *Path(qperceptron.__file__).parent.glob("*.py"),
+    REPO / "tests" / "test_acceptance.py",
+    *(REPO / "perfbench").glob("*.py"),
+]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -64,6 +73,38 @@ def test_package_exports_exactly_the_public_names_of_each_module():
     assert exported == set(public)
     for name, module in public.items():
         assert getattr(qperceptron, name) is getattr(module, name), name
+
+
+def _read_names(source: str) -> set[str]:
+    """Every name the source reads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a string in an __all__ list is not a read; a console script's target
+    # (module:function in pyproject.toml) counts as a caller of the function
+    read = set().union(*(_read_names(path.read_text()) for path in CALLERS))
+    pyproject = (REPO / "pyproject.toml").read_text()
+    scripts = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    read.update(re.findall(r':(\w+)"', scripts))
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        if path.stem != "__main__"
+        for name in importlib.import_module(f"qperceptron.{path.stem}").__all__
+        if name not in read
+    ]
+    assert uncalled == []
+
+
+def test_the_caller_check_sees_names_and_attributes_only():
+    source = '__all__ = ["a", "b"]\nb.c(d)\ne = f.g\nh.i = 1\n'
+    assert _read_names(source) == {"b", "c", "d", "f", "g", "h"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

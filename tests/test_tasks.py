@@ -533,6 +533,76 @@ def _random_tables():
     return tables
 
 
+def _feasible_templates(task_id, bit_order, output_index, templates):
+    """The templates under which the oracle finds output_index feasible,
+    each swapped in for the task's published one."""
+    task = resolve_task(task_id, bit_order)
+    found = []
+    for template in templates:
+        swapped = list(task.templates)
+        swapped[output_index] = tuple(template)
+        spec = dataclasses.replace(task, templates=tuple(swapped))
+        if check_exact_representability(spec, output_index).feasible:
+            found.append(tuple(template))
+    return found
+
+
+class TestTemplateFacts:
+    """What the oracle says of smaller templates than the stored ones; the
+    comment above tasks._TASKS rests on these."""
+
+    @pytest.mark.parametrize("bit_order", ["msb", "lsb"])
+    def test_prime5_needs_three_product_terms(self, bit_order):
+        terms = _product_terms(5)
+        small = [c for n in range(3) for c in itertools.combinations(terms, n)]
+        assert _feasible_templates("prime5", bit_order, 0, small) == []
+
+    @pytest.mark.parametrize(
+        "bit_order, additions",
+        [
+            ("msb", [((1, 3, 4), (1, 2, 3, 5))]),
+            (
+                "lsb",
+                [
+                    ((2, 3, 4), (1, 3, 4, 5)),
+                    ((2, 3, 5), (1, 3, 4, 5)),
+                    ((1, 2, 3, 4), (1, 3, 4, 5)),
+                    ((1, 2, 3, 5), (1, 3, 4, 5)),
+                ],
+            ),
+        ],
+    )
+    def test_prime5_two_term_additions_to_the_published_pair(self, bit_order, additions):
+        others = [t for t in _product_terms(5) if t != (2, 3)]
+        pairs = list(itertools.combinations(others, 2))
+        templates = [((2, 3), *pair) for pair in pairs]
+        found = _feasible_templates("prime5", bit_order, 0, templates)
+        assert found == [((2, 3), *pair) for pair in additions]
+        stored = resolve_task("prime5", template="extended").templates[0]
+        assert (bit_order == "msb") == (stored in found)
+
+    def test_toffoli_target_needs_any_two_of_its_three_terms(self):
+        terms = [(1, 3), (2, 3), (1, 2, 3)]
+        singles = [(t,) for t in terms]
+        assert _feasible_templates("toffoli", "msb", 2, singles) == []
+        pairs = list(itertools.combinations(terms, 2))
+        assert _feasible_templates("toffoli", "msb", 2, pairs) == pairs
+
+    @pytest.mark.parametrize("output_index", [1, 2])
+    def test_fredkin_swap_outputs_need_one_pair_term(self, output_index):
+        singles = [(t,) for t in _product_terms(3)]
+        found = _feasible_templates("fredkin", "msb", output_index, singles)
+        assert found == [((1, 2),), ((1, 3),)]
+
+    @pytest.mark.parametrize(
+        "bit_order, feasible", [("msb", [(1, 2), (1, 3)]), ("lsb", [(1, 3), (2, 3)])]
+    )
+    def test_prime3_single_pair_terms(self, bit_order, feasible):
+        singles = [(t,) for t in _product_terms(3)]
+        found = _feasible_templates("prime3", bit_order, 0, singles)
+        assert found == [(t,) for t in feasible]
+
+
 class TestOracleMatchesLinprogReference:
     """check_exact_representability solves with its own simplex; the verdicts
     and margins must be those of scipy's linprog on the same LP.  A

@@ -28,6 +28,12 @@ from qperceptron import (
     resolve_task,
     train,
 )
+from qperceptron import training
+from qperceptron.training import MAX_SEED_EPOCHS
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an over-budget run started")
 
 
 def _flatten(g):
@@ -301,6 +307,17 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match=message):
             train([net], resolve_task(task_id).examples, TrainerConfig(max_epochs=1))
 
+    def test_rejects_a_run_over_the_seed_epoch_budget_before_it_starts(
+        self, monkeypatch
+    ):
+        net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
+        examples = resolve_task("xor").examples
+        monkeypatch.setattr(training, "_stack", _must_not_run)
+        config = TrainerConfig(max_epochs=MAX_SEED_EPOCHS // 2 + 1)
+        message = r"seeds x max_epochs = 2 x 25000001 exceeds the budget of 50000000"
+        with pytest.raises(InvalidInputError, match=message):
+            train([net, net], examples, config)
+
     def test_rejects_an_unknown_encoding(self):
         net = TrainedNetwork((NeuralPotential((0.1, 0.2), 0.0),), 2)
         examples, config = resolve_task("xor").examples, TrainerConfig(max_epochs=1)
@@ -386,7 +403,7 @@ class TestBatchedTraining:
         [
             # ragged stops: seeds leave the batch at different epochs
             ("toffoli", {"template": "extended"}, 2000, 0.005, "spin"),
-            # every seed runs past the first cost-buffer growth
+            # no seed converges: every seed runs the whole budget
             ("toffoli", {}, 1100, 0.01, "spin"),
             ("prime5", {"template": "extended"}, 2000, 0.01, "spin"),
             ("prime3", {"template": "two-qubit"}, 300, 0.01, "bit"),
@@ -450,10 +467,12 @@ class TestDetectPlateau:
         curve = CostCurve(costs=np.geomspace(1.0, 1e-4, 500), cost_tolerance=1e-9)
         assert detect_plateau(curve, TrainerConfig()) is None
 
-    def test_short_curve_raises(self):
-        curve = CostCurve(costs=np.full(100, 0.3), cost_tolerance=0.01)
-        with pytest.raises(InvalidInputError):
-            detect_plateau(curve, TrainerConfig(plateau_window=200))
+    @pytest.mark.parametrize("epochs", [0, 100, 200])
+    def test_a_curve_no_longer_than_the_window_has_none(self, epochs):
+        curve = CostCurve(costs=np.full(epochs, 0.25), cost_tolerance=0.01)
+        assert detect_plateau(curve, TrainerConfig(plateau_window=200)) is None
+        longer = CostCurve(costs=np.full(epochs + 201, 0.25), cost_tolerance=0.01)
+        assert detect_plateau(longer, TrainerConfig(plateau_window=200)) == 0.25
 
     def test_classical_prime_search_stalls(self):
         task = resolve_task("prime3", template="two-qubit")
