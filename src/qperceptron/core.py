@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -42,12 +43,22 @@ class InvalidInputError(ValueError):
     """Raised when a value violates a documented precondition."""
 
 
-def _check_finite(x: np.ndarray | float, name: str) -> None:
+def _check_finite(x: np.ndarray, name: str) -> None:
     """InvalidInputError naming the first non-finite value of x, if any."""
     finite = np.isfinite(x)
     if not np.all(finite):
         bad = float(np.asarray(x)[~finite].flat[0])
         raise InvalidInputError(f"{name} must be finite, got {bad!r}")
+
+
+def _finite_real(x, name: str) -> float:
+    """x as a float; InvalidInputError unless it is a finite numbers.Real."""
+    if not isinstance(x, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {x!r}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def activation(x):
@@ -127,9 +138,8 @@ class MultiQubitTerm:
             raise InvalidInputError(f"term indices are 1-based, got {idx}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise InvalidInputError(f"term indices must be strictly increasing, got {idx}")
-        _check_finite(self.weight, "term weight")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", _finite_real(self.weight, "term weight"))
 
 
 @dataclass(frozen=True)
@@ -141,11 +151,10 @@ class NeuralPotential:
     multi_terms: tuple[MultiQubitTerm, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        w = tuple(float(v) for v in self.linear_weights)
+        w = tuple(_finite_real(v, "linear weights") for v in self.linear_weights)
         if len(w) == 0:
             raise InvalidInputError("potential needs at least one input spin")
-        _check_finite(np.array(w), "linear weights")
-        _check_finite(self.bias, "bias")
+        bias = _finite_real(self.bias, "bias")
         terms = tuple(self.multi_terms)
         seen: set[tuple[int, ...]] = set()
         for t in terms:
@@ -159,7 +168,7 @@ class NeuralPotential:
                 raise InvalidInputError(f"duplicate term over indices {t.indices}")
             seen.add(t.indices)
         object.__setattr__(self, "linear_weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "multi_terms", terms)
 
     @property
@@ -210,12 +219,11 @@ def _unpack(
     k: int, template: Sequence[Sequence[int]], theta: np.ndarray
 ) -> NeuralPotential:
     """The potential over k inputs whose _pack is theta; later slots are padding."""
+    th = theta.tolist()
     terms = tuple(
-        MultiQubitTerm(indices, float(theta[k + m]))
-        for m, indices in enumerate(template)
+        MultiQubitTerm(indices, th[k + m]) for m, indices in enumerate(template)
     )
-    bias = float(theta[k + len(terms)])
-    return NeuralPotential(tuple(float(v) for v in theta[:k]), bias, terms)
+    return NeuralPotential(tuple(th[:k]), th[k + len(terms)], terms)
 
 
 def enumerate_inputs(k: int) -> list[SpinConfig]:

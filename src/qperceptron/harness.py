@@ -79,6 +79,9 @@ _CHOICES = {
 # at most this many seeds in one experiment (see training.MAX_SEED_EPOCHS)
 MAX_SEEDS = 10_000
 
+# cost CSV rows formatted per block (emit_cost_curve_csv)
+CSV_BLOCK_ROWS = 8192
+
 # annotation -> (accepted type, stored type)
 _TYPES: dict[str, tuple[Any, type]] = {
     "str": (str, str),
@@ -253,16 +256,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def emit_cost_curve_csv(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
-    """Write cost_seed<seed>.csv per seed; 12 significant digits per cost."""
+    """Write cost_seed<seed>.csv per seed; 12 significant digits per cost.
+
+    Row e is "%d,%.12g" % (e, cost), formatted CSV_BLOCK_ROWS rows at a
+    time, so the memory needed does not grow with a curve's length.  A
+    block's row format is built once and reused by the next seed whose
+    block covers the same epochs.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
+    span, rows = (0, 0), ""  # the last block's (start, length) and its row format
     for outcome in result.outcomes:
         path = out / f"cost_seed{outcome.seed}.csv"
-        costs = outcome.curve.costs.tolist()
+        costs = outcome.curve.costs
         with open(path, "w", newline="\n") as fh:
             fh.write("epoch,cost\n")
-            fh.write("".join(["%d,%.12g\n" % ec for ec in enumerate(costs, 1)]))
+            for start in range(0, len(costs), CSV_BLOCK_ROWS):
+                block = costs[start : start + CSV_BLOCK_ROWS].tolist()
+                if span != (start, len(block)):
+                    span = (start, len(block))
+                    epochs = tuple(range(start + 1, start + len(block) + 1))
+                    rows = ("%d,%%.12g\n" * len(block)) % epochs
+                fh.write(rows % tuple(block))
         paths.append(path)
     return paths
 
@@ -316,8 +332,7 @@ def emit_summary(result: ExperimentResult, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return path
 
 

@@ -309,16 +309,20 @@ def train(
     lockstep on one stacked parameter tensor, and each leaves the batch at
     the first epoch its cost falls below the tolerance.  A network's
     results are the same whatever other networks share its batch.  The
-    cost record, (max_epochs, len(nets)) and at most MAX_SEED_EPOCHS
-    entries, is allocated once; only the epochs that run touch its memory.
+    cost record, (len(nets), max_epochs) and at most MAX_SEED_EPOCHS
+    entries, is allocated once, one row per network; only the epochs that
+    run touch its memory.  Each curve is a view of its network's row, so
+    it keeps the whole record alive.
     """
     _check_seed_epochs(len(nets), config.max_epochs)
     design, theta, targets = _stack(nets, training_set, encoding)
     n_nets = len(nets)
-    costs = np.empty((config.max_epochs, n_nets))
+    tol = config.cost_tolerance
+    costs = np.empty((n_nets, config.max_epochs))
     ran = np.full(n_nets, config.max_epochs)
     final = np.empty_like(theta)
     active = np.arange(n_nets)
+    rows = slice(None)  # a basic index into costs until the first seed stops
     # one scope for the whole run: an overflow raises "diverged" instead
     with np.errstate(over="ignore"):
         q, err = _forward(design, theta, targets)
@@ -326,20 +330,20 @@ def train(
             theta = theta - config.eta * _gradients(design, q, err)
             q, err = _forward(design, theta, targets)
             c = _costs(err)
-            costs[e, active] = c
-            done = c < config.cost_tolerance
-            if done.any():
+            costs[rows, e] = c
+            if c.min() < tol:  # costs are finite: _forward checks
+                done = c < tol
                 stopped = active[done]
                 ran[stopped] = e + 1
                 final[stopped] = theta[done]
                 keep = ~done
                 active, theta, q, err = active[keep], theta[keep], q[keep], err[keep]
+                rows = active
                 if active.size == 0:
                     break
     final[active] = theta
-    tol = config.cost_tolerance
     return [
-        (_network(net_s, final[s]), CostCurve(costs[: ran[s], s].copy(), tol))
+        (_network(net_s, final[s]), CostCurve(costs[s, : ran[s]], tol))
         for s, net_s in enumerate(nets)
     ]
 

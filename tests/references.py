@@ -4,14 +4,18 @@ evaluate_potential sums a potential on one spin configuration, the
 reference for core.features; hamiltonian is the 2x2 generator whose upper
 eigenvector dynamics.instantaneous_upper_eigenstate returns;
 excitation_probability reads one qubit's marginal off a register, the
-reference for dynamics.statevector_table.  Nothing in the package calls
-them, so they live with the tests, as does potentials_over, the hypothesis
-strategy that the engine properties draw from.
+reference for dynamics.statevector_table; cost_csv_text and summary_text
+are the row-by-row and streaming writers that harness's emitters must
+match byte for byte.  Nothing in the package calls them, so they live with
+the tests, as does potentials_over, the hypothesis strategy that the engine
+properties draw from.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 
 import numpy as np
 from hypothesis import strategies as st
@@ -50,6 +54,20 @@ def excitation_probability(state: Statevector, j: int) -> float:
     """Marginal probability that qubit j (1-based, 1 most significant) reads 1."""
     t = state.amplitudes.reshape([2] * state.n)
     return float(np.sum(np.abs(np.take(t, 1, axis=j - 1)) ** 2))
+
+
+def cost_csv_text(costs: np.ndarray) -> str:
+    """A cost_seed<seed>.csv formatted one row at a time."""
+    rows = ["%d,%.12g\n" % ec for ec in enumerate(costs.tolist(), 1)]
+    return "epoch,cost\n" + "".join(rows)
+
+
+def summary_text(doc) -> str:
+    """A summary.json streamed by json.dump, then a newline."""
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
+    return fh.getvalue()
 
 
 @st.composite

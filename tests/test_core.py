@@ -98,6 +98,52 @@ class TestPotentialTypes:
         with pytest.raises(InvalidInputError):
             NeuralPotential((0.1, float("nan")), 0.0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: NeuralPotential((0.1, float("nan")), 0.0),
+                "linear weights must be finite, got nan",
+            ),
+            (
+                lambda: NeuralPotential((0.1,), np.float64("-inf")),
+                "bias must be finite, got -inf",
+            ),
+            (
+                lambda: MultiQubitTerm((1, 2), np.float32("nan")),
+                "term weight must be finite, got nan",
+            ),
+        ],
+        ids=["linear-nan", "bias-float64-inf", "term-float32-nan"],
+    )
+    def test_a_non_finite_weight_is_named_as_a_python_float(self, make, message):
+        with pytest.raises(InvalidInputError) as info:
+            make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: MultiQubitTerm((1, 2), "1.0"), "term weight"),
+            (lambda: NeuralPotential((1.0,), "0.5"), "bias"),
+            (lambda: NeuralPotential(("1.0", 2.0), 0.0), "linear weights"),
+            (lambda: NeuralPotential((1.0,), None), "bias"),
+            (lambda: MultiQubitTerm((1, 2), 1j), "term weight"),
+        ],
+        ids=["term-str", "bias-str", "linear-str", "bias-none", "term-complex"],
+    )
+    def test_a_weight_that_is_not_a_real_number_is_rejected(self, make, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a real number"):
+            make()
+
+    def test_numpy_and_bool_weights_are_stored_as_floats(self):
+        term = MultiQubitTerm((1, 2), np.float32(0.5))
+        p = NeuralPotential((np.int64(2), True), np.float16(-1.0), (term,))
+        assert p.linear_weights == (2.0, 1.0) and p.bias == -1.0
+        assert term.weight == 0.5
+        values = (*p.linear_weights, p.bias, term.weight)
+        assert all(type(v) is float for v in values)
+
     def test_potential_needs_at_least_one_input(self):
         with pytest.raises(InvalidInputError):
             NeuralPotential((), 0.0)

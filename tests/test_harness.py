@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from qperceptron import (
     TASK_IDS,
     TEMPLATES,
     ConfigError,
+    CostCurve,
     ExperimentConfig,
     TrainerConfig,
     cli,
@@ -31,6 +35,7 @@ from qperceptron import (
     run_experiment,
 )
 from qperceptron.training import MAX_SEED_EPOCHS
+from references import cost_csv_text, summary_text
 
 
 def _run(config: ExperimentConfig):
@@ -40,6 +45,17 @@ def _run(config: ExperimentConfig):
 def load_network_from_summary(path, seed=None):
     """The network gate-verify reads for one seed (default: first) of a summary."""
     return harness._network_from_summary(load_summary(path), path, seed)
+
+
+def _first_difference(got: str, expected: str):
+    """None if the texts are equal, else (line number, got, expected) of the
+    first line that differs: a short report where a diff of two long CSVs
+    would take minutes."""
+    lines = itertools.zip_longest(got.splitlines(), expected.splitlines())
+    for number, (a, b) in enumerate(lines, 1):
+        if a != b:
+            return number, a, b
+    return None
 
 
 def _must_not_run(*args, **kwargs):
@@ -215,6 +231,69 @@ class TestCostCurveCsv:
         (b,) = emit_cost_curve_csv(_run(config), tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
+    # one cost per branch of %.12g: zero, exponent form, plain, subnormal,
+    # rounded to 12 digits, and a large exponent
+    BRANCHES = [0.0, 1e-05, 0.5, 5e-324, 0.1234567890125, 1e16]
+
+    @staticmethod
+    def _with_curves(curves):
+        """An xor result whose seeds 0, 1, ... carry the given cost arrays."""
+        result = _run(ExperimentConfig(task="xor", seeds=(0,), max_epochs=3))
+        outcome = result.outcomes[0]
+        outcomes = tuple(
+            dataclasses.replace(outcome, seed=s, curve=CostCurve(costs, 0.01))
+            for s, costs in enumerate(curves)
+        )
+        return dataclasses.replace(result, outcomes=outcomes)
+
+    def _ragged_curves(self):
+        block = harness.CSV_BLOCK_ROWS
+        rng = np.random.default_rng(3)
+        curves = []
+        for n in (1, block - 1, block, block + 1, 2 * block + 3):
+            costs = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+            costs[: len(self.BRANCHES)] = self.BRANCHES[:n]
+            costs[-1] = self.BRANCHES[n % len(self.BRANCHES)]
+            curves.append(costs)
+        return curves
+
+    def test_ragged_curves_match_the_row_by_row_writer(self, tmp_path):
+        assert ["%.12g" % c for c in self.BRANCHES] == [
+            "0", "1e-05", "0.5", "4.94065645841e-324", "0.123456789012", "1e+16"
+        ]
+        curves = self._ragged_curves()
+        paths = emit_cost_curve_csv(self._with_curves(curves), tmp_path)
+        for costs, path in zip(curves, paths):
+            assert _first_difference(path.read_text(), cost_csv_text(costs)) is None
+
+    def test_a_seeds_bytes_do_not_depend_on_the_curves_beside_it(self, tmp_path):
+        # the writer reuses the previous seed's row format; equal lengths
+        # with different costs, side by side, must not share their rows
+        block = harness.CSV_BLOCK_ROWS
+        rng = np.random.default_rng(5)
+        curves = self._ragged_curves()
+        curves[3:3] = [rng.random(block + 1), rng.random(70), rng.random(70)]
+        alone = []
+        for s, costs in enumerate(curves):
+            (path,) = emit_cost_curve_csv(self._with_curves([costs]), tmp_path / f"{s}")
+            alone.append(path.read_text())
+        for order, out in [(1, "forward"), (-1, "backward")]:
+            result = self._with_curves(curves[::order])
+            paths = emit_cost_curve_csv(result, tmp_path / out)
+            for path, text in zip(paths, alone[::order]):
+                assert _first_difference(path.read_text(), text) is None
+
+    def test_emitting_a_long_curve_takes_memory_per_block(self, tmp_path):
+        rows = 10**5
+        result = self._with_curves([np.random.default_rng(7).random(rows)])
+        tracemalloc.start()
+        try:
+            emit_cost_curve_csv(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / rows <= 16  # bytes per row; the row-by-row writer took ~135
+
 
 class TestSummary:
     def test_schema_for_a_converged_run(self, tmp_path):
@@ -260,6 +339,13 @@ class TestSummary:
         task = resolve_task("xor", template="two-qubit")
         reloaded = cost(net, task.examples, encoding="bit")
         assert reloaded == pytest.approx(entry["final_cost"], abs=1e-12)
+
+    def test_one_write_equals_the_streaming_writer(self, tmp_path):
+        result = _run(
+            ExperimentConfig(task="toffoli", template="extended", seeds=(0, 1, 2))
+        )
+        text = emit_summary(result, tmp_path / "summary.json").read_text()
+        assert text == summary_text(json.loads(text))
 
     def test_missing_seed_raises(self, tmp_path):
         result = _run(ExperimentConfig(task="xor", seeds=(0,), max_epochs=50))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,12 @@ from qperceptron import (
     train,
 )
 from qperceptron import training
+from qperceptron.harness import (
+    ExperimentConfig,
+    ExperimentResult,
+    SeedOutcome,
+    emit_cost_curve_csv,
+)
 from qperceptron.training import MAX_SEED_EPOCHS
 
 
@@ -291,6 +298,21 @@ class TestTrain:
         assert len(curve.costs) == budget
         assert curve.epochs_to_tolerance == expected
 
+    def test_the_cost_record_is_the_only_memory_per_seed_epoch(self):
+        # no seed converges on the published toffoli template, so all run
+        # the whole budget; each curve is a row of the one 8-byte record
+        task = resolve_task("toffoli")
+        seeds, epochs = 20, 4000
+        nets = [_random_network(task, seed) for seed in range(seeds)]
+        tracemalloc.start()
+        try:
+            result = train(nets, task.examples, TrainerConfig(max_epochs=epochs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(curve.costs) for _, curve in result] == [epochs] * seeds
+        assert peak / (seeds * epochs) <= 10  # bytes; curve copies made it ~17
+
     def test_curve_is_frozen(self):
         curve = CostCurve(costs=np.full(3, 0.001), cost_tolerance=0.01)
         assert curve.epochs_to_tolerance == 3
@@ -434,6 +456,38 @@ class TestBatchedTraining:
         for epoch, value in costs.items():
             assert curve.costs[epoch - 1] == pytest.approx(value, abs=1e-12)
         np.testing.assert_allclose(_weights(net), weights, rtol=0, atol=1e-12)
+
+    def test_stops_at_the_first_a_middle_and_the_last_epoch(self, tmp_path):
+        # xor at tolerance 0.01 with a 22-epoch budget: a pair weight of -200
+        # stops at epoch 1, seed 0's draw at 7, +2 at 22 and +10 never.  The
+        # batch records costs through a slice until the first seed stops.
+        task = resolve_task("xor")
+        config = TrainerConfig(max_epochs=22)
+
+        def pair(weight):
+            term = MultiQubitTerm((1, 2), weight)
+            return TrainedNetwork((NeuralPotential((0.0, 0.0), 0.0, (term,)),), 2)
+
+        def csv_bytes(trained, out):
+            outcomes = tuple(
+                SeedOutcome(seed, curve, net, None, 0.0)
+                for seed, (net, curve) in trained
+            )
+            config = ExperimentConfig(task="xor", seeds=tuple(s for s, _ in trained))
+            result = ExperimentResult(config, outcomes, (), None, 0.0)
+            return [path.read_bytes() for path in emit_cost_curve_csv(result, out)]
+
+        nets = [pair(10.0), pair(-200.0), _random_network(task, 0), pair(2.0)]
+        batch = train(nets, task.examples, config)
+        assert [curve.epochs_to_tolerance for _, curve in batch] == [None, 1, 7, 22]
+        assert len(batch[0][1].costs) == 22
+        together = csv_bytes(list(enumerate(batch)), tmp_path / "batch")
+        for seed, net in enumerate(nets):
+            alone = train([net], task.examples, config)[0]
+            net_b, curve_b = batch[seed]
+            assert net_b == alone[0]
+            assert curve_b.costs.tobytes() == alone[1].costs.tobytes()
+            assert csv_bytes([(seed, alone)], tmp_path / f"{seed}") == [together[seed]]
 
     def test_mixed_templates_or_arities_raise(self):
         paper = resolve_task("toffoli")
