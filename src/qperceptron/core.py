@@ -193,7 +193,8 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
         indices = _integer_indices(indices)
         if not all(1 <= i <= k for i in indices):
             raise InvalidInputError(f"term {indices} is outside spins 1..{k}")
-        out[:, k + m] = np.prod(inputs[:, np.subtract(indices, 1)], axis=1)
+        cols = np.subtract(indices, 1)
+        np.multiply.reduce(inputs[:, cols], axis=1, out=out[:, k + m])
     out[:, -1] = -1.0
     return out
 

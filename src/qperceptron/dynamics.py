@@ -588,10 +588,17 @@ def apply_perceptron_gate(
             f"target qubit {target} is among the input qubits 1..{p.arity}"
         )
 
-    k = p.arity
-    # f of the potential on every input configuration, in basis index order,
-    # broadcast over the axes past the inputs once the target axis is taken.
-    prob = _activations([p], 2.0 * _bit_rows(k) - 1.0)
+    prob = _activations([p], 2.0 * _bit_rows(p.arity) - 1.0)
+    return _rotate_target(state, prob[:, 0], p.arity, target)
+
+
+def _rotate_target(
+    state: Statevector, prob: np.ndarray, k: int, target: int
+) -> Statevector:
+    """The rotation of apply_perceptron_gate on target, given f of its
+    potential on every configuration of input qubits 1..k (2^k,) in basis
+    index order."""
+    # broadcast over the axes past the inputs once the target axis is taken
     prob = prob.reshape([2] * k + [1] * (state.n - 1 - k))
     c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)
     return _update_qubit(
@@ -630,7 +637,9 @@ def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
     state = zero_state(k + n_out)
     for j in range(1, k + 1):
         state = apply_hadamard(state, j)
-    state = apply_network(state, [(p, k + 1 + j) for j, p in enumerate(potentials)])
+    prob = _activations(potentials, 2.0 * _bit_rows(k) - 1.0)
+    for j in range(n_out):
+        state = _rotate_target(state, prob[:, j], k, k + 1 + j)
     probs = np.abs(state.amplitudes.reshape(2**k, 2**n_out)) ** 2
     return 2.0**k * (probs @ _bit_rows(n_out))  # column j: target j reads 1
 

@@ -35,7 +35,9 @@ from .core import (
 from .dynamics import _RAMPS, OMEGA_START_FACTOR, AdiabaticSchedule, _ramp_steps
 from .dynamics import _profile_schedule, adiabatic_profile
 from .tasks import (
+    OUTPUT_THRESHOLD,
     TEMPLATES,
+    TIE_BAND,
     FeasibilityVerdict,
     TaskSpec,
     check_exact_representability,
@@ -559,6 +561,11 @@ def _cmd_gate_verify(args: argparse.Namespace) -> int:
         )
         for bits, predicted, expected in report.mismatches:
             print(f"  mismatch at input {bits}: predicted {predicted}, expected {expected}")
+        for bits, outputs, expected in report.ties:
+            print(
+                f"  tie at input {bits}: output {', '.join(map(str, outputs))} "
+                f"within {TIE_BAND:g} of {OUTPUT_THRESHOLD:g}, expected {expected}"
+            )
         ok = ok and report.all_correct
     print("verdict=" + ("pass" if ok else "fail"))
     return 0 if ok else 2

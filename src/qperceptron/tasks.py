@@ -4,14 +4,17 @@ Every task is a complete truth table over k input bits together with one
 multi-qubit term template per output perceptron.  Inputs enumerate all 2^k
 bit strings; targets are the task's output bits for each string.
 
-The representability oracle answers, by linear programming over the full
-truth table, whether some setting of a perceptron's parameters classifies
-every row with the correct sign of the potential.  It is exhaustive and
-only intended for small registers (k <= 5).
+The representability oracle answers whether some setting of a perceptron's
+parameters classifies every row with the correct sign of the potential.  It
+first looks for an XOR face, a parity obstruction that proves the answer is
+no at once; linear programming over the full truth table decides every
+output without one.  It is exhaustive and only intended for small registers
+(k <= 5).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -46,8 +49,11 @@ BitOrder = Literal["msb", "lsb"]
 Templates = tuple[tuple[tuple[int, ...], ...], ...]
 
 FEASIBILITY_MARGIN = 1e-9
-# verify_truth_table reads an output above this as 1, at or below it as 0
+# verify_truth_table reads an output above this as 1, at or below it as 0,
+# and an output within TIE_BAND of it as a tie, neither: its potential is
+# within rounding of 0, so each engine's last bits would decide it
 OUTPUT_THRESHOLD = 0.5
+TIE_BAND = 1e-12
 MAX_ORACLE_ARITY = 5
 # Bland's rule ends every solve in exact arithmetic; the cap, ~7x the most
 # pivots seen on 4,900 random k <= 5 tables (147), stops a numerical stall
@@ -190,14 +196,24 @@ def resolve_task(
     return TaskSpec(task_id, arity, templates, examples)
 
 
+Rows = tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class TruthTableReport:
-    """Row-by-row comparison of thresholded network outputs to targets."""
+    """Row-by-row comparison of thresholded network outputs to targets.
+
+    mismatches holds (input bits, predicted, expected) per wrong row; ties
+    holds (input bits, 1-based outputs in the tie band, expected) per row
+    with an output within TIE_BAND of OUTPUT_THRESHOLD, which is neither
+    correct nor wrong.
+    """
 
     n_rows: int
     n_correct: int
-    mismatches: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    mismatches: Rows
     max_abs_error: float
+    ties: Rows
 
     @property
     def all_correct(self) -> bool:
@@ -209,7 +225,8 @@ def verify_truth_table(
     task: TaskSpec,
     engine: Literal["scalar", "statevector"] = "scalar",
 ) -> TruthTableReport:
-    """Threshold every output on every row at OUTPUT_THRESHOLD.
+    """Threshold every output on every row at OUTPUT_THRESHOLD; a row with
+    an output within TIE_BAND of it is a tie.
 
     The scalar engine evaluates every row at once with the activation of
     each output's potential; the statevector engine builds
@@ -226,21 +243,33 @@ def verify_truth_table(
     else:
         raise InvalidInputError(f"unknown engine {engine!r}")
     predicted = (y > OUTPUT_THRESHOLD).astype(int)
-    wrong = (predicted != task.targets).any(axis=1)
-    columns = (a[wrong].tolist() for a in (task.bits, predicted, task.targets))
-    mismatches = tuple(tuple(map(tuple, row)) for row in zip(*columns))
+    tied = np.abs(y - OUTPUT_THRESHOLD) <= TIE_BAND
+    tie = tied.any(axis=1)
+    wrong = (predicted != task.targets).any(axis=1) & ~tie
+    mismatches = _rows_at(wrong, task.bits, predicted, task.targets)
+    ties = tuple(
+        (bits, tuple(j + 1 for j, t in enumerate(row) if t), expected)
+        for bits, row, expected in _rows_at(tie, task.bits, tied, task.targets)
+    )
     n_rows = len(task.bits)
     return TruthTableReport(
         n_rows=n_rows,
-        n_correct=n_rows - len(mismatches),
+        n_correct=n_rows - len(mismatches) - len(ties),
         mismatches=mismatches,
         max_abs_error=float(np.max(np.abs(y - task.targets))),
+        ties=ties,
     )
+
+
+def _rows_at(mask: np.ndarray, *columns: np.ndarray) -> Rows:
+    """Per row where mask holds, its row of each column as a tuple of ints."""
+    picked = (c[mask].tolist() for c in columns)
+    return tuple(tuple(map(tuple, row)) for row in zip(*picked))
 
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Outcome of the sign-representability LP for one output perceptron."""
+    """Outcome of the sign-representability oracle for one output perceptron."""
 
     output_index: int
     feasible: bool
@@ -266,6 +295,10 @@ def check_exact_representability(
     margin min_n sign_n * (phi_n . theta) is 1, or at least 1 when the cap
     delta <= 1 binds (delta* = 1).  Raises RuntimeError if the solve does not
     end within _MAX_PIVOTS pivots.
+
+    Before the LP, an output with an XOR face (see _xor_face) is returned
+    infeasible with margin 0.0 and no witness, the LP's own answer there,
+    since the face certifies delta* = 0 exactly.  The LP decides the rest.
     """
     if task.arity > MAX_ORACLE_ARITY:
         raise InvalidInputError(
@@ -273,6 +306,8 @@ def check_exact_representability(
         )
     if not (0 <= output_index < task.n_outputs):
         raise InvalidInputError(f"output_index {output_index} out of range")
+    if _xor_face(task, output_index):
+        return FeasibilityVerdict(output_index, False, 0.0, None)
     template = task.templates[output_index]
     phi = features(_input_matrix(task.bits, "spin"), template)
     signs = 2.0 * task.targets[:, output_index] - 1.0
@@ -294,6 +329,38 @@ def check_exact_representability(
     theta = x[:n_params] - x[n_params:-1]
     witness = _unpack(task.arity, template, theta / delta)
     return FeasibilityVerdict(output_index, True, delta, witness)
+
+
+def _xor_face(task: TaskSpec, output_index: int) -> bool:
+    """Whether the output has an XOR face: qubits i < j that no template term
+    holds both of, and a setting of the other bits on which the labels are
+    the XOR of bits i and j or its complement.
+
+    Every feature then holds at most one of s_i and s_j, so the face's four
+    signed feature rows sum to zero (a Gordan certificate): delta* = 0.
+    Bit r of labels is row r's label (an int64 dot holds up to arity 5),
+    bit r of flips[i] says flipping qubit i at r changes it, and the face
+    through r is XOR iff it changes along i at r and at r with qubit j
+    flipped, and along j at r.
+    """
+    k = task.arity
+    labels = int(task.targets[:, output_index] @ (1 << _basis_index(task.bits)))
+    full = (1 << 2**k) - 1
+
+    def flip(mask: int, i: int) -> int:
+        """mask with bit r moved to bit r ^ s, s the place of qubit i."""
+        s = 1 << (k - i)
+        low = full // ((1 << s) + 1)  # the rows r with r & s == 0
+        return (mask >> s) & low | (mask & low) << s
+
+    flips = {i: labels ^ flip(labels, i) for i in range(1, k + 1)}
+    template = task.templates[output_index]
+    joined = {pair for term in template for pair in itertools.combinations(term, 2)}
+    return any(
+        flips[i] & flips[j] & flip(flips[i], j)
+        for i, j in itertools.combinations(range(1, k + 1), 2)
+        if (i, j) not in joined
+    )
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -923,6 +923,27 @@ class TestStatevectorTable:
             state = apply_perceptron_gate(state, p, target)
             assert abs(state.norm() - 1.0) <= 1e-12
 
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
+            lambda ko: st.lists(
+                potentials_over(ko[0]), min_size=ko[1], max_size=ko[1]
+            )
+        )
+    )
+    def test_is_the_gate_by_gate_evolution_bit_for_bit(self, network):
+        # the table takes every output's activations at once; the gates take
+        # one potential each
+        k, n_out = network[0].arity, len(network)
+        state = zero_state(k + n_out)
+        for j in range(1, k + 1):
+            state = apply_hadamard(state, j)
+        for j, p in enumerate(network):
+            state = apply_perceptron_gate(state, p, k + 1 + j)
+        probs = np.abs(state.amplitudes.reshape(2**k, 2**n_out)) ** 2
+        expected = 2.0**k * (probs @ _bit_rows(n_out))
+        np.testing.assert_array_equal(statevector_table(network), expected)
+
     def test_forward_statevector_is_the_row_of_its_input(self):
         rng = np.random.default_rng(41)
         potentials = _random_network_potentials(rng, 3, 2)

@@ -924,6 +924,18 @@ class TestCliFeasibility:
             == 1
         )
 
+    def test_every_task_and_template_prints_the_recorded_lines(self, capsys):
+        # recorded before the oracle decided XOR faces without its LP; a
+        # header per call gives the exit code, then stdout and stderr
+        golden = Path(__file__).parent / "golden" / "feasibility.txt"
+        blocks = []
+        for task_id, template in itertools.product(TASK_IDS, TEMPLATES):
+            code = cli(["feasibility", "--task", task_id, "--template", template])
+            captured = capsys.readouterr()
+            blocks.append(f"# {task_id} {template} exit={code}\n")
+            blocks.append(captured.out + captured.err)
+        assert "".join(blocks) == golden.read_text()
+
 
 class TestCliGateVerify:
     def test_trained_network_passes_both_engines(self, tmp_path, capsys):
@@ -935,6 +947,28 @@ class TestCliGateVerify:
         assert "scalar: 4/4" in out
         assert "statevector: 4/4" in out
         assert "verdict=pass" in out
+
+    def test_both_engines_print_the_same_tie_rows(self, tmp_path, capsys):
+        # toffoli:paper cannot learn its target: after 500 epochs seed 10's
+        # third potential is within ~1e-16 of 0 on four rows, which the two
+        # engines once rounded to different mismatches
+        config = ExperimentConfig(task="toffoli", seeds=(10,), max_epochs=500)
+        path = emit_summary(_run(config), tmp_path / "summary.json")
+        assert cli(["gate-verify", "--summary", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        ties = [
+            f"  tie at input {bits}: output 3 within 1e-12 of 0.5, expected {target}"
+            for bits, target in [
+                ((0, 0, 0), (0, 0, 0)),
+                ((0, 0, 1), (0, 0, 1)),
+                ((1, 1, 0), (1, 1, 1)),
+                ((1, 1, 1), (1, 1, 0)),
+            ]
+        ]
+        report = "4/8 rows correct, max |y - t| = 0.5"
+        assert lines == [
+            f"scalar: {report}", *ties, f"statevector: {report}", *ties, "verdict=fail"
+        ]
 
     def test_missing_summary_exits_three(self, tmp_path):
         assert (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from qperceptron import (
     train,
     verify_truth_table,
 )
-from qperceptron.core import _unpack, features
+from qperceptron.core import _pack, _unpack, features
 from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _is_prime
 from references import evaluate_potential
 
@@ -294,16 +295,40 @@ class TestVerifyTruthTable:
         assert report.max_abs_error == pytest.approx(6.238305610777317e-04, rel=1e-9)
         assert report.max_abs_error < 1e-3
 
-    def test_half_outputs_read_as_zero(self):
-        # untrained network answers exactly 0.5, which thresholds to 0
+    @pytest.mark.parametrize("engine", ["scalar", "statevector"])
+    def test_half_outputs_are_ties(self, engine):
+        # an untrained network answers exactly 0.5 on every row: no row is
+        # correct or wrong, each is a tie on both outputs
         task = resolve_task("cnot")
         p = NeuralPotential((0.0, 0.0), 0.0)
-        net = TrainedNetwork((p, p), 2)
-        report = verify_truth_table(net, task)
-        assert report.n_correct == 1
-        failed = {bits for bits, _, _ in report.mismatches}
-        assert failed == {(0, 1), (1, 0), (1, 1)}
+        report = verify_truth_table(TrainedNetwork((p, p), 2), task, engine)
+        assert report.n_correct == 0
+        assert report.mismatches == ()
+        assert report.ties == tuple(
+            (ex.bits, (1, 2), ex.target) for ex in task.examples
+        )
         assert report.max_abs_error == 0.5
+
+    @pytest.mark.parametrize("engine", ["scalar", "statevector"])
+    def test_tie_band_edges(self, engine):
+        # x = s1 + s2 - bias: rows 01 and 10 sit at -bias, so f(x) - 1/2 is
+        # about -bias / 2 there; rows 00 and 11 are decided (11 wrongly)
+        task = resolve_task("xor")
+
+        def report(bias):
+            net = TrainedNetwork((NeuralPotential((1.0, 1.0), bias),), 2)
+            return verify_truth_table(net, task, engine)
+
+        for bias in (0.0, 1e-16, -1e-16, 1e-12, -1.9e-12):
+            tied = report(bias)
+            assert tied.ties == (((0, 1), (1,), (1,)), ((1, 0), (1,), (1,)))
+            assert tied.mismatches == (((1, 1), (1,), (0,)),)
+            assert tied.n_correct == 1
+        assert 1.9e-12 / 2 < tasks.TIE_BAND < 2.1e-12 / 2
+        decided = report(-2.1e-12)  # just outside the band, on the right side
+        assert decided.ties == ()
+        assert decided.mismatches == (((1, 1), (1,), (0,)),)
+        assert decided.n_correct == 3
 
     def test_trained_cnot_passes_on_both_engines(self):
         task = resolve_task("cnot")
@@ -693,6 +718,109 @@ def test_a_planted_table_is_always_feasible(task):
     verdict = check_exact_representability(task, 0)
     assert verdict.feasible
     assert min(_signed_potentials(task, 0, verdict.witness)) >= 1.0 - 1e-7
+
+
+def _fields(verdict):
+    """A verdict's fields, each float also as its bits, so 0.0 and -0.0 differ."""
+    bits = None if verdict.witness is None else _pack(verdict.witness).tobytes()
+    margin = np.float64(verdict.margin).tobytes()
+    return verdict.output_index, verdict.feasible, margin, verdict.witness, bits
+
+
+class TestXorFace:
+    """An output whose labels are the XOR of two bits on some face, with no
+    template term joining the two, is infeasible without the LP."""
+
+    @staticmethod
+    def _face_labels(complement):
+        # the XOR of bits 1 and 3 where bit 2 is 1, constant where it is 0
+        rows = itertools.product((0, 1), repeat=3)
+        return [(b2 & (b1 ^ b3)) ^ complement for b1, b2, b3 in rows]
+
+    @pytest.mark.parametrize("complement", [0, 1])
+    def test_a_face_needs_its_pair_unjoined(self, complement):
+        labels = self._face_labels(complement)
+        assert tasks._xor_face(_table("face", 3, [(1, 2), (2, 3)], labels), 0)
+        for template in ([(1, 3)], [(1, 2, 3)]):
+            assert not tasks._xor_face(_table("face", 3, template, labels), 0)
+
+    @pytest.mark.parametrize("bit_order", ["msb", "lsb"])
+    @pytest.mark.parametrize(
+        "task_id, template", [("xor", "two-qubit"), ("prime5", "paper")]
+    )
+    def test_decided_without_the_lp(self, monkeypatch, task_id, template, bit_order):
+        def no_lp(*args):
+            raise AssertionError("the LP was reached")
+
+        monkeypatch.setattr(tasks, "_simplex", no_lp)
+        task = resolve_task(task_id, bit_order, template)
+        verdict = check_exact_representability(task, 0)
+        infeasible = tasks.FeasibilityVerdict(0, False, 0.0, None)
+        assert _fields(verdict) == _fields(infeasible)
+
+    @pytest.mark.parametrize(
+        "task_id, bit_order, output_index",
+        [("toffoli", "msb", 2), ("prime3", "msb", 0)],
+    )
+    def test_infeasible_outputs_with_no_face_reach_the_lp(
+        self, monkeypatch, task_id, bit_order, output_index
+    ):
+        # toffoli's (1, 2, 3) joins every pair; prime3's labels have no XOR face
+        calls = []
+        lp = tasks._simplex
+        monkeypatch.setattr(
+            tasks, "_simplex", lambda *args: calls.append(1) or lp(*args)
+        )
+        task = resolve_task(task_id, bit_order)
+        assert not tasks._xor_face(task, output_index)
+        assert not check_exact_representability(task, output_index).feasible
+        assert calls == [1]
+
+
+@st.composite
+def _shuffled_tables(draw):
+    """(kind, a one-output table at k = 2..5 with its rows in a random order)
+    under up to six product terms.  Labels are uniform, planted by a
+    potential of the template, or a constant or the XOR of two bits (either
+    complemented) with up to three rows flipped."""
+    k = draw(st.integers(2, MAX_ORACLE_ARITY))
+    terms = st.sampled_from(_product_terms(k))
+    template = sorted(draw(st.lists(terms, unique=True, max_size=6)))
+    kind = draw(st.sampled_from(["uniform", "planted", "constant", "parity"]))
+    n = 2**k
+    if kind == "uniform":
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    elif kind == "planted":
+        n_weights = k + len(template)
+        weights = draw(
+            st.lists(st.integers(-3, 3), min_size=n_weights, max_size=n_weights)
+        )
+        theta = np.array(weights + [draw(st.integers(-2, 2)) + 0.5])
+        labels = _planted_labels(k, template, theta).astype(int)
+    else:
+        labels = np.full(n, draw(st.integers(0, 1)))
+        if kind == "parity":
+            pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+            i, j = draw(pair)
+            bits = (np.arange(n)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+            labels ^= bits[:, i] ^ bits[:, j]
+        for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            labels[row] ^= 1
+    rows = list(zip(enumerate_inputs(k), labels))
+    order = draw(st.permutations(range(n)))
+    examples = tuple(TrainingExample(rows[i][0], (int(rows[i][1]),)) for i in order)
+    return kind, TaskSpec(kind, k, (tuple(template),), examples)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_shuffled_tables())
+def test_the_xor_face_gives_the_lps_verdict(table):
+    kind, task = table
+    verdict = check_exact_representability(task, 0)
+    with mock.patch.object(tasks, "_xor_face", lambda task, output_index: False):
+        assert _fields(verdict) == _fields(check_exact_representability(task, 0))
+    if kind == "planted":
+        assert not tasks._xor_face(task, 0)
 
 
 class TestScalePotential:
