@@ -183,7 +183,8 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
     each product term.  The k + len(template) + 1 columns are the inputs,
     each term's product, then -1, so features(inputs, template) @ _pack(p)
     evaluates p on every row.  On spins or bits every entry is exact.
-    An index that is not an integer in 1..k raises InvalidInputError.
+    An index that is not an integer in 1..k, or a term of fewer than two
+    indices, raises InvalidInputError.
     """
     inputs = np.asarray(inputs, dtype=float)
     n, k = inputs.shape
@@ -193,6 +194,8 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
         indices = _integer_indices(indices)
         if not all(1 <= i <= k for i in indices):
             raise InvalidInputError(f"term {indices} is outside spins 1..{k}")
+        if len(indices) < 2:
+            raise InvalidInputError("a multi-qubit term needs at least two indices")
         cols = np.subtract(indices, 1)
         np.multiply.reduce(inputs[:, cols], axis=1, out=out[:, k + m])
     out[:, -1] = -1.0

@@ -271,7 +271,6 @@ def _rows_at(mask: np.ndarray, *columns: np.ndarray) -> Rows:
 class FeasibilityVerdict:
     """Outcome of the sign-representability oracle for one output perceptron."""
 
-    output_index: int
     feasible: bool
     margin: float
     witness: NeuralPotential | None
@@ -307,28 +306,30 @@ def check_exact_representability(
     if not (0 <= output_index < task.n_outputs):
         raise InvalidInputError(f"output_index {output_index} out of range")
     if _xor_face(task, output_index):
-        return FeasibilityVerdict(output_index, False, 0.0, None)
+        return FeasibilityVerdict(False, 0.0, None)
     template = task.templates[output_index]
     phi = features(_input_matrix(task.bits, "spin"), template)
     signs = 2.0 * task.targets[:, output_index] - 1.0
     n_rows, n_params = phi.shape
     signed = signs[:, None] * phi
-    eye = np.eye(n_params + 1)
-    # variables: theta+ (n_params), theta- (n_params), then delta
-    a = np.vstack(
-        [
-            np.hstack([-signed, signed, np.ones((n_rows, 1))]),
-            np.hstack([eye[:, :-1], eye]),  # theta+_i + theta-_i <= 1, delta <= 1
-        ]
-    )
-    b = np.concatenate([np.zeros(n_rows), np.ones(n_params + 1)])
-    x = _simplex(a, b, np.concatenate([np.zeros(2 * n_params), [1.0]]))
+    # _simplex's tableau.  Columns: theta+, theta-, delta, right-hand side;
+    # rows: the truth table, theta+_i + theta-_i <= 1, delta <= 1, objective
+    t = np.zeros((n_rows + n_params + 2, 2 * n_params + 2))
+    t[:n_rows, :n_params] = -signed
+    t[:n_rows, n_params:-2] = signed
+    t[:n_rows, -2] = 1.0
+    box = np.arange(n_params)
+    t[n_rows + box, box] = t[n_rows + box, n_params + box] = 1.0
+    t[-2, -2] = 1.0
+    t[n_rows:-1, -1] = 1.0
+    t[-1, -2] = -1.0
+    x = _simplex(t)
     delta = float(x[-1])
     if delta <= FEASIBILITY_MARGIN:
-        return FeasibilityVerdict(output_index, False, delta, None)
+        return FeasibilityVerdict(False, delta, None)
     theta = x[:n_params] - x[n_params:-1]
     witness = _unpack(task.arity, template, theta / delta)
-    return FeasibilityVerdict(output_index, True, delta, witness)
+    return FeasibilityVerdict(True, delta, witness)
 
 
 def _xor_face(task: TaskSpec, output_index: int) -> bool:
@@ -338,33 +339,29 @@ def _xor_face(task: TaskSpec, output_index: int) -> bool:
 
     Every feature then holds at most one of s_i and s_j, so the face's four
     signed feature rows sum to zero (a Gordan certificate): delta* = 0.
-    Bit r of labels is row r's label (an int64 dot holds up to arity 5),
-    bit r of flips[i] says flipping qubit i at r changes it, and the face
-    through r is XOR iff it changes along i at r and at r with qubit j
-    flipped, and along j at r.
+    labels[r] is the label of basis row r, partner[i, r] is r with qubit
+    i + 1 flipped, and flips[i, r] says that flip changes the label.  The
+    face through r is XOR iff the label changes along i at r and at r with
+    qubit j flipped, and along j at r.  Any arity works.
     """
     k = task.arity
-    labels = int(task.targets[:, output_index] @ (1 << _basis_index(task.bits)))
-    full = (1 << 2**k) - 1
-
-    def flip(mask: int, i: int) -> int:
-        """mask with bit r moved to bit r ^ s, s the place of qubit i."""
-        s = 1 << (k - i)
-        low = full // ((1 << s) + 1)  # the rows r with r & s == 0
-        return (mask >> s) & low | (mask & low) << s
-
-    flips = {i: labels ^ flip(labels, i) for i in range(1, k + 1)}
+    labels = np.empty(2**k, dtype=bool)
+    labels[_basis_index(task.bits)] = task.targets[:, output_index]
+    place = 1 << np.arange(k - 1, -1, -1)
+    partner = np.arange(2**k) ^ place[:, None]
+    flips = labels != labels[partner]
     template = task.templates[output_index]
     joined = {pair for term in template for pair in itertools.combinations(term, 2)}
     return any(
-        flips[i] & flips[j] & flip(flips[i], j)
-        for i, j in itertools.combinations(range(1, k + 1), 2)
-        if (i, j) not in joined
+        (flips[i] & flips[j] & flips[i, partner[j]]).any()
+        for i, j in itertools.combinations(range(k), 2)
+        if (i + 1, j + 1) not in joined
     )
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """x maximizing c . x subject to a @ x <= b and x >= 0, given b >= 0.
+def _simplex(t: np.ndarray) -> np.ndarray:
+    """x maximizing c . x subject to a @ x <= b and x >= 0, given b >= 0,
+    pivoting in place on the (m + 1) x (n + 1) tableau t = [[a, b], [-c, 0]].
 
     Dense primal simplex from the all-slack basis, which b >= 0 makes
     feasible.  The tableau keeps one row per basic variable and one column
@@ -374,11 +371,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     the lowest-numbered basic variable, so degenerate pivots cannot cycle.
     The LP must be bounded, as the oracle's is by its rows.
     """
-    m, n = a.shape
-    t = np.zeros((m + 1, n + 1))
-    t[:m, :n] = a
-    t[:m, -1] = b
-    t[m, :n] = -c
+    m, n = t.shape[0] - 1, t.shape[1] - 1
     cost, rhs = t[m, :-1], t[:m, -1]
     basic = np.arange(n, n + m)
     nonbasic = np.arange(n)

@@ -6,9 +6,12 @@ eigenvector dynamics.instantaneous_upper_eigenstate returns;
 excitation_probability reads one qubit's marginal off a register, the
 reference for dynamics.statevector_table; cost_csv_text and summary_text
 are the row-by-row and streaming writers that harness's emitters must
-match byte for byte.  Nothing in the package calls them, so they live with
-the tests, as does potentials_over, the hypothesis strategy that the engine
-properties draw from.
+match byte for byte; xor_face searches every face of a truth table for the
+oracle's parity obstruction, and staged_lp stages the oracle's LP as
+a @ x <= b, c . x and solves it with a simplex that builds its own tableau.
+Nothing in the package calls them, so they live with the tests, as does
+potentials_over, the hypothesis strategy that the engine properties draw
+from.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qperceptron import InvalidInputError, MultiQubitTerm, NeuralPotential, SpinConfig
+from qperceptron.core import _unpack, features
 from qperceptron.dynamics import Statevector
+from qperceptron.tasks import (
+    _MAX_PIVOTS,
+    _PIVOT_TOL,
+    FEASIBILITY_MARGIN,
+    FeasibilityVerdict,
+    TaskSpec,
+)
+from qperceptron.training import _input_matrix
 
 
 def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
@@ -86,3 +98,85 @@ def potentials_over(draw, k: int) -> NeuralPotential:
         draw(weight),
         tuple(MultiQubitTerm(t, draw(weight)) for t in picks),
     )
+
+
+def xor_face(task: TaskSpec, output_index: int) -> bool:
+    """Whether some pair of qubits i < j that no template term holds both of
+    has a setting of the other bits on which the output's labels are the
+    XOR of bits i and j or its complement: every pair, every setting."""
+    k = task.arity
+    label = {
+        tuple(bits): target[output_index]
+        for bits, target in zip(task.bits.tolist(), task.targets.tolist())
+    }
+    template = task.templates[output_index]
+    for i, j in itertools.combinations(range(k), 2):
+        if any(i + 1 in term and j + 1 in term for term in template):
+            continue
+        for rest in itertools.product((0, 1), repeat=k - 2):
+            face = []
+            for bi, bj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                bits = list(rest)
+                bits.insert(i, bi)
+                bits.insert(j, bj)
+                face.append(label[tuple(bits)])
+            if face[0] == face[3] != face[1] == face[2]:
+                return True
+    return False
+
+
+def staged_lp(task: TaskSpec, output_index: int) -> FeasibilityVerdict:
+    """The oracle's LP alone, with no XOR face check: the constraints staged
+    as a, b and c, then solved by simplex."""
+    template = task.templates[output_index]
+    phi = features(_input_matrix(task.bits, "spin"), template)
+    signs = 2.0 * task.targets[:, output_index] - 1.0
+    n_rows, n_params = phi.shape
+    signed = signs[:, None] * phi
+    eye = np.eye(n_params + 1)
+    # variables: theta+ (n_params), theta- (n_params), then delta
+    a = np.vstack(
+        [
+            np.hstack([-signed, signed, np.ones((n_rows, 1))]),
+            np.hstack([eye[:, :-1], eye]),  # theta+_i + theta-_i <= 1, delta <= 1
+        ]
+    )
+    b = np.concatenate([np.zeros(n_rows), np.ones(n_params + 1)])
+    x = simplex(a, b, np.concatenate([np.zeros(2 * n_params), [1.0]]))
+    delta = float(x[-1])
+    if delta <= FEASIBILITY_MARGIN:
+        return FeasibilityVerdict(False, delta, None)
+    theta = x[:n_params] - x[n_params:-1]
+    witness = _unpack(task.arity, template, theta / delta)
+    return FeasibilityVerdict(True, delta, witness)
+
+
+def simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x maximizing c . x subject to a @ x <= b and x >= 0, given b >= 0, by
+    the oracle's pivots (Bland's rule) on a tableau built here from a, b, c."""
+    m, n = a.shape
+    t = np.zeros((m + 1, n + 1))
+    t[:m, :n] = a
+    t[:m, -1] = b
+    t[m, :n] = -c
+    cost, rhs = t[m, :-1], t[:m, -1]
+    basic = np.arange(n, n + m)
+    nonbasic = np.arange(n)
+    for _ in range(_MAX_PIVOTS):
+        e = np.where(cost < -_PIVOT_TOL, nonbasic, n + m).argmin()
+        if cost[e] >= -_PIVOT_TOL:
+            x = np.zeros(n + m)
+            x[basic] = rhs
+            return x[:n]
+        col = t[:, e].copy()
+        rows = (col[:m] > _PIVOT_TOL).nonzero()[0]
+        ratios = rhs[rows] / col[rows]
+        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        r = ties[basic[ties].argmin()]
+        row = t[r] / col[r]
+        t -= np.dot(col[:, None], row[None])
+        t[r] = row
+        t[:, e] = col / -col[r]
+        t[r, e] = 1.0 / col[r]
+        basic[r], nonbasic[e] = nonbasic[e], basic[r]
+    raise RuntimeError(f"feasibility LP failed: no optimum within {_MAX_PIVOTS} pivots")

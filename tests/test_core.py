@@ -357,12 +357,14 @@ class TestFeatures:
             ((0, 2), r"outside spins 1\.\.2"),
             ((1, 3), r"outside spins 1\.\.2"),
             ((3,), r"outside spins 1\.\.2"),
+            ((), "a multi-qubit term needs at least two indices"),
+            ((1,), "a multi-qubit term needs at least two indices"),
             ((1.5, 2), r"term indices must be integers, got \(1\.5, 2\)"),
         ],
     )
     def test_an_index_outside_the_spins_raises(self, term, message):
         # index 0 would wrap to -1 and read spin k; 3 is past k = 2; 1.5
-        # would reach numpy's indexing as a float
+        # would reach numpy's indexing as a float, as would the empty term
         spins = np.array([[1.0, -1.0], [-1.0, -1.0]])
         with pytest.raises(InvalidInputError, match=message):
             features(spins, [(1, 2), term])

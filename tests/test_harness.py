@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -935,6 +936,61 @@ class TestCliFeasibility:
             blocks.append(f"# {task_id} {template} exit={code}\n")
             blocks.append(captured.out + captured.err)
         assert "".join(blocks) == golden.read_text()
+
+
+# Six train/sweep runs over flags, config files (alone and under a flag)
+# and both modes, each followed by gate-verify on its summary.json
+_CLI_CONFIGS = {
+    "toffoli.json": {"task": "toffoli:extended", "eta": 1},
+    "prime3.json": {"task": "prime3", "mode": "classical", "seed": 5},
+}
+_CLI_RUNS = (
+    ["train", "--task", "xor", "--seed", "7"],
+    ["sweep", "--task", "toffoli:paper", "--max-epochs", "500"],
+    ["train", "--config", "toffoli.json"],
+    ["train", "--config", "prime3.json", "--tol", "0.2"],
+    ["sweep", "--task", "prime5", "--template", "extended", "--seeds", "0-4,9",
+     "--eta", "2"],
+    ["train", "--task", "cnot:two-qubit", "--seeds", "3", "--init-range", "0.25",
+     "--plateau-epsilon", "0.001"],
+)
+
+
+def _cli_call(argv):
+    """(exit code, stdout) of one in-process cli call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli(argv)
+    return code, out.getvalue()
+
+
+def _cli_runs_text():
+    """Each of _CLI_RUNS, run in the working directory into run<n>, as text: a
+    header with its argv and exit code, its stdout bar the elapsed_seconds
+    line, the sha256 of each file written, then gate-verify on its summary."""
+    for name, doc in _CLI_CONFIGS.items():
+        Path(name).write_text(json.dumps(doc))
+    blocks = []
+    for n, argv in enumerate(_CLI_RUNS, 1):
+        argv = [*argv, "--out", f"run{n}"]
+        code, out = _cli_call(argv)
+        lines = out.splitlines(keepends=True)
+        blocks.append(f"# {' '.join(argv)} exit={code}\n")
+        blocks += [line for line in lines if not line.startswith("elapsed_seconds=")]
+        for path in sorted(Path(f"run{n}").iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            blocks.append(f"sha256 {digest} {path.as_posix()}\n")
+        verify = ["gate-verify", "--summary", f"run{n}/summary.json"]
+        code, out = _cli_call(verify)
+        blocks.append(f"# {' '.join(verify)} exit={code}\n{out}")
+    return "".join(blocks)
+
+
+class TestCliRuns:
+    def test_six_runs_print_and_write_the_recorded_bytes(self, tmp_path, monkeypatch):
+        golden = (Path(__file__).parent / "golden" / "cli_runs.txt").read_text()
+        monkeypatch.chdir(tmp_path)
+        assert _cli_runs_text() == golden
 
 
 class TestCliGateVerify:

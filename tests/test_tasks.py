@@ -36,7 +36,7 @@ from qperceptron import (
 )
 from qperceptron.core import _pack, _unpack, features
 from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _is_prime
-from references import evaluate_potential
+from references import evaluate_potential, staged_lp, xor_face
 
 
 def _signed_potentials(task, output_index, potential):
@@ -724,7 +724,7 @@ def _fields(verdict):
     """A verdict's fields, each float also as its bits, so 0.0 and -0.0 differ."""
     bits = None if verdict.witness is None else _pack(verdict.witness).tobytes()
     margin = np.float64(verdict.margin).tobytes()
-    return verdict.output_index, verdict.feasible, margin, verdict.witness, bits
+    return verdict.feasible, margin, verdict.witness, bits
 
 
 class TestXorFace:
@@ -744,6 +744,15 @@ class TestXorFace:
         for template in ([(1, 3)], [(1, 2, 3)]):
             assert not tasks._xor_face(_table("face", 3, template, labels), 0)
 
+    def test_a_face_on_the_last_rows_at_arity_seven(self):
+        # the XOR of qubits 6 and 7 where the others are all 1, on rows
+        # 124..127; row indices past 63 do not fit an int64 bit mask
+        labels = np.zeros(2**7, dtype=int)
+        labels[-4:] = [0, 1, 1, 0]
+        task = _table("face", 7, [], labels)
+        assert xor_face(task, 0)
+        assert tasks._xor_face(task, 0)
+
     @pytest.mark.parametrize("bit_order", ["msb", "lsb"])
     @pytest.mark.parametrize(
         "task_id, template", [("xor", "two-qubit"), ("prime5", "paper")]
@@ -755,7 +764,7 @@ class TestXorFace:
         monkeypatch.setattr(tasks, "_simplex", no_lp)
         task = resolve_task(task_id, bit_order, template)
         verdict = check_exact_representability(task, 0)
-        infeasible = tasks.FeasibilityVerdict(0, False, 0.0, None)
+        infeasible = tasks.FeasibilityVerdict(False, 0.0, None)
         assert _fields(verdict) == _fields(infeasible)
 
     @pytest.mark.parametrize(
@@ -778,12 +787,12 @@ class TestXorFace:
 
 
 @st.composite
-def _shuffled_tables(draw):
-    """(kind, a one-output table at k = 2..5 with its rows in a random order)
-    under up to six product terms.  Labels are uniform, planted by a
+def _shuffled_tables(draw, max_k=MAX_ORACLE_ARITY):
+    """(kind, a one-output table at k = 2..max_k with its rows in a random
+    order) under up to six product terms.  Labels are uniform, planted by a
     potential of the template, or a constant or the XOR of two bits (either
     complemented) with up to three rows flipped."""
-    k = draw(st.integers(2, MAX_ORACLE_ARITY))
+    k = draw(st.integers(2, max_k))
     terms = st.sampled_from(_product_terms(k))
     template = sorted(draw(st.lists(terms, unique=True, max_size=6)))
     kind = draw(st.sampled_from(["uniform", "planted", "constant", "parity"]))
@@ -821,6 +830,22 @@ def test_the_xor_face_gives_the_lps_verdict(table):
         assert _fields(verdict) == _fields(check_exact_representability(task, 0))
     if kind == "planted":
         assert not tasks._xor_face(task, 0)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_shuffled_tables())
+def test_the_lp_is_the_staged_lps_bit_for_bit(table):
+    _, task = table
+    with mock.patch.object(tasks, "_xor_face", lambda task, output_index: False):
+        verdict = check_exact_representability(task, 0)
+    assert _fields(verdict) == _fields(staged_lp(task, 0))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_shuffled_tables(max_k=8))
+def test_the_xor_face_is_found_by_searching_every_face(table):
+    _, task = table
+    assert tasks._xor_face(task, 0) == xor_face(task, 0)
 
 
 class TestScalePotential:
