@@ -46,6 +46,7 @@ which no gate changes, so one superposed input register serves every row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -549,18 +550,23 @@ def basis_state(n: int, bits: Sequence[int]) -> Statevector:
     return Statevector(amps, n)
 
 
-def _check_qubit(state: Statevector, j: int) -> None:
+def _check_qubit(state: Statevector, j) -> int:
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise InvalidWiringError(f"qubit {j!r} is not an integer") from None
     if not 1 <= j <= state.n:
         raise InvalidWiringError(f"qubit {j} outside register 1..{state.n}")
+    return j
 
 
 def _update_qubit(state: Statevector, j: int, pair) -> Statevector:
-    """state with the amplitude halves (a0, a1) on qubit j's axis replaced by
-    pair(a0, a1); IntegratorError if the norm drifts past NORM_TOL."""
-    t = state.amplitudes.reshape([2] * state.n)
-    axis = j - 1
-    halves = np.take(t, 0, axis=axis), np.take(t, 1, axis=axis)
-    new = Statevector(np.stack(pair(*halves), axis=axis).reshape(-1), state.n)
+    """state with pair(a0, a1) over its halves on qubit j, the [:, 0] and [:, 1]
+    of a (2^(j-1), 2, 2^(n-j)) view; IntegratorError if the norm drifts past NORM_TOL."""
+    view = state.amplitudes.reshape(2 ** (j - 1), 2, -1)
+    out = np.empty_like(view)
+    out[:, 0], out[:, 1] = pair(view[:, 0], view[:, 1])
+    new = Statevector(out.reshape(-1), state.n)
     if abs(new.norm() - 1.0) > NORM_TOL:
         raise IntegratorError(f"state norm drifted to {new.norm()!r}")
     return new
@@ -568,7 +574,7 @@ def _update_qubit(state: Statevector, j: int, pair) -> Statevector:
 
 def apply_hadamard(state: Statevector, j: int) -> Statevector:
     """Hadamard on qubit j (an involution)."""
-    _check_qubit(state, j)
+    j = _check_qubit(state, j)
     r = 1.0 / np.sqrt(2.0)
     return _update_qubit(state, j, lambda a0, a1: ((a0 + a1) * r, (a0 - a1) * r))
 
@@ -582,12 +588,11 @@ def apply_perceptron_gate(
     sees the rotation that maps |0> to sqrt(1 - f(x)) |0> + sqrt(f(x)) |1>,
     completed as a real rotation (angle 2 * arcsin(sqrt(f(x)))).
     """
-    _check_qubit(state, target)
+    target = _check_qubit(state, target)
     if target <= p.arity:
         raise InvalidWiringError(
             f"target qubit {target} is among the input qubits 1..{p.arity}"
         )
-
     prob = _activations([p], 2.0 * _bit_rows(p.arity) - 1.0)
     return _rotate_target(state, prob[:, 0], p.arity, target)
 
@@ -598,8 +603,8 @@ def _rotate_target(
     """The rotation of apply_perceptron_gate on target, given f of its
     potential on every configuration of input qubits 1..k (2^k,) in basis
     index order."""
-    # broadcast over the axes past the inputs once the target axis is taken
-    prob = prob.reshape([2] * k + [1] * (state.n - 1 - k))
+    # a row per setting of qubits 1..target-1, of which 1..k are the inputs
+    prob = np.repeat(prob, 2 ** (target - 1 - k))[:, None]
     c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)
     return _update_qubit(
         state, target, lambda a0, a1: (c0 * a0 - s0 * a1, s0 * a0 + c0 * a1)
@@ -610,7 +615,7 @@ def apply_network(
     state: Statevector, wiring: Sequence[tuple[NeuralPotential, int]]
 ) -> Statevector:
     """Apply perceptron gates in order; target qubits must be distinct."""
-    targets = [t for _, t in wiring]
+    targets = [_check_qubit(state, t) for _, t in wiring]
     if len(set(targets)) != len(targets):
         raise InvalidWiringError(f"duplicate target qubits in {targets}")
     out = state

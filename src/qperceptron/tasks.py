@@ -6,15 +6,16 @@ bit strings; targets are the task's output bits for each string.
 
 The representability oracle answers whether some setting of a perceptron's
 parameters classifies every row with the correct sign of the potential.  It
-first looks for an XOR face, a parity obstruction that proves the answer is
-no at once; linear programming over the full truth table decides every
-output without one.  It is exhaustive and only intended for small registers
-(k <= 5).
+first looks for an XOR face in the labels as one Python int, a parity
+obstruction that proves the answer is no at once; linear programming over
+the full truth table decides every output without one.  It is exhaustive
+and only intended for small registers (k <= 5).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -303,6 +304,10 @@ def check_exact_representability(
         raise InvalidInputError(
             f"oracle is exhaustive and limited to arity {MAX_ORACLE_ARITY}"
         )
+    try:
+        output_index = operator.index(output_index)
+    except TypeError:
+        raise InvalidInputError(f"non-integer output_index {output_index!r}") from None
     if not (0 <= output_index < task.n_outputs):
         raise InvalidInputError(f"output_index {output_index} out of range")
     if _xor_face(task, output_index):
@@ -339,21 +344,25 @@ def _xor_face(task: TaskSpec, output_index: int) -> bool:
 
     Every feature then holds at most one of s_i and s_j, so the face's four
     signed feature rows sum to zero (a Gordan certificate): delta* = 0.
-    labels[r] is the label of basis row r, partner[i, r] is r with qubit
-    i + 1 flipped, and flips[i, r] says that flip changes the label.  The
-    face through r is XOR iff the label changes along i at r and at r with
-    qubit j flipped, and along j at r.  Any arity works.
+    Bit r of labels is the label of basis row r; flip(mask, i) moves bit r to
+    r with qubit i + 1 flipped (low holds the rows where it is 0).  The face
+    through r is XOR iff the label flips along i at r and at r with qubit j
+    flipped, and along j at r.  Python ints have no width: any arity works.
     """
     k = task.arity
-    labels = np.empty(2**k, dtype=bool)
-    labels[_basis_index(task.bits)] = task.targets[:, output_index]
-    place = 1 << np.arange(k - 1, -1, -1)
-    partner = np.arange(2**k) ^ place[:, None]
-    flips = labels != labels[partner]
+    rows = zip(_basis_index(task.bits).tolist(), task.targets[:, output_index].tolist())
+    labels = sum(1 << r for r, y in rows if y)
+
+    def flip(mask: int, i: int) -> int:
+        s = 1 << (k - 1 - i)
+        low = ((1 << s) - 1) * (((1 << 2**k) - 1) // ((1 << 2 * s) - 1))
+        return (mask & low) << s | (mask >> s) & low
+
+    flips = [labels ^ flip(labels, i) for i in range(k)]
     template = task.templates[output_index]
     joined = {pair for term in template for pair in itertools.combinations(term, 2)}
     return any(
-        (flips[i] & flips[j] & flips[i, partner[j]]).any()
+        flips[i] & flips[j] & flip(flips[i], j)
         for i, j in itertools.combinations(range(k), 2)
         if (i + 1, j + 1) not in joined
     )
@@ -366,26 +375,27 @@ def _simplex(t: np.ndarray) -> np.ndarray:
     Dense primal simplex from the all-slack basis, which b >= 0 makes
     feasible.  The tableau keeps one row per basic variable and one column
     per nonbasic one (x is numbered 0..n-1, the slacks n..n+m-1), plus the
-    objective row and the right-hand side.  Bland's rule picks the
-    lowest-numbered improving column and, among rows tied in the ratio test,
-    the lowest-numbered basic variable, so degenerate pivots cannot cycle.
-    The LP must be bounded, as the oracle's is by its rows.
+    objective row and the right-hand side.  Bland's rule, read off the
+    tableau as Python floats, picks the lowest-numbered improving column
+    and, among rows tied in the ratio test, the lowest-numbered basic
+    variable, so degenerate pivots cannot cycle; numpy does the pivot.  The
+    LP must be bounded, as the oracle's is by its rows.
     """
     m, n = t.shape[0] - 1, t.shape[1] - 1
-    cost, rhs = t[m, :-1], t[:m, -1]
-    basic = np.arange(n, n + m)
-    nonbasic = np.arange(n)
+    basic = list(range(n, n + m))
+    nonbasic = list(range(n))
     for _ in range(_MAX_PIVOTS):
-        e = np.where(cost < -_PIVOT_TOL, nonbasic, n + m).argmin()
-        if cost[e] >= -_PIVOT_TOL:
+        improving = [v for v, c in zip(nonbasic, t[m, :-1].tolist()) if c < -_PIVOT_TOL]
+        if not improving:
             x = np.zeros(n + m)
-            x[basic] = rhs
+            x[basic] = t[:m, -1]
             return x[:n]
+        e = nonbasic.index(min(improving))
         col = t[:, e].copy()
-        rows = (col[:m] > _PIVOT_TOL).nonzero()[0]
-        ratios = rhs[rows] / col[rows]
-        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
-        r = ties[basic[ties].argmin()]
+        entries, rhs = col[:m].tolist(), t[:m, -1].tolist()
+        rows = [i for i, c in enumerate(entries) if c > _PIVOT_TOL]
+        least = min([rhs[i] / entries[i] for i in rows]) + _PIVOT_TOL
+        r = min([(basic[i], i) for i in rows if rhs[i] / entries[i] <= least])[1]
         row = t[r] / col[r]
         # an outer product by np.dot: one product per entry, so exact, and
         # faster than np.outer at this size

@@ -4,12 +4,14 @@ evaluate_potential sums a potential on one spin configuration, the
 reference for core.features; hamiltonian is the 2x2 generator whose upper
 eigenvector dynamics.instantaneous_upper_eigenstate returns;
 excitation_probability reads one qubit's marginal off a register, the
-reference for dynamics.statevector_table; cost_csv_text and summary_text
-are the row-by-row and streaming writers that harness's emitters must
-match byte for byte; xor_face searches every face of a truth table for the
-oracle's parity obstruction, and staged_lp stages the oracle's LP as
-a @ x <= b, c . x and solves it with a simplex that builds its own tableau.
-Nothing in the package calls them, so they live with the tests, as does
+reference for dynamics.statevector_table; update_qubit is the take, take
+and stack writer that dynamics._update_qubit must match bit for bit;
+cost_csv_text and summary_text are the row-by-row and streaming writers
+that harness's emitters must match byte for byte; xor_face searches every
+face of a truth table for the oracle's parity obstruction, and staged_lp
+stages the oracle's LP as a @ x <= b, c . x and solves it with a simplex
+that builds its own tableau and makes Bland's choices in numpy.  Nothing in
+the package calls them, so they live with the tests, as does
 potentials_over, the hypothesis strategy that the engine properties draw
 from.
 """
@@ -66,6 +68,15 @@ def excitation_probability(state: Statevector, j: int) -> float:
     """Marginal probability that qubit j (1-based, 1 most significant) reads 1."""
     t = state.amplitudes.reshape([2] * state.n)
     return float(np.sum(np.abs(np.take(t, 1, axis=j - 1)) ** 2))
+
+
+def update_qubit(state: Statevector, j: int, pair) -> np.ndarray:
+    """The amplitudes of state with its halves (a0, a1) on qubit j replaced by
+    pair(a0, a1): each half taken, and the two results stacked, along axis
+    j - 1 of the amplitudes as an n-axis tensor."""
+    t = state.amplitudes.reshape([2] * state.n)
+    halves = np.take(t, 0, axis=j - 1), np.take(t, 1, axis=j - 1)
+    return np.stack(pair(*halves), axis=j - 1).reshape(-1)
 
 
 def cost_csv_text(costs: np.ndarray) -> str:

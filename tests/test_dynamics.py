@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -45,7 +46,12 @@ from qperceptron.dynamics import (
     _propagate_grid,
     _ramp_steps,
 )
-from references import excitation_probability, hamiltonian, potentials_over
+from references import (
+    excitation_probability,
+    hamiltonian,
+    potentials_over,
+    update_qubit,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -753,6 +759,29 @@ class TestRegister:
         with pytest.raises(IntegratorError, match=drifted):
             apply_perceptron_gate(state, p, 2)
 
+    @pytest.mark.parametrize("j", [1.5, 3.0, "1", None, [3]])
+    def test_rejects_a_qubit_that_is_not_an_integer(self, j):
+        p = NeuralPotential((0.5,), 0.0, ())
+        with pytest.raises(InvalidWiringError, match="is not an integer"):
+            apply_hadamard(zero_state(3), j)
+        with pytest.raises(InvalidWiringError, match="is not an integer"):
+            apply_perceptron_gate(zero_state(3), p, j)
+        with pytest.raises(InvalidWiringError, match="is not an integer"):
+            apply_network(zero_state(3), [(p, j)])
+
+    def test_an_integer_qubit_of_another_type_is_that_qubit(self):
+        p = NeuralPotential((0.5,), 0.0, ())
+        state = apply_hadamard(zero_state(2), 1)
+        for j in (np.int64(2), np.uint8(2)):
+            expected = apply_hadamard(state, 2).amplitudes
+            np.testing.assert_array_equal(apply_hadamard(state, j).amplitudes, expected)
+            expected = apply_perceptron_gate(state, p, 2).amplitudes
+            out = apply_perceptron_gate(state, p, j).amplitudes
+            np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(
+            apply_hadamard(state, True).amplitudes, apply_hadamard(state, 1).amplitudes
+        )
+
     @pytest.mark.parametrize("j", [0, 3])
     def test_rejects_a_qubit_outside_the_register(self, j):
         p = NeuralPotential((0.5,), 0.0, ())
@@ -760,6 +789,46 @@ class TestRegister:
             apply_hadamard(zero_state(2), j)
         with pytest.raises(InvalidWiringError, match="outside register 1..2"):
             apply_perceptron_gate(zero_state(2), p, j)
+
+
+def _random_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return Statevector(amps / np.linalg.norm(amps), n)
+
+
+class TestQubitUpdate:
+    """Both gates write through one view of the register; the reference takes
+    each half along the qubit's axis and stacks the results."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_hadamard_is_the_reference_writer_bit_for_bit(self, n):
+        rng = np.random.default_rng(700 + n)
+        r = 1.0 / np.sqrt(2.0)
+
+        def hadamard(a0, a1):
+            return (a0 + a1) * r, (a0 - a1) * r
+
+        for j in range(1, n + 1):
+            state = _random_state(rng, n)
+            expected = update_qubit(state, j, hadamard)
+            assert apply_hadamard(state, j).amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_rotation_is_the_reference_writer_bit_for_bit(self, n):
+        # every target past k inputs, for every k; the reference's halves
+        # have n - 1 axes, the inputs first, and the rotation varies along
+        # those alone
+        rng = np.random.default_rng(710 + n)
+        for k, target in itertools.combinations(range(n + 1), 2):
+            state = _random_state(rng, n)
+            prob = rng.uniform(0.0, 1.0, 2**k)
+            shaped = prob.reshape([2] * k + [1] * (n - 1 - k))
+            c0, s0 = np.sqrt(1.0 - shaped), np.sqrt(shaped)
+            expected = update_qubit(
+                state, target, lambda a0, a1: (c0 * a0 - s0 * a1, s0 * a0 + c0 * a1)
+            )
+            got = dynamics._rotate_target(state, prob, k, target).amplitudes
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestPerceptronGate:

@@ -35,8 +35,8 @@ from qperceptron import (
     verify_truth_table,
 )
 from qperceptron.core import _pack, _unpack, features
-from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _is_prime
-from references import evaluate_potential, staged_lp, xor_face
+from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _PIVOT_TOL, _is_prime
+from references import evaluate_potential, simplex, staged_lp, xor_face
 
 
 def _signed_potentials(task, output_index, potential):
@@ -468,6 +468,21 @@ class TestRepresentabilityOracle:
         with pytest.raises(InvalidInputError):
             check_exact_representability(resolve_task("xor"), 1)
 
+    @pytest.mark.parametrize("index", [1.5, "0", None, (0,)])
+    def test_an_output_index_that_is_not_an_integer(self, index):
+        with pytest.raises(InvalidInputError, match="non-integer output_index"):
+            check_exact_representability(resolve_task("cnot"), index)
+
+    @pytest.mark.parametrize("index", [True, np.int64(1)])
+    def test_an_integer_output_index_of_another_type(self, index):
+        # True is the integer 1, not a boolean mask over the rows
+        cnot = resolve_task("cnot")
+        verdict = check_exact_representability(cnot, index)
+        assert _fields(verdict) == _fields(check_exact_representability(cnot, 1))
+        assert verdict.feasible
+        with pytest.raises(InvalidInputError, match="output_index 1 out of range"):
+            check_exact_representability(resolve_task("xor"), index)
+
     def test_arity_guard(self):
         examples = tuple(
             TrainingExample(s, (0,)) for s in enumerate_inputs(6)
@@ -682,6 +697,15 @@ class TestOracleMatchesLinprogReference:
             check_exact_representability(resolve_task("xor"), 0)
 
 
+def test_a_ratio_within_the_tolerance_of_the_least_ties():
+    # maximize x subject to x <= _PIVOT_TOL (row 0) and x <= 0 (row 1): the
+    # ratios tie within _PIVOT_TOL and row 0 holds the lower basic variable,
+    # so Bland's rule pivots there, as the reference does
+    t = np.array([[1.0, _PIVOT_TOL], [1.0, 0.0], [-1.0, 0.0]])
+    assert simplex(t[:2, :1], t[:2, 1], -t[2, :1]).tolist() == [_PIVOT_TOL]
+    assert tasks._simplex(t).tolist() == [_PIVOT_TOL]
+
+
 @st.composite
 def _random_label_tables(draw):
     """Uniform random labels at k = 2..5 under any subset of the product
@@ -744,14 +768,16 @@ class TestXorFace:
         for template in ([(1, 3)], [(1, 2, 3)]):
             assert not tasks._xor_face(_table("face", 3, template, labels), 0)
 
-    def test_a_face_on_the_last_rows_at_arity_seven(self):
-        # the XOR of qubits 6 and 7 where the others are all 1, on rows
-        # 124..127; row indices past 63 do not fit an int64 bit mask
-        labels = np.zeros(2**7, dtype=int)
+    @pytest.mark.parametrize("k", [7, 9, 10])
+    def test_a_face_on_the_last_rows(self, k):
+        # the XOR of the last two qubits where the others are all 1, on the
+        # last four rows; row indices past 63 do not fit an int64 bit mask
+        labels = np.zeros(2**k, dtype=int)
         labels[-4:] = [0, 1, 1, 0]
-        task = _table("face", 7, [], labels)
+        task = _table("face", k, [], labels)
         assert xor_face(task, 0)
         assert tasks._xor_face(task, 0)
+        assert not tasks._xor_face(_table("face", k, [(k - 1, k)], labels), 0)
 
     @pytest.mark.parametrize("bit_order", ["msb", "lsb"])
     @pytest.mark.parametrize(
@@ -787,12 +813,12 @@ class TestXorFace:
 
 
 @st.composite
-def _shuffled_tables(draw, max_k=MAX_ORACLE_ARITY):
-    """(kind, a one-output table at k = 2..max_k with its rows in a random
+def _shuffled_tables(draw, max_k=MAX_ORACLE_ARITY, min_k=2):
+    """(kind, a one-output table at k = min_k..max_k with its rows in a random
     order) under up to six product terms.  Labels are uniform, planted by a
     potential of the template, or a constant or the XOR of two bits (either
     complemented) with up to three rows flipped."""
-    k = draw(st.integers(2, max_k))
+    k = draw(st.integers(min_k, max_k))
     terms = st.sampled_from(_product_terms(k))
     template = sorted(draw(st.lists(terms, unique=True, max_size=6)))
     kind = draw(st.sampled_from(["uniform", "planted", "constant", "parity"]))
@@ -844,6 +870,14 @@ def test_the_lp_is_the_staged_lps_bit_for_bit(table):
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_shuffled_tables(max_k=8))
 def test_the_xor_face_is_found_by_searching_every_face(table):
+    _, task = table
+    assert tasks._xor_face(task, 0) == xor_face(task, 0)
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(_shuffled_tables(min_k=9, max_k=10))
+def test_the_xor_face_is_found_by_searching_every_face_of_a_wide_table(table):
+    # 2^9 and 2^10 rows: the label mask is far wider than any machine word
     _, task = table
     assert tasks._xor_face(task, 0) == xor_face(task, 0)
 
