@@ -2,7 +2,9 @@
 
 Every task is a complete truth table over k input bits together with one
 multi-qubit term template per output perceptron.  Inputs enumerate all 2^k
-bit strings; targets are the task's output bits for each string.
+bit strings; targets are the task's output bits for each string.  A TaskSpec
+holds its rows in basis order, row r on basis state r, whatever order they
+were given in, so no consumer re-indexes them.
 
 The representability oracle answers whether some setting of a perceptron's
 parameters classifies every row with the correct sign of the potential.  It
@@ -22,15 +24,18 @@ from typing import Callable, Literal
 import numpy as np
 
 from .core import (
+    MAX_ARITY,
     InvalidInputError,
     NeuralPotential,
     _activations,
+    _bit_rows,
+    _finite_real,
     _pack,
     _unpack,
     enumerate_inputs,
     features,
 )
-from .dynamics import _basis_index, statevector_table
+from .dynamics import statevector_table
 from .training import TrainedNetwork, TrainingExample, _input_matrix, _rows
 
 __all__ = [
@@ -66,11 +71,14 @@ _PIVOT_TOL = 1e-9
 class TaskSpec:
     """A truth-table learning problem with per-output term templates.
 
-    bits (2^arity, arity) and targets (2^arity, n_outputs) are the examples'
-    input bits and target bits as read-only int arrays, row for row; they
-    are derived once, on construction, and take no part in equality.
-    Construction checks that the rows hold each input exactly once and
-    that every template is one a NeuralPotential over arity spins accepts.
+    Row r of the table is basis state r: construction sorts the examples by
+    input once, so a table compares, hashes and computes the same in any
+    order its rows are given.  bits (2^arity, arity) and targets
+    (2^arity, n_outputs) are the sorted rows' input bits and target bits as
+    read-only int arrays; they take no part in equality.  Construction
+    checks that arity is an integer in 1..MAX_ARITY, that the rows hold each
+    input exactly once, and that every template is one a NeuralPotential
+    over arity spins accepts; a template is stored as a tuple of index tuples.
     """
 
     name: str
@@ -81,17 +89,26 @@ class TaskSpec:
     targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            arity = operator.index(self.arity)
+        except TypeError:
+            raise InvalidInputError(f"arity must be an integer, got {self.arity!r}") from None
+        if not 1 <= arity <= MAX_ARITY:
+            raise InvalidInputError(f"arity must be in [1, {MAX_ARITY}], got {arity}")
         if len(self.templates) == 0:
             raise InvalidInputError("task needs at least one output")
-        for template in self.templates:
-            _unpack(self.arity, template, np.zeros(self.arity + len(template) + 1))
-        arrays = _rows(self.examples, self.arity, len(self.templates))
-        rows = np.sort(_basis_index(arrays[0]))
-        if not np.array_equal(rows, np.arange(2**self.arity)):
+        potentials = [_unpack(arity, t, np.zeros(arity + len(t) + 1)) for t in self.templates]
+        templates = tuple(tuple(t.indices for t in p.multi_terms) for p in potentials)
+        if len(self.examples) != 2**arity:  # before any array of 2^arity rows
+            raise InvalidInputError(f"task must hold the full truth table of {2**arity} rows")
+        examples = tuple(sorted(self.examples, key=operator.attrgetter("spins.spins")))
+        bits, targets = _rows(examples, arity, len(templates))
+        if not np.array_equal(bits, _bit_rows(arity)):
             raise InvalidInputError("task must enumerate the full truth table")
-        for name, array in zip(("bits", "targets"), arrays):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        bits.flags.writeable = targets.flags.writeable = False
+        names = ("arity", "templates", "examples", "bits", "targets")
+        for name, value in zip(names, (arity, templates, examples, bits, targets)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_outputs(self) -> int:
@@ -157,6 +174,8 @@ TEMPLATES = ("paper", "extended", "two-qubit")
 
 def canonical_task_id(raw: str) -> str:
     """Accept prime-N as an alias for primeN; other ids pass through."""
+    if not isinstance(raw, str):
+        raise InvalidInputError(f"task id must be a string, got {raw!r}")
     if raw.startswith("prime-"):
         return "prime" + raw[len("prime-"):]
     return raw
@@ -183,7 +202,7 @@ def resolve_task(
     arity, fn, stored = _TASKS[task_id]
     if template == "two-qubit":
         templates = ((),) * len(stored["paper"])
-    elif template in stored:
+    elif isinstance(template, str) and template in stored:
         templates = stored[template]
     else:
         raise InvalidInputError(
@@ -231,7 +250,7 @@ def verify_truth_table(
 
     The scalar engine evaluates every row at once with the activation of
     each output's potential; the statevector engine builds
-    statevector_table once and reads each row's outputs at its input bits.
+    statevector_table once, whose row r is basis state r, as is the task's.
     """
     if net.arity != task.arity:
         raise InvalidInputError("network arity does not match task")
@@ -240,7 +259,7 @@ def verify_truth_table(
     if engine == "scalar":
         y = _activations(net.perceptrons, _input_matrix(task.bits, "spin"))
     elif engine == "statevector":
-        y = statevector_table(net.perceptrons)[_basis_index(task.bits)]
+        y = statevector_table(net.perceptrons)
     else:
         raise InvalidInputError(f"unknown engine {engine!r}")
     predicted = (y > OUTPUT_THRESHOLD).astype(int)
@@ -344,14 +363,14 @@ def _xor_face(task: TaskSpec, output_index: int) -> bool:
 
     Every feature then holds at most one of s_i and s_j, so the face's four
     signed feature rows sum to zero (a Gordan certificate): delta* = 0.
-    Bit r of labels is the label of basis row r; flip(mask, i) moves bit r to
-    r with qubit i + 1 flipped (low holds the rows where it is 0).  The face
-    through r is XOR iff the label flips along i at r and at r with qubit j
-    flipped, and along j at r.  Python ints have no width: any arity works.
+    Bit r of labels is the label of the task's row r, which is basis state r;
+    flip(mask, i) moves bit r to r with qubit i + 1 flipped (low holds the
+    rows where it is 0).  The face through r is XOR iff the label flips
+    along i at r and at r with qubit j flipped, and along j at r.  Python
+    ints have no width: any arity works.
     """
     k = task.arity
-    rows = zip(_basis_index(task.bits).tolist(), task.targets[:, output_index].tolist())
-    labels = sum(1 << r for r, y in rows if y)
+    labels = sum(1 << r for r, y in enumerate(task.targets[:, output_index].tolist()) if y)
 
     def flip(mask: int, i: int) -> int:
         s = 1 << (k - 1 - i)
@@ -408,5 +427,9 @@ def _simplex(t: np.ndarray) -> np.ndarray:
 
 
 def scale_potential(p: NeuralPotential, factor: float) -> NeuralPotential:
-    """Multiply every weight and the bias by factor; the sign pattern is kept."""
-    return _unpack(p.arity, [t.indices for t in p.multi_terms], _pack(p) * factor)
+    """Multiply every weight and the bias by factor; the sign pattern is kept.
+    A factor that is not a finite real, or a product that overflows, raises
+    InvalidInputError."""
+    factor = _finite_real(factor, "scale factor")
+    with np.errstate(over="ignore"):  # _unpack rejects an overflowed weight
+        return _unpack(p.arity, [t.indices for t in p.multi_terms], _pack(p) * factor)

@@ -21,6 +21,8 @@ are batches of one.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
@@ -65,6 +67,8 @@ class TrainingExample:
     target: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spins, SpinConfig):
+            raise InvalidInputError("example spins must be a SpinConfig")
         if len(self.target) == 0:
             raise InvalidInputError("target must have at least one output bit")
         if any(t not in (0, 1) for t in self.target):
@@ -89,16 +93,22 @@ class TrainerConfig:
     plateau_epsilon: float = 5e-4
 
     def __post_init__(self) -> None:
+        for name in ("eta", "cost_tolerance", "init_range", "plateau_epsilon"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number")
+        for name, least in (("max_epochs", 1), ("seed", 0), ("plateau_window", 2)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer") from None
+            if value < least:
+                raise InvalidInputError(f"{name} must be at least {least}")
         if not (self.eta >= 0.0 and np.isfinite(self.eta)):
             raise InvalidInputError("eta must be a finite non-negative real")
-        if self.max_epochs < 1:
-            raise InvalidInputError("max_epochs must be at least 1")
         if not (self.cost_tolerance > 0.0):
             raise InvalidInputError("cost_tolerance must be positive")
         if not (self.init_range >= 0.0 and np.isfinite(2.0 * self.init_range)):
             raise InvalidInputError("init_range must be >= 0 and 2 * init_range finite")
-        if self.plateau_window < 2:
-            raise InvalidInputError("plateau_window must be at least 2")
         if not (self.plateau_epsilon > 0.0):
             raise InvalidInputError("plateau_epsilon must be positive")
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -19,6 +20,7 @@ from qperceptron import (
     InvalidInputError,
     MultiQubitTerm,
     NeuralPotential,
+    SpinConfig,
     TaskSpec,
     TrainedNetwork,
     TrainerConfig,
@@ -35,6 +37,7 @@ from qperceptron import (
     verify_truth_table,
 )
 from qperceptron.core import _pack, _unpack, features
+from qperceptron.dynamics import _basis_index
 from qperceptron.tasks import FEASIBILITY_MARGIN, MAX_ORACLE_ARITY, _PIVOT_TOL, _is_prime
 from references import evaluate_potential, simplex, staged_lp, xor_face
 
@@ -169,26 +172,54 @@ class TestGateTasks:
             resolve_task("cnot", template="extended")
 
 
+def _one_row(k):
+    """A table of arity k holding only its all-ones row."""
+    return (TrainingExample(SpinConfig((1,) * k), (0,)),)
+
+
 class TestTaskSpec:
     @pytest.mark.parametrize(
-        "templates, examples, message",
+        "arity, templates, examples, message",
         [
-            ((), resolve_task("xor").examples, "at least one output"),
-            (((),), resolve_task("xor").examples[:3], "full truth table"),
-            (((),), resolve_task("toffoli").examples[:4], "example input arity"),
-            (((), ()), resolve_task("xor").examples, "example target width"),
+            (2, (), resolve_task("xor").examples, "at least one output"),
+            # the row count is checked before any array of 2^arity rows
+            (2, ((),), resolve_task("xor").examples[:3], "full truth table of 4 rows"),
+            (2, ((),), resolve_task("toffoli").examples[:4], "example input arity"),
+            (2, ((), ()), resolve_task("xor").examples, "example target width"),
             # row (1, 1) is missing and row (0, 0) is there twice: linear XOR
             # would be judged on a table it can represent
             (
+                2,
                 ((),),
                 tuple(resolve_task("xor").examples[i] for i in (0, 0, 1, 2)),
                 "full truth table",
             ),
+            # a one-row table of its own arity: 2^40 rows would be 8 TiB of
+            # basis indices, and 2^64 more than numpy can index
+            (0, ((),), _one_row(1), r"arity must be in \[1, 16\], got 0"),
+            (17, ((),), _one_row(17), "got 17"),
+            (40, ((),), _one_row(40), "got 40"),
+            (64, ((),), _one_row(64), "got 64"),
+            ("2", ((),), resolve_task("xor").examples, "arity must be an integer"),
+            (2.0, ((),), resolve_task("xor").examples, "arity must be an integer"),
+        ],
+        ids=[
+            "templates0-examples0-at least one output",
+            "templates1-examples1-full truth table",
+            "templates2-examples2-example input arity",
+            "templates3-examples3-example target width",
+            "templates4-examples4-full truth table",
+            "arity-0",
+            "arity-17",
+            "arity-40",
+            "arity-64",
+            "arity-str",
+            "arity-float",
         ],
     )
-    def test_rejects_an_inconsistent_table(self, templates, examples, message):
+    def test_rejects_an_inconsistent_table(self, arity, templates, examples, message):
         with pytest.raises(InvalidInputError, match=message):
-            TaskSpec("table", 2, templates, examples)
+            TaskSpec("table", arity, templates, examples)
 
     @pytest.mark.parametrize(
         "template, message",
@@ -222,13 +253,15 @@ class TestTaskSpec:
                 continue
             self._assert_arrays_match_examples(task)
 
-    def test_arrays_follow_a_permuted_table(self):
-        task = resolve_task("fredkin", template="extended")
-        order = np.random.default_rng(5).permutation(len(task.examples))
-        examples = tuple(task.examples[i] for i in order)
-        shuffled = TaskSpec(task.name, task.arity, task.templates, examples)
-        self._assert_arrays_match_examples(shuffled)
-        np.testing.assert_array_equal(shuffled.bits, task.bits[order])
+    def test_templates_are_stored_as_tuples(self):
+        examples = resolve_task("xor").examples
+        forms = [
+            TaskSpec("x", 2, template, examples)
+            for template in ([((1, 2),)], [[[1, 2]]], (((1, 2),),))
+        ]
+        assert all(task.templates == (((1, 2),),) for task in forms)
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(task) for task in forms}) == 1
 
     def test_equality_and_hash_see_only_the_four_fields(self):
         assert resolve_task("xor") == resolve_task("xor")
@@ -262,6 +295,15 @@ class TestResolveTask:
     def test_unknown_id(self):
         with pytest.raises(InvalidInputError):
             resolve_task("parity-5")
+
+    @pytest.mark.parametrize("task_id", [None, 5])
+    def test_an_id_that_is_not_a_string(self, task_id):
+        with pytest.raises(InvalidInputError, match="task id must be a string"):
+            resolve_task(task_id)
+
+    def test_a_template_that_is_not_a_string(self):
+        with pytest.raises(InvalidInputError, match=r"no \['paper'\] template"):
+            resolve_task("xor", template=["paper"])
 
     def test_unknown_bit_order(self):
         with pytest.raises(InvalidInputError, match="unknown bit_order 'middle'"):
@@ -882,6 +924,38 @@ def test_the_xor_face_is_found_by_searching_every_face_of_a_wide_table(table):
     assert tasks._xor_face(task, 0) == xor_face(task, 0)
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_shuffled_tables(), st.randoms(use_true_random=False))
+@example(("gate", resolve_task("toffoli")), random.Random(5))
+def test_a_permuted_table_is_the_same_task(table, rng):
+    _, task = table
+    rows = list(task.examples)
+    rng.shuffle(rows)
+    permuted = TaskSpec(task.name, task.arity, task.templates, tuple(rows))
+    in_order = sorted(rows, key=lambda ex: ex.bits)
+    ordered = TaskSpec(task.name, task.arity, task.templates, tuple(in_order))
+    assert permuted == ordered
+    assert hash(permuted) == hash(ordered)
+    assert permuted.examples == tuple(in_order)
+    np.testing.assert_array_equal(_basis_index(permuted.bits), np.arange(2**task.arity))
+    for name in ("bits", "targets"):
+        np.testing.assert_array_equal(getattr(permuted, name), getattr(ordered, name))
+    for j in range(task.n_outputs):
+        verdicts = [check_exact_representability(t, j) for t in (permuted, ordered)]
+        assert _fields(verdicts[0]) == _fields(verdicts[1])
+    net = initialize_network(task.arity, task.templates, TrainerConfig(seed=3))
+    for engine in ("scalar", "statevector"):
+        reports = [verify_truth_table(net, t, engine) for t in (permuted, ordered)]
+        assert reports[0] == reports[1]
+        assert reports[0].max_abs_error.hex() == reports[1].max_abs_error.hex()
+    config = TrainerConfig(seed=3, max_epochs=25)
+    runs = [train([net], t.examples, config)[0] for t in (permuted, ordered)]
+    assert runs[0][1].costs.tobytes() == runs[1][1].costs.tobytes()
+    assert [_pack(p).tobytes() for p in runs[0][0].perceptrons] == [
+        _pack(p).tobytes() for p in runs[1][0].perceptrons
+    ]
+
+
 class TestScalePotential:
     def test_scales_every_parameter(self):
         p = NeuralPotential((0.5, -1.0), 0.25, (MultiQubitTerm((1, 2), 2.0),))
@@ -890,3 +964,20 @@ class TestScalePotential:
         assert q.bias == 5.0
         assert q.multi_terms[0].weight == 40.0
         assert q.multi_terms[0].indices == (1, 2)
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (float("inf"), "scale factor must be finite"),
+            (float("nan"), "scale factor must be finite"),
+            ("2", "scale factor must be a real number"),
+            # a finite factor whose product with the 2.0 weight overflows
+            (1e308, "must be finite, got inf"),
+        ],
+    )
+    def test_rejects_a_factor_that_is_not_finite_or_overflows(self, factor, message):
+        # the suite turns warnings into errors, so a numpy overflow warning
+        # raised on the way would fail this test as well
+        p = NeuralPotential((0.5, -1.0), 0.25, (MultiQubitTerm((1, 2), 2.0),))
+        with pytest.raises(InvalidInputError, match=message):
+            scale_potential(p, factor)

@@ -94,6 +94,10 @@ class TestTrainingExample:
         ex = TrainingExample(SpinConfig((1, -1)), (1,))
         assert ex.bits == (1, 0)
 
+    def test_rejects_spins_that_are_not_a_spin_config(self):
+        with pytest.raises(InvalidInputError, match="must be a SpinConfig"):
+            TrainingExample((1, -1), (1,))
+
 
 class TestTrainerConfig:
     def test_rejects_negative_eta(self):
@@ -107,6 +111,24 @@ class TestTrainerConfig:
     def test_rejects_nonpositive_plateau_epsilon(self):
         with pytest.raises(InvalidInputError, match="plateau_epsilon"):
             TrainerConfig(plateau_epsilon=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_epochs", 1.5, "max_epochs must be an integer"),
+            ("plateau_window", 2.5, "plateau_window must be an integer"),
+            ("seed", -1, "seed must be at least 0"),
+            ("seed", "0", "seed must be an integer"),
+            ("max_epochs", "10", "max_epochs must be an integer"),
+            ("eta", "1.5", "eta must be a real number"),
+            ("cost_tolerance", "0.01", "cost_tolerance must be a real number"),
+            ("init_range", None, "init_range must be a real number"),
+            ("plateau_epsilon", "5e-4", "plateau_epsilon must be a real number"),
+        ],
+    )
+    def test_rejects_a_field_of_the_wrong_type_or_sign(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TrainerConfig(**{field: value})
 
     def test_zero_eta_is_allowed(self):
         assert TrainerConfig(eta=0.0).eta == 0.0
