@@ -15,21 +15,25 @@ s(u) = 10u^3 - 15u^4 + 6u^5, flat at both ends, and starts in the exact
 upper eigenstate of H(0), so the error falls rapidly with t_f.
 
 The propagator steps with the exact unitary of the midpoint Hamiltonian.
-Each step is an element of SU(2), kept as a real unit quaternion (float64
+Each step is an element of SU(2), kept as a real quaternion (float64
 arrays over the grid) and composed by Hamilton products in a pairwise tree;
 the complex 2x2 matrix is formed once per grid point, to apply the whole
-ramp to the start state.  A step's q component is 0, so a block of steps is
-built as an even-offset and an odd-offset half of (w, p, r), which the
-tree's first level pairs with the q = 0 product, 9 multiplies instead of
-16; the upper levels write each product in place.  The tree is evaluated
-depth first, in chunks of at most _CHUNK_POINT_STEPS point-steps whose
-products a binary-counter stack folds into the same tree.  The chunk arrays
-share one workspace, a fixed 3.25 MiB up to 2^15 points, so past the
-per-point products (under 0.6 kB a point) the working set does not grow
-with the grid.  H(-x) = X H(x) X, so the ramp of -x is the ramp of x with
-the signs of its q and r components flipped, exactly (see _propagate_grid),
-and the tree runs once per distinct (|x|, omega_start) of the grid: a grid
-mirrored about 0 costs about half.  A grid may take at most
+ramp to the start state.  A step is built from one tangent T = tan(E dt)
+as (1, P, 0, R) = (1, T Omega, 0, -T x) / 2E, the unit step times
+sqrt(1 + T^2) up to the sign of cos(E dt): a global phase, which no
+probability or norm sees.  A block of steps is built as an even-offset and
+an odd-offset half of (1 + T^2, P, R), which the tree's first level pairs
+with 4 products, since both w are 1 and both q are 0, and scales by
+1 / sqrt((1 + T_L^2)(1 + T_E^2)) into a unit quaternion; the upper levels
+write each product in place.  The tree is evaluated depth first, in chunks
+of at most _CHUNK_POINT_STEPS point-steps whose products a binary-counter
+stack folds into the same tree.  The chunk arrays share one workspace, a
+fixed 3.25 MiB up to 2^15 points, so past the per-point products (under
+0.6 kB a point) the working set does not grow with the grid.
+H(-x) = X H(x) X, so the ramp of -x is the ramp of x with the signs of its
+q and r components flipped, exactly (see _propagate_grid), and the tree
+runs once per distinct (|x|, omega_start) of the grid: a grid mirrored
+about 0 costs about half.  A grid may take at most
 MAX_POINT_STEPS point-steps, and no |x|, omega_start or t_f may exceed
 MAX_MAGNITUDE, below which no square or product of two of them overflows,
 nor may omega_end fall below 1 / MAX_MAGNITUDE.  AdiabaticSchedule checks the
@@ -46,6 +50,7 @@ which no gate changes, so one superposed input register serves every row.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -90,6 +95,9 @@ MAX_POINT_STEPS = 10**8
 MAX_MAGNITUDE = 1e150
 # The default drive starts at OMEGA_START_FACTOR * max(1, |x|).
 OMEGA_START_FACTOR = 50.0
+# Largest register zero_state, basis_state and statevector_table build:
+# 2^20 complex amplitudes, 16 MiB.
+MAX_QUBITS = 20
 
 
 class InvalidWiringError(ValueError):
@@ -121,6 +129,13 @@ def _drive(omega_start, omega_end, t, t_f, ramp, out=None):
     return np.add(omega_end, fall, out=out)
 
 
+def _check_reals(**values) -> None:
+    """Reject a named value that is not a real number (numbers.Real)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_magnitudes(**values) -> None:
     """Reject a named value whose magnitude exceeds MAX_MAGNITUDE or is nan."""
     for name, value in values.items():
@@ -136,9 +151,9 @@ class AdiabaticSchedule:
 
     ramp is "linear" (constant rate, start in |+>) or "smooth" (quintic
     smootherstep with zero slope at both ends, start in the upper
-    eigenstate of H(0)).  Construction checks every setting: |omega_start|
-    and |t_f| at most MAX_MAGNITUDE, 1 / MAX_MAGNITUDE <= omega_end <=
-    omega_start and 0 < dt <= t_f / 1000.
+    eigenstate of H(0)).  Construction checks every setting: real numbers,
+    |omega_start| and |t_f| at most MAX_MAGNITUDE, 1 / MAX_MAGNITUDE <=
+    omega_end <= omega_start and 0 < dt <= t_f / 1000.
     """
 
     omega_start: float
@@ -150,6 +165,9 @@ class AdiabaticSchedule:
     def __post_init__(self) -> None:
         if self.ramp not in _RAMPS:
             raise InvalidInputError(f"unsupported ramp shape {self.ramp!r}")
+        _check_reals(
+            omega_start=self.omega_start, omega_end=self.omega_end, t_f=self.t_f, dt=self.dt
+        )
         _check_magnitudes(omega_start=self.omega_start, t_f=self.t_f)
         if not 1.0 / MAX_MAGNITUDE <= self.omega_end <= self.omega_start:
             raise InvalidInputError(
@@ -163,6 +181,7 @@ class AdiabaticSchedule:
 
 def default_schedule(x: float) -> AdiabaticSchedule:
     """Default ramp for x: start at OMEGA_START_FACTOR * max(1, |x|), end at 1."""
+    _check_reals(x=x)
     return AdiabaticSchedule(OMEGA_START_FACTOR * max(1.0, abs(float(x))))
 
 
@@ -210,27 +229,6 @@ _HAMILTON = (
     ((0, 2, 1), (2, 0, 1), (3, 1, 1), (1, 3, -1)),
     ((0, 3, 1), (3, 0, 1), (1, 2, 1), (2, 1, -1)),
 )
-# The product of two steps, whose q components are 0: the same rows without
-# the terms that multiply a q.  Those terms are exact zeros, so every sum
-# keeps its value.
-_STEP_PAIR = tuple(tuple(t for t in row if 2 not in t[:2]) for row in _HAMILTON)
-
-
-def _accumulate(a, b, out: np.ndarray, terms, scratch: np.ndarray) -> np.ndarray:
-    """Write the sums that terms (laid out as _HAMILTON) name into out.
-
-    Each product goes into scratch, a buffer of out[0]'s shape, and is added
-    into out in the order of terms, so out equals the written-out expression
-    bitwise and no other temporary is allocated.
-    """
-    for dst, ((j, k, _), *rest) in zip(out, terms):
-        np.multiply(a[j], b[k], out=dst)
-        for j, k, sign in rest:
-            np.multiply(a[j], b[k], out=scratch)
-            (np.add if sign > 0 else np.subtract)(dst, scratch, out=dst)
-    return out
-
-
 def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """Write the Hamilton products a * b into out and return it.
 
@@ -238,8 +236,16 @@ def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray
     component's buffer, and out must not overlap a or b.  (w, p, q, r)
     stands for the SU(2) element w I - i (p X + q Y + r Z) in the standard
     Pauli matrices, Z = diag(+1, -1), so a * b is their matrix product.
+    Each term goes into scratch and is added into out in the order of
+    _HAMILTON, so out equals the written-out expression bitwise and no other
+    temporary is allocated.
     """
-    return _accumulate(a, b, out, _HAMILTON, scratch)
+    for dst, ((j, k, _), *rest) in zip(out, _HAMILTON):
+        np.multiply(a[j], b[k], out=dst)
+        for j, k, sign in rest:
+            np.multiply(a[j], b[k], out=scratch)
+            (np.add if sign > 0 else np.subtract)(dst, scratch, out=dst)
+    return out
 
 
 # Steps per block; the blocks of a ramp are chained in time order.
@@ -268,20 +274,28 @@ def _propagate_grid(
 
     Each step applies the exact unitary of the midpoint Hamiltonian,
     U = cos(E dt) I - i sin(E dt) / E * H with E = sqrt(x^2 + Omega^2) / 2.
-    U lies in SU(2) and is held as a real unit quaternion (see _hamilton);
-    since sz = -Z, a step is (cos(E dt), k Omega, 0, -k x) with
-    k = sin(E dt) / (2 E).  Within a block of _BLOCK steps a pairwise tree
-    composes the steps, later step on the left, carrying an odd tail to the
-    next level; the blocks are then chained in time order.
+    U lies in SU(2) and is held as a real quaternion (see _hamilton); since
+    sz = -Z, it is (cos(E dt), k Omega, 0, -k x) with k = sin(E dt) / (2 E).
+    A step is built from one tangent, T = tan(E dt) and u = T / (2 E), as
+    (1, P, 0, R) = (1, u Omega, 0, -u x): U / cos(E dt), so
+    (1, P, 0, R) / sqrt(1 + T^2) is U times the sign of cos(E dt), a
+    global phase that no probability or norm sees.  |T| stays below ~1.6e16
+    for every double, so nothing overflows.  Within a block of _BLOCK steps
+    a pairwise tree composes the steps, later step on the left, carrying an
+    odd tail to the next level; the blocks are then chained in time order.
 
     The tree is evaluated depth first.  A block is cut into aligned chunks
     of the largest power of two of steps, at most _BLOCK and at least 2,
     whose points x steps stay within _CHUNK_POINT_STEPS.  A chunk holds
-    its steps as two (point, step) halves of (w, p, r), one of the even
-    offsets and one of the odd, and writes the tree's first level from
-    them directly: each odd step times the even step before it.  With both
-    q components 0 that product takes 9 multiplies instead of 16 and is
-    bitwise the full one; an odd last step goes up as (w, p, 0, r).  The
+    its steps as two (point, step) halves of (1 + T^2, P, R), one of the
+    even offsets and one of the odd, and writes the tree's first level
+    from them directly: each odd step L times the even step E before it,
+    (1 - P_L P_E - R_L R_E, P_E + P_L, R_L P_E - P_L R_E, R_E + R_L), 4
+    products, scaled by 1 / sqrt((1 + T_L^2)(1 + T_E^2)).  That is bitwise
+    the 16-multiply product of (1, P, 0, R) steps, whose other terms are
+    exact ones and zeros, then the scale; an odd last step goes up as
+    (1, P, 0, R) / sqrt(1 + T^2).  The norm thus comes from T, not from the
+    quaternion, so the drift below still measures the propagation.  The
     upper levels alternate between a 4-row and a 2-row buffer.  The chunk
     products go on a binary-counter stack: two subtrees of equal size
     merge, the later on the left, and at the end of the block the stack
@@ -291,7 +305,7 @@ def _propagate_grid(
     stack, which chains the block after them.
 
     Every chunk array is a contiguous view into one workspace of 13
-    half-chunk rows, allocated once per call, with cos, k Omega and k (-x)
+    half-chunk rows, allocated once per call, with 1 + T^2, P and R
     written over the angle, Omega and 2 E they came from.  The working set
     is that workspace, at most 3.25 MiB (104 bytes a point beyond 2^15
     points, where a chunk is the minimum 2 steps), and a stack of at most
@@ -303,10 +317,11 @@ def _propagate_grid(
 
     The tree runs once per distinct (|x|, omega_start); a point whose x has
     its sign bit set takes that product with q and r negated.  That is
-    bitwise its own steps' product: -x's step is (w, p, 0, -r), each term
-    of a Hamilton product keeps its sign or flips with q and r, negation is
-    exact and rounding symmetric (save for the sign of an exact 0, which no
-    probability sees).  Start state, matrix, P and drift stay per point.
+    bitwise its own steps' product: -x's step is (1, P, 0, -R) with the
+    same T, each term of a Hamilton product keeps its sign or flips with q
+    and r, negation is exact and rounding symmetric (save for the sign of
+    an exact 0, which no probability sees).  Start state, matrix, P and
+    drift stay per point.
 
     Raises InvalidInputError, before any step, beyond MAX_POINT_STEPS.
     """
@@ -331,17 +346,16 @@ def _propagate_grid(
         return buf[: math.prod(shape)].reshape(shape)
 
     def steps(first: int, stop: int, bufs: np.ndarray):
-        """(w, p, r) of every other step from first up to stop, (point, step)."""
+        """(1 + T^2, P, R) of every other step from first to stop, (point, step)."""
         t = (np.arange(first, stop, 2) + 0.5) * step
-        om, rate, angle = (view(b, g, t.shape[0]) for b in bufs)
+        om, rate, tan = (view(b, g, t.shape[0]) for b in bufs)
         _drive(starts[:, None], omega_end, t, t_f, ramp, out=om)
         np.add(x_sq, np.square(om, out=rate), out=rate)
         np.sqrt(rate, out=rate)  # 2 E
-        np.multiply(0.5 * step, rate, out=angle)
-        k = view(scratch, *om.shape)
-        np.divide(np.sin(angle, out=k), rate, out=k)
-        np.cos(angle, out=angle)
-        return angle, np.multiply(k, om, out=om), np.multiply(k, minus_x, out=rate)
+        np.tan(np.multiply(0.5 * step, rate, out=tan), out=tan)
+        u = np.divide(tan, rate, out=view(scratch, *om.shape))
+        np.add(1.0, np.square(tan, out=tan), out=tan)
+        return tan, np.multiply(u, om, out=om), np.multiply(u, minus_x, out=rate)
 
     def merge() -> None:
         """Replace the top two stack entries by their product, later on the left."""
@@ -354,17 +368,25 @@ def _propagate_grid(
         stop = min(start + _BLOCK, n_steps)
         for first in range(start, stop, chunk):
             last = min(first + chunk, stop)
-            ew, ep, er = steps(first, last, even)
-            lw, lp, lr = steps(first + 1, last, odd)
-            pairs = lw.shape[1]
-            u = view(four, 4, g, ew.shape[1])
-            later = (lw, lp, None, lr)
-            earlier = (ew[:, :pairs], ep[:, :pairs], None, er[:, :pairs])
-            spill = view(scratch, g, pairs)
-            _accumulate(later, earlier, u[..., :pairs], _STEP_PAIR, spill)
+            es, ep, er = steps(first, last, even)
+            ls, lp, lr = steps(first + 1, last, odd)
+            pairs = ls.shape[1]
+            u = view(four, 4, g, es.shape[1])
             if pairs < u.shape[2]:  # the odd last step
-                u[0, :, -1], u[1, :, -1], u[3, :, -1] = ew[:, -1], ep[:, -1], er[:, -1]
-                u[2, :, -1] = 0.0
+                norm = 1.0 / np.sqrt(es[:, -1])
+                u[0, :, -1], u[2, :, -1] = norm, 0.0
+                u[1, :, -1], u[3, :, -1] = ep[:, -1] * norm, er[:, -1] * norm
+            es, ep, er = es[:, :pairs], ep[:, :pairs], er[:, :pairs]
+            w, p, q, r = fused = u[..., :pairs]
+            spill = view(scratch, g, pairs)
+            np.subtract(1.0, np.multiply(lp, ep, out=w), out=w)
+            np.subtract(w, np.multiply(lr, er, out=spill), out=w)
+            np.add(ep, lp, out=p)
+            np.multiply(lr, ep, out=q)
+            np.subtract(q, np.multiply(lp, er, out=spill), out=q)
+            np.add(er, lr, out=r)
+            np.divide(1.0, np.sqrt(np.multiply(ls, es, out=ls), out=ls), out=ls)
+            np.multiply(fused, ls, out=fused)
             spare, held = two, four
             while u.shape[2] > 1:
                 pairs = u.shape[2] // 2
@@ -432,7 +454,10 @@ def adiabatic_evolve(x: float, schedule: AdiabaticSchedule | None = None) -> flo
     |x| <= omega_start / 10 (enforced for both ramps); the smooth ramp
     starts in that eigenstate exactly.  See AdiabaticSchedule.
     """
+    _check_reals(x=x)
     sched = default_schedule(x) if schedule is None else schedule
+    if not isinstance(sched, AdiabaticSchedule):
+        raise InvalidInputError(f"schedule must be an AdiabaticSchedule, got {sched!r}")
     probs, _ = _evolve(np.array([float(x)]), np.array([sched.omega_start]), sched)
     return float(probs[0])
 
@@ -464,6 +489,7 @@ def _profile_schedule(
     end points hold, so adiabatic-check checks it before building the grid.
     """
     # Bound both before their product forms the drive, which could overflow.
+    _check_reals(omega_start_factor=omega_start_factor)
     _check_magnitudes(x=xs, omega_start_factor=omega_start_factor)
     starts = omega_start_factor * np.maximum(1.0, np.abs(xs))
     return starts, AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)
@@ -483,9 +509,17 @@ def adiabatic_profile(
     which checks the ramp settings with the largest start, and omega_end
     also with the smallest; P is compared against f(x / omega_end).
     """
-    grid = np.asarray(list(xs), dtype=float)
+    try:
+        grid = np.asarray(list(xs))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        grid = None
+    if grid is None or grid.dtype.kind not in "biuf":
+        raise InvalidInputError("x grid must be a sequence of real numbers")
+    grid = grid.astype(float)
     if grid.size == 0:
         raise InvalidInputError("empty x grid")
+    if grid.ndim != 1:
+        raise InvalidInputError(f"x grid must be one-dimensional, got shape {grid.shape}")
     starts, schedule = _profile_schedule(
         grid, t_f, dt, omega_start_factor, omega_end, ramp
     )
@@ -524,10 +558,22 @@ class Statevector:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
+def _check_register(n) -> int:
+    """n as a register size: an integer in 1..MAX_QUBITS, else InvalidInputError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInputError(f"number of qubits must be an integer, got {n!r}") from None
+    if not 1 <= n <= MAX_QUBITS:
+        raise InvalidInputError(
+            f"need at least one qubit and at most MAX_QUBITS = {MAX_QUBITS}, got {n}"
+        )
+    return n
+
+
 def zero_state(n: int) -> Statevector:
-    """|0...0> on n qubits."""
-    if n < 1:
-        raise InvalidInputError("need at least one qubit")
+    """|0...0> on n qubits, at most MAX_QUBITS."""
+    n = _check_register(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     return Statevector(amps, n)
@@ -541,6 +587,7 @@ def _basis_index(bits) -> np.ndarray:
 
 def basis_state(n: int, bits: Sequence[int]) -> Statevector:
     """Computational basis state for an MSB-first bit string."""
+    n = _check_register(n)
     if len(bits) != n:
         raise InvalidInputError(f"expected {n} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
@@ -631,7 +678,8 @@ def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
     and one |0> target per potential, applies every perceptron gate once,
     and returns the (2^k, outputs) table whose row i holds each target's
     excitation probability conditioned on the inputs reading basis state i:
-    its marginal on that row, times 2^k.
+    its marginal on that row, times 2^k.  zero_state checks the register,
+    k + outputs qubits, against MAX_QUBITS before it allocates it.
     """
     if not potentials:
         raise InvalidInputError("need at least one potential")

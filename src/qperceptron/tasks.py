@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -76,9 +77,10 @@ class TaskSpec:
     order its rows are given.  bits (2^arity, arity) and targets
     (2^arity, n_outputs) are the sorted rows' input bits and target bits as
     read-only int arrays; they take no part in equality.  Construction
-    checks that arity is an integer in 1..MAX_ARITY, that the rows hold each
-    input exactly once, and that every template is one a NeuralPotential
-    over arity spins accepts; a template is stored as a tuple of index tuples.
+    checks that arity is an integer in 1..MAX_ARITY, that the examples are a
+    sequence of TrainingExample rows holding each input exactly once, and
+    that every template is one a NeuralPotential over arity spins accepts;
+    a template is stored as a tuple of index tuples.
     """
 
     name: str
@@ -95,12 +97,20 @@ class TaskSpec:
             raise InvalidInputError(f"arity must be an integer, got {self.arity!r}") from None
         if not 1 <= arity <= MAX_ARITY:
             raise InvalidInputError(f"arity must be in [1, {MAX_ARITY}], got {arity}")
+        if not isinstance(self.templates, Sequence) or not all(
+            isinstance(t, Sequence) for t in self.templates
+        ):
+            raise InvalidInputError("templates must be a sequence of index sequences")
         if len(self.templates) == 0:
             raise InvalidInputError("task needs at least one output")
         potentials = [_unpack(arity, t, np.zeros(arity + len(t) + 1)) for t in self.templates]
         templates = tuple(tuple(t.indices for t in p.multi_terms) for p in potentials)
+        if not isinstance(self.examples, Sequence):
+            raise InvalidInputError("examples must be a sequence of TrainingExample rows")
         if len(self.examples) != 2**arity:  # before any array of 2^arity rows
             raise InvalidInputError(f"task must hold the full truth table of {2**arity} rows")
+        if not all(isinstance(ex, TrainingExample) for ex in self.examples):
+            raise InvalidInputError("every example must be a TrainingExample")
         examples = tuple(sorted(self.examples, key=operator.attrgetter("spins.spins")))
         bits, targets = _rows(examples, arity, len(templates))
         if not np.array_equal(bits, _bit_rows(arity)):

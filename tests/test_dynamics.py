@@ -37,6 +37,7 @@ from qperceptron.core import _bit_rows
 from qperceptron.dynamics import (
     MAX_MAGNITUDE,
     MAX_POINT_STEPS,
+    MAX_QUBITS,
     IntegratorError,
     InvalidWiringError,
     Statevector,
@@ -81,6 +82,12 @@ class TestSchedule:
             AdiabaticSchedule(omega_start=50.0, t_f=200.0, dt=1.0)
         with pytest.raises(InvalidInputError):
             AdiabaticSchedule(omega_start=50.0, ramp="cosine")
+
+    @pytest.mark.parametrize("name", ["omega_start", "omega_end", "t_f", "dt"])
+    @pytest.mark.parametrize("value", ["a", None, 1j])
+    def test_rejects_a_setting_that_is_not_a_real_number(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+            AdiabaticSchedule(**{"omega_start": 50.0, name: value})
 
 
 class TestSmoothRamp:
@@ -162,6 +169,20 @@ class TestAdiabaticEvolve:
         assert adiabatic_evolve(1.0) == pytest.approx(0.8390739986021529, abs=1e-9)
         assert adiabatic_evolve(0.5) == pytest.approx(0.7055445453303999, abs=1e-9)
 
+    @pytest.mark.parametrize("x", ["a", 1j, None, [0.5]])
+    def test_rejects_a_potential_that_is_not_a_real_number(self, x):
+        for call in (
+            lambda: adiabatic_evolve(x),
+            lambda: adiabatic_evolve(x, AdiabaticSchedule(omega_start=50.0)),
+            lambda: default_schedule(x),
+        ):
+            with pytest.raises(InvalidInputError, match="x must be a real number"):
+                call()
+
+    def test_rejects_a_schedule_of_another_type(self):
+        with pytest.raises(InvalidInputError, match="must be an AdiabaticSchedule"):
+            adiabatic_evolve(0.5, {"omega_start": 50.0})
+
     def test_guard_rejects_large_potential_for_the_drive(self):
         schedule = AdiabaticSchedule(omega_start=50.0)
         with pytest.raises(ScheduleTooFastError):
@@ -229,6 +250,26 @@ class TestAdiabaticProfile:
     def test_rejects_an_empty_grid(self):
         with pytest.raises(InvalidInputError, match="empty x grid"):
             adiabatic_profile([])
+
+    @pytest.mark.parametrize(
+        "xs, settings, message",
+        [
+            ([[1.0, 2.0]], {}, r"one-dimensional, got shape \(1, 2\)"),
+            (["a"], {}, "sequence of real numbers"),
+            ([1j], {}, "sequence of real numbers"),
+            (np.array([0.5 + 1j]), {}, "sequence of real numbers"),
+            ([None], {}, "sequence of real numbers"),
+            ([[1.0], [2.0, 3.0]], {}, "sequence of real numbers"),
+            (5, {}, "sequence of real numbers"),
+            ([1.0], {"dt": "x"}, "dt must be a real number"),
+            ([1.0], {"t_f": None}, "t_f must be a real number"),
+            ([1.0], {"omega_end": "a"}, "omega_end must be a real number"),
+            ([1.0], {"omega_start_factor": "a"}, "omega_start_factor must be a real"),
+        ],
+    )
+    def test_rejects_a_grid_or_setting_of_the_wrong_kind(self, xs, settings, message):
+        with pytest.raises(InvalidInputError, match=message):
+            adiabatic_profile(xs, **settings)
 
     def test_the_slow_start_bound_holds_per_point(self):
         # at factor 5, |x| = 0.5 sits on its bound 5 * 1 / 10, while |x| = 3
@@ -313,8 +354,9 @@ def _hamilton_expression(a, b, out):
 
 def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
     """The quaternion composition before the first tree level was fused: a
-    (4, points, steps) array of steps per block and 16-multiply products at
-    every level."""
+    (4, points, steps) array of steps (1, P, 0, R) per block from the
+    tangents T of their angles, 16-multiply products at every level, and
+    each first-level product scaled by 1 / sqrt((1 + T_L^2)(1 + T_E^2))."""
     g = xs.shape[0]
     n_steps = _ramp_steps(g, t_f, dt)
     step = t_f / n_steps
@@ -325,13 +367,22 @@ def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
         mid = (np.arange(start, stop) + 0.5) * step
         om = _drive(omega_starts[:, None], omega_end, mid, t_f, ramp)
         rate = np.sqrt(xs[:, None] ** 2 + om**2)  # 2 E
-        angle = (0.5 * step) * rate
+        tan = np.tan((0.5 * step) * rate)
         u = np.empty((4, g, stop - start))
-        np.cos(angle, out=u[0])
-        k = np.sin(angle) / rate
-        np.multiply(k, om, out=u[1])
+        u[0] = 1.0
+        np.multiply(tan / rate, om, out=u[1])
         u[2] = 0.0
-        np.multiply(k, -xs[:, None], out=u[3])
+        np.multiply(tan / rate, -xs[:, None], out=u[3])
+        size = 1.0 + tan**2
+        pairs = u.shape[2] // 2
+        nxt = np.empty((4, g, u.shape[2] - pairs))
+        later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
+        _hamilton_expression(later, earlier, nxt[..., :pairs])
+        scale = 1.0 / np.sqrt(size[:, 1 : 2 * pairs : 2] * size[:, 0 : 2 * pairs : 2])
+        nxt[..., :pairs] *= scale
+        if u.shape[2] % 2:
+            nxt[..., -1] = u[..., -1] * (1.0 / np.sqrt(size[:, -1]))
+        u = nxt
         while u.shape[2] > 1:
             pairs = u.shape[2] // 2
             nxt = np.empty((4, g, u.shape[2] - pairs))
@@ -384,6 +435,31 @@ class TestQuaternionPropagator:
         reference = _matmul_propagate(xs, starts, 1.0, t_f, 1e-3, ramp)
         np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12)
         assert drift.max() < 1e-11
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    # E dt starts at ~pi/2 from 3141.5926 and past it from 6000, where a
+    # step's sign flips; drives from 1e6 and 1e12 sweep E dt over many
+    # periods of tan
+    @pytest.mark.parametrize("omega_start", [3141.0, 3141.5926, 6000.0, 1e6, 1e12])
+    def test_agrees_where_the_tangent_is_large(self, ramp, omega_start):
+        xs = np.linspace(-3.0, 3.0, 7)
+        starts = np.full(7, omega_start)
+        probs, drift = _propagate_grid(xs, starts, 1.0, 2.0, 1e-3, ramp)
+        reference = _matmul_propagate(xs, starts, 1.0, 2.0, 1e-3, ramp)
+        np.testing.assert_allclose(probs, reference, rtol=0, atol=3e-14)
+        assert drift.max() <= 5e-14
+
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_a_built_step_is_a_unit_quaternion(self, ramp, n_steps):
+        # One step goes up as the odd last step, two as one scaled pair.  The
+        # drift of (w, p, 0, r) applied to a unit state is
+        # |sqrt(w^2 + p^2 + r^2) - 1|, plus the rounding of the drift itself.
+        rng = np.random.default_rng(n_steps)
+        xs = rng.uniform(-3.0, 3.0, 4096)
+        starts = 10.0 ** rng.uniform(0.0, 12.0, 4096)
+        _, drift = _propagate_grid(xs, starts, 1.0, 1e-3 * n_steps, 1e-3, ramp)
+        assert drift.max() <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("ramp", ["linear", "smooth"])
     @pytest.mark.parametrize("points", [1, 7, 61])
@@ -690,6 +766,21 @@ class TestRegister:
         state = zero_state(2)
         assert state.amplitudes[0] == 1.0
         assert state.norm() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1.5, "2", None])
+    def test_rejects_a_register_size_that_is_not_an_integer(self, n):
+        with pytest.raises(InvalidInputError, match="qubits must be an integer"):
+            zero_state(n)
+        with pytest.raises(InvalidInputError, match="qubits must be an integer"):
+            basis_state(n, (0, 0))
+
+    def test_a_register_holds_at_most_max_qubits(self):
+        assert zero_state(MAX_QUBITS).n == MAX_QUBITS
+        too_wide = MAX_QUBITS + 1
+        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 21"):
+            zero_state(too_wide)
+        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 21"):
+            basis_state(too_wide, (0,) * too_wide)
 
     def test_basis_state_uses_first_qubit_as_most_significant(self):
         state = basis_state(2, (1, 0))
@@ -1019,6 +1110,18 @@ class TestStatevectorTable:
         table = statevector_table(potentials)
         s = SpinConfig((1, -1, 1))  # bits 101, basis index 5
         np.testing.assert_array_equal(forward_statevector(potentials, s), table[5])
+
+    def test_rejects_a_register_past_the_bound_before_allocating_it(self, monkeypatch):
+        def no_register(shape, *args, **kwargs):
+            raise AssertionError(f"a register of {shape} amplitudes was allocated")
+
+        # 2^33 amplitudes would take 128 GiB
+        monkeypatch.setattr(dynamics.np, "zeros", no_register)
+        wide = [NeuralPotential((0.0,) * 16, 0.0)] * 17
+        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 33"):
+            statevector_table(wide)
+        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 33"):
+            forward_statevector(wide, SpinConfig((1,) * 16))
 
     def test_rejects_no_potentials_and_mixed_arities(self):
         with pytest.raises(InvalidInputError):

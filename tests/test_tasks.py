@@ -202,6 +202,15 @@ class TestTaskSpec:
             (64, ((),), _one_row(64), "got 64"),
             ("2", ((),), resolve_task("xor").examples, "arity must be an integer"),
             (2.0, ((),), resolve_task("xor").examples, "arity must be an integer"),
+            (2, 5, resolve_task("xor").examples, "templates must be a sequence"),
+            (2, (5,), resolve_task("xor").examples, "templates must be a sequence"),
+            (
+                2,
+                ((),),
+                resolve_task("xor").examples[:3] + ((1, -1),),
+                "every example must be a TrainingExample",
+            ),
+            (2, ((),), iter(resolve_task("xor").examples), "examples must be a sequence"),
         ],
         ids=[
             "templates0-examples0-at least one output",
@@ -215,6 +224,10 @@ class TestTaskSpec:
             "arity-64",
             "arity-str",
             "arity-float",
+            "templates-not-a-sequence",
+            "template-not-a-sequence",
+            "example-not-a-training-example",
+            "examples-an-iterator",
         ],
     )
     def test_rejects_an_inconsistent_table(self, arity, templates, examples, message):
