@@ -14,30 +14,25 @@ only slowly with t_f.  "smooth" follows the quintic smootherstep
 s(u) = 10u^3 - 15u^4 + 6u^5, flat at both ends, and starts in the exact
 upper eigenstate of H(0), so the error falls rapidly with t_f.
 
-The propagator steps with the exact unitary of the midpoint Hamiltonian.
-Each step is an element of SU(2), kept as a real quaternion (float64
-arrays over the grid) and composed by Hamilton products in a pairwise tree;
-the complex 2x2 matrix is formed once per grid point, to apply the whole
-ramp to the start state.  A step is built from one tangent T = tan(E dt)
-as (1, P, 0, R) = (1, T Omega, 0, -T x) / 2E, the unit step times
-sqrt(1 + T^2) up to the sign of cos(E dt): a global phase, which no
-probability or norm sees.  A block of steps is built as an even-offset and
-an odd-offset half of (1 + T^2, P, R), which the tree's first level pairs
-with 4 products, since both w are 1 and both q are 0, and scales by
-1 / sqrt((1 + T_L^2)(1 + T_E^2)) into a unit quaternion; the upper levels
-write each product in place.  The tree is evaluated depth first, in chunks
-of at most _CHUNK_POINT_STEPS point-steps whose products a binary-counter
-stack folds into the same tree.  The chunk arrays share one workspace, a
-fixed 3.25 MiB up to 2^15 points, so past the per-point products (under
-0.6 kB a point) the working set does not grow with the grid.
-H(-x) = X H(x) X, so the ramp of -x is the ramp of x with the signs of its
-q and r components flipped, exactly (see _propagate_grid), and the tree
-runs once per distinct (|x|, omega_start) of the grid: a grid mirrored
-about 0 costs about half.  A grid may take at most
-MAX_POINT_STEPS point-steps, and no |x|, omega_start or t_f may exceed
-MAX_MAGNITUDE, below which no square or product of two of them overflows,
-nor may omega_end fall below 1 / MAX_MAGNITUDE.  AdiabaticSchedule checks the
-ramp, _evolve the potentials, for adiabatic_evolve and adiabatic_profile alike.
+The propagator steps with the exact unitary of the midpoint Hamiltonian,
+an element w I - i (p X + q Y + r Z) of SU(2), and composes the steps in
+a pairwise tree; each point's product becomes a complex 2x2 matrix once,
+applied to the start state.  A step is built from one tangent
+T = tan(E dt) as the real quaternion (w, p, q, r) = (1, T Omega, 0, -T x) / 2E,
+the unit step times sqrt(1 + T^2) up to a global phase.  The tree's first
+level pairs the steps with 4 real products; one pack writes its products as
+complex pairs (alpha, gamma) = (w + i r, p + i q), which the upper levels
+compose with 4 complex products each, none written over an operand (see
+_compose).  The tree runs depth first over chunks that share one 2.75 MiB
+workspace, so past the per-point products (under 0.6 kB a point) the
+working set does not grow with the grid.  H(-x) = X H(x) X, so the ramp of
+-x is the complex conjugate of the ramp of x, exactly, and the tree runs
+once per distinct (|x|, omega_start) of the grid: a grid mirrored about 0
+costs about half.  A grid may take at most MAX_POINT_STEPS point-steps, and
+no |x|, omega_start or t_f may exceed MAX_MAGNITUDE, below which no square
+or product of two of them overflows, nor may omega_end fall below
+1 / MAX_MAGNITUDE.  AdiabaticSchedule checks the ramp, _evolve the
+potentials, for adiabatic_evolve and adiabatic_profile alike.
 
 Statevector indexing: qubit 1 is the most significant bit of the basis
 index, consistent with the MSB-first integer convention of `core`.
@@ -190,8 +185,14 @@ def instantaneous_upper_eigenstate(x, omega):
 
     This is the eigenvector of H = (x * sz + omega * sx) / 2 with eigenvalue
     +sqrt(x^2 + omega^2) / 2; at x = 0 it reduces to the equal superposition.
-    x and omega may also be arrays, which broadcast.
+    x and omega may also be real arrays, which broadcast.
     """
+    try:
+        real = all(np.asarray(v).dtype.kind in "biuf" for v in (x, omega))
+    except ValueError:  # a ragged sequence
+        real = False
+    if not real:
+        raise InvalidInputError(f"x and omega must be real, got {x!r} and {omega!r}")
     if not np.all(omega > 0.0):
         raise InvalidInputError("omega must be positive")
     p = activation(x / omega)
@@ -217,42 +218,32 @@ def _ramp_steps(points: int, t_f: float, dt: float) -> int:
     return steps
 
 
-# The Hamilton product a * b term by term: row i lists the (j, k, sign) of
-# each sign * a[j] * b[k] that sums to component i, in the order of
-#   w = aw bw - ap bp - aq bq - ar br
-#   p = aw bp + ap bw + aq br - ar bq
-#   q = aw bq + aq bw + ar bp - ap br
-#   r = aw br + ar bw + ap bq - aq bp
-_HAMILTON = (
-    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
-    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
-    ((0, 2, 1), (2, 0, 1), (3, 1, 1), (1, 3, -1)),
-    ((0, 3, 1), (3, 0, 1), (1, 2, 1), (2, 1, -1)),
-)
-def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """Write the Hamilton products a * b into out and return it.
+def _compose(later, earlier, out, scratch) -> np.ndarray:
+    """Write the products later * earlier of SU(2) pairs into out and return it.
 
-    a, b and out stack (w, p, q, r) on their first axis, scratch is one
-    component's buffer, and out must not overlap a or b.  (w, p, q, r)
-    stands for the SU(2) element w I - i (p X + q Y + r Z) in the standard
-    Pauli matrices, Z = diag(+1, -1), so a * b is their matrix product.
-    Each term goes into scratch and is added into out in the order of
-    _HAMILTON, so out equals the written-out expression bitwise and no other
-    temporary is allocated.
+    later, earlier and out stack (alpha, gamma) = (w + i r, p + i q) on their
+    first axis, for the element w I - i (p X + q Y + r Z) whose matrix is
+    [[conj alpha, -i conj gamma], [-i gamma, alpha]], Z = diag(+1, -1), so
+    alpha = alpha_L alpha_E - gamma_L conj(gamma_E) and
+    gamma = gamma_L conj(alpha_E) + alpha_L gamma_E.  scratch is one
+    component's complex buffer.  No multiply writes over an input: numpy
+    rounds a complex product written in place, or into an expression's
+    reused temporary, without its fused multiply-add, and a point's result
+    would then depend on the size of its grid.
     """
-    for dst, ((j, k, _), *rest) in zip(out, _HAMILTON):
-        np.multiply(a[j], b[k], out=dst)
-        for j, k, sign in rest:
-            np.multiply(a[j], b[k], out=scratch)
-            (np.add if sign > 0 else np.subtract)(dst, scratch, out=dst)
+    (al, gl), (ae, ge), (a, c) = later, earlier, out
+    np.multiply(al, ae, out=a)
+    np.subtract(a, np.multiply(gl, np.conjugate(ge, out=scratch), out=c), out=a)
+    np.multiply(gl, np.conjugate(ae, out=scratch), out=c)
+    np.add(c, np.multiply(al, ge, out=scratch), out=c)
     return out
 
 
 # Steps per block; the blocks of a ramp are chained in time order.
 _BLOCK = 1 << 14
 # Most point-steps one chunk of a block holds, unless the chunk is 2 steps.
-# A chunk's working set is 13 half-chunk arrays, 3.25 MiB at this budget.
-# Of 2^14 .. 2^18 it ran the benchmark's adiabatic grids fastest (one CPU
+# A chunk's working set is 11 half-chunk rows of float64, 2.75 MiB at this
+# budget.  Of 2^14 .. 2^18 it ran the benchmark's adiabatic grids fastest (one CPU
 # of a 2-vCPU Xeon, 3 interleaved runs): 2^14 took ~45% longer, 2^15 and
 # 2^18 7-25%, 2^17 -2 to +12%.
 _CHUNK_POINT_STEPS = 1 << 16
@@ -274,8 +265,8 @@ def _propagate_grid(
 
     Each step applies the exact unitary of the midpoint Hamiltonian,
     U = cos(E dt) I - i sin(E dt) / E * H with E = sqrt(x^2 + Omega^2) / 2.
-    U lies in SU(2) and is held as a real quaternion (see _hamilton); since
-    sz = -Z, it is (cos(E dt), k Omega, 0, -k x) with k = sin(E dt) / (2 E).
+    U lies in SU(2): since sz = -Z, it is the quaternion
+    (cos(E dt), k Omega, 0, -k x) with k = sin(E dt) / (2 E) (see _compose).
     A step is built from one tangent, T = tan(E dt) and u = T / (2 E), as
     (1, P, 0, R) = (1, u Omega, 0, -u x): U / cos(E dt), so
     (1, P, 0, R) / sqrt(1 + T^2) is U times the sign of cos(E dt), a
@@ -295,33 +286,33 @@ def _propagate_grid(
     the 16-multiply product of (1, P, 0, R) steps, whose other terms are
     exact ones and zeros, then the scale; an odd last step goes up as
     (1, P, 0, R) / sqrt(1 + T^2).  The norm thus comes from T, not from the
-    quaternion, so the drift below still measures the propagation.  The
-    upper levels alternate between a 4-row and a 2-row buffer.  The chunk
-    products go on a binary-counter stack: two subtrees of equal size
-    merge, the later on the left, and at the end of the block the stack
-    folds from the top.  That is the same pairwise-with-carry tree as over
-    the whole block at once, so every product keeps its bits.  The fold
+    quaternion, so the drift below still measures the propagation.
+
+    One pack writes the first level as the complex pairs of _compose, which
+    composes the upper levels in the step rows and the first level's rows by
+    turns.  The chunk products go on a binary-counter stack: two subtrees of
+    equal size merge, the later on the left, and at the end of the block the
+    stack folds from the top.  That is the same pairwise-with-carry tree as
+    over the whole block at once, so every product keeps its bits.  The fold
     goes on into the product of the earlier blocks, at the bottom of the
     stack, which chains the block after them.
 
-    Every chunk array is a contiguous view into one workspace of 13
-    half-chunk rows, allocated once per call, with 1 + T^2, P and R
-    written over the angle, Omega and 2 E they came from.  The working set
-    is that workspace, at most 3.25 MiB (104 bytes a point beyond 2^15
-    points, where a chunk is the minimum 2 steps), and a stack of at most
-    16 (4, points) products, whatever the number of steps.  Only each
-    point's final product becomes a complex 2x2 matrix, applied to the
-    start state.  Every operation is elementwise over points, so a point's
+    Every chunk array is a contiguous view into one workspace of 11
+    half-chunk rows, allocated once per call, each array written over ones
+    already read.  The working set is that workspace, at most 2.75 MiB
+    (88 bytes a point beyond 2^15 points, where a chunk is the minimum 2
+    steps), and a stack of at most 16 (2, points) pairs, whatever the number
+    of steps.  Every operation is elementwise over points, so a point's
     result does not depend on the rest of the grid, and the norm is
     preserved to rounding error by construction.
 
     The tree runs once per distinct (|x|, omega_start); a point whose x has
-    its sign bit set takes that product with q and r negated.  That is
-    bitwise its own steps' product: -x's step is (1, P, 0, -R) with the
-    same T, each term of a Hamilton product keeps its sign or flips with q
-    and r, negation is exact and rounding symmetric (save for the sign of
-    an exact 0, which no probability sees).  Start state, matrix, P and
-    drift stay per point.
+    its sign bit set takes the conjugate of that pair.  That is bitwise its
+    own steps' product: -x's step is (1, P, 0, -R) with the same T, so its
+    first-level pair is the conjugate, the product of conjugates is the
+    conjugate of the product, and negation is exact and rounding symmetric
+    (save for the sign of an exact 0, which no probability sees).  Start
+    state, matrix, P and drift stay per point.
 
     Raises InvalidInputError, before any step, beyond MAX_POINT_STEPS.
     """
@@ -335,10 +326,13 @@ def _propagate_grid(
     chunk = 2
     while chunk < _BLOCK and 2 * chunk * g <= _CHUNK_POINT_STEPS:
         chunk *= 2
-    rows = np.empty((13, g * (chunk // 2)))
+    rows = np.empty((11, g * (chunk // 2)))
     even, odd, scratch = rows[0:3], rows[3:6], rows[6]
-    four, two = rows[7:11].reshape(-1), rows[11:13].reshape(-1)
-    stack = np.empty(((_BLOCK // chunk).bit_length() + 2, 4, g))
+    four = rows[7:11].reshape(-1)
+    # the complex levels: the step rows, the first level's rows and a spill
+    low, high = rows[0:6].reshape(-1).view(complex), four.view(complex)
+    spill_pairs = scratch[: scratch.shape[0] // 2 * 2].view(complex)
+    stack = np.empty(((_BLOCK // chunk).bit_length() + 2, 2, g), dtype=complex)
     sizes: list[int] = []  # chunks under each stack entry, bottom first
 
     def view(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -360,7 +354,7 @@ def _propagate_grid(
     def merge() -> None:
         """Replace the top two stack entries by their product, later on the left."""
         i = len(sizes) - 1
-        _hamilton(stack[i], stack[i - 1], stack[i + 1], view(scratch, g))
+        _compose(stack[i], stack[i - 1], stack[i + 1], view(low, g))
         stack[i - 1] = stack[i + 1]
         sizes[-1] += sizes.pop(-2)
 
@@ -371,13 +365,13 @@ def _propagate_grid(
             es, ep, er = steps(first, last, even)
             ls, lp, lr = steps(first + 1, last, odd)
             pairs = ls.shape[1]
-            u = view(four, 4, g, es.shape[1])
-            if pairs < u.shape[2]:  # the odd last step
+            level = view(four, 4, g, es.shape[1])
+            if pairs < level.shape[2]:  # the odd last step
                 norm = 1.0 / np.sqrt(es[:, -1])
-                u[0, :, -1], u[2, :, -1] = norm, 0.0
-                u[1, :, -1], u[3, :, -1] = ep[:, -1] * norm, er[:, -1] * norm
+                level[0, :, -1], level[2, :, -1] = norm, 0.0
+                level[1, :, -1], level[3, :, -1] = ep[:, -1] * norm, er[:, -1] * norm
             es, ep, er = es[:, :pairs], ep[:, :pairs], er[:, :pairs]
-            w, p, q, r = fused = u[..., :pairs]
+            w, p, q, r = fused = level[..., :pairs]
             spill = view(scratch, g, pairs)
             np.subtract(1.0, np.multiply(lp, ep, out=w), out=w)
             np.subtract(w, np.multiply(lr, er, out=spill), out=w)
@@ -387,12 +381,15 @@ def _propagate_grid(
             np.add(er, lr, out=r)
             np.divide(1.0, np.sqrt(np.multiply(ls, es, out=ls), out=ls), out=ls)
             np.multiply(fused, ls, out=fused)
-            spare, held = two, four
+            u = view(low, 2, g, level.shape[2])  # (w + i r, p + i q)
+            np.copyto(u.real, level[:2])
+            np.copyto(u.imag, level[3:1:-1])
+            spare, held = high, low
             while u.shape[2] > 1:
                 pairs = u.shape[2] // 2
-                nxt = view(spare, 4, g, u.shape[2] - pairs)
+                nxt = view(spare, 2, g, u.shape[2] - pairs)
                 later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
-                _hamilton(later, earlier, nxt[..., :pairs], view(scratch, g, pairs))
+                _compose(later, earlier, nxt[..., :pairs], view(spill_pairs, g, pairs))
                 if u.shape[2] % 2:
                     nxt[..., -1] = u[..., -1]
                 u, spare, held = nxt, held, spare
@@ -403,14 +400,14 @@ def _propagate_grid(
         while len(sizes) > 1:
             merge()
         sizes[0] = 0  # the blocks so far, which no chunk subtree matches
-    w, p, q, r = wpqr = stack[0][:, inverse]
+    alpha, gamma = pair = stack[0][:, inverse]
     del stack  # the per-point matrices below need not sit on top of it
-    np.negative(wpqr[2:], out=wpqr[2:], where=np.signbit(xs))
+    np.conjugate(pair, out=pair, where=np.signbit(xs))
     mat = np.empty((xs.shape[0], 2, 2), dtype=complex)
-    mat[:, 0, 0] = w - 1j * r
-    mat[:, 0, 1] = -q - 1j * p
-    mat[:, 1, 0] = q - 1j * p
-    mat[:, 1, 1] = w + 1j * r
+    mat[:, 0, 0], mat[:, 1, 1] = np.conjugate(alpha), alpha
+    turn = mat[:, 1, 0]
+    turn.real, turn.imag = gamma.imag, -gamma.real  # -i gamma
+    mat[:, 0, 1] = -np.conjugate(turn)  # -i conj gamma
     if ramp == "linear":
         psi0 = np.full((xs.shape[0], 2), 1.0 / np.sqrt(2.0), dtype=complex)
     else:
@@ -547,9 +544,10 @@ class Statevector:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _check_register(self.n))
         amplitudes = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amplitudes)
-        if self.n < 1 or self.amplitudes.shape != (2**self.n,):
+        if self.amplitudes.shape != (2**self.n,):
             raise InvalidInputError(
                 f"amplitude vector of length {self.amplitudes.shape} does not match n={self.n}"
             )

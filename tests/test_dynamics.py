@@ -42,8 +42,8 @@ from qperceptron.dynamics import (
     InvalidWiringError,
     Statevector,
     _basis_index,
+    _compose,
     _drive,
-    _hamilton,
     _propagate_grid,
     _ramp_steps,
 )
@@ -158,6 +158,22 @@ class TestHamiltonianAndEigenstate:
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(InvalidInputError):
             instantaneous_upper_eigenstate(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x, omega",
+        [(1.0, "a"), ("a", 1.0), (1j, 1.0), (1.0, [1.0, "a"]), ([[1.0], [1.0, 2.0]], 1.0)],
+    )
+    def test_rejects_an_argument_that_is_not_real(self, x, omega):
+        with pytest.raises(InvalidInputError, match="must be real"):
+            instantaneous_upper_eigenstate(x, omega)
+
+    def test_array_arguments_broadcast(self):
+        xs, omegas = np.array([[0.0], [1.0]]), np.array([1.0, 2.0, 4.0])
+        lower, upper = instantaneous_upper_eigenstate(xs, omegas)
+        assert lower.shape == upper.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            one = instantaneous_upper_eigenstate(xs[i, 0], omegas[j])
+            assert (lower[i, j], upper[i, j]) == one
 
 
 class TestAdiabaticEvolve:
@@ -341,8 +357,8 @@ def _matmul_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
 
 
 def _hamilton_expression(a, b, out):
-    """The written-out Hamilton product that _hamilton evaluated before it
-    composed in place."""
+    """The written-out Hamilton product of (w, p, q, r) quaternions, the
+    reference's first tree level."""
     aw, ap, aq, ar = a
     bw, bp, bq, br = b
     out[0] = aw * bw - ap * bp - aq * bq - ar * br
@@ -352,11 +368,44 @@ def _hamilton_expression(a, b, out):
     return out
 
 
+def _times(a, b):
+    """The complex product a * b in a new array.  numpy rounds a product
+    written in place, as into an expression's reused temporary, without its
+    fused multiply-add, so no product here is written over an operand."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    return np.multiply(a, b, out=out)
+
+
+def _pair_expression(later, earlier):
+    """The written-out product later * earlier of (alpha, gamma) pairs, the
+    reference's upper tree levels and chaining of blocks."""
+    (al, gl), (ae, ge) = later, earlier
+    return np.stack(
+        [
+            _times(al, ae) - _times(gl, np.conjugate(ge)),
+            _times(gl, np.conjugate(ae)) + _times(al, ge),
+        ]
+    )
+
+
+def _pairs(quaternions):
+    """(w, p, q, r) -> (alpha, gamma) = (w + i r, p + i q), on the first axis."""
+    w, p, q, r = quaternions
+    return np.stack([w + 1j * r, p + 1j * q])
+
+
+def _quaternions(pairs):
+    """(alpha, gamma) -> (w, p, q, r), on the first axis."""
+    alpha, gamma = pairs
+    return np.stack([alpha.real, gamma.real, gamma.imag, alpha.imag])
+
+
 def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
-    """The quaternion composition before the first tree level was fused: a
-    (4, points, steps) array of steps (1, P, 0, R) per block from the
-    tangents T of their angles, 16-multiply products at every level, and
-    each first-level product scaled by 1 / sqrt((1 + T_L^2)(1 + T_E^2))."""
+    """The tree breadth first over whole blocks: a (4, points, steps) array
+    of steps (1, P, 0, R) per block from the tangents T of their angles,
+    16-multiply Hamilton products at the first level, each scaled by
+    1 / sqrt((1 + T_L^2)(1 + T_E^2)), then (w + i r, p + i q) pairs composed
+    by written-out pair products at every upper level and across blocks."""
     g = xs.shape[0]
     n_steps = _ramp_steps(g, t_f, dt)
     step = t_f / n_steps
@@ -382,20 +431,14 @@ def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
         nxt[..., :pairs] *= scale
         if u.shape[2] % 2:
             nxt[..., -1] = u[..., -1] * (1.0 / np.sqrt(size[:, -1]))
-        u = nxt
+        u = _pairs(nxt)
         while u.shape[2] > 1:
             pairs = u.shape[2] // 2
-            nxt = np.empty((4, g, u.shape[2] - pairs))
             later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
-            _hamilton_expression(later, earlier, nxt[..., :pairs])
-            if u.shape[2] % 2:
-                nxt[..., -1] = u[..., -1]
-            u = nxt
-        if total is None:
-            total = u[..., 0]
-        else:
-            total = _hamilton_expression(u[..., 0], total, np.empty((4, g)))
-    w, p, q, r = total
+            product = _pair_expression(later, earlier)
+            u = np.concatenate([product, u[..., 2 * pairs :]], axis=2)
+        total = u[..., 0] if total is None else _pair_expression(u[..., 0], total)
+    w, p, q, r = _quaternions(total)
     mat = np.empty((g, 2, 2), dtype=complex)
     mat[:, 0, 0] = w - 1j * r
     mat[:, 0, 1] = -q - 1j * p
@@ -413,16 +456,37 @@ def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
 
 
 class TestQuaternionPropagator:
-    def test_hamilton_product_is_the_matrix_product(self):
+    def test_pair_product_is_the_matrix_product(self):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 4, 500))
         a /= np.linalg.norm(a, axis=0)
         b /= np.linalg.norm(b, axis=0)
-        product = _hamilton(a, b, np.empty((4, 500)), np.empty(500))
-        np.testing.assert_allclose(
-            _su2(product), _su2(a) @ _su2(b), rtol=0, atol=1e-15
+        product = _compose(
+            _pairs(a), _pairs(b), np.empty((2, 500), complex), np.empty(500, complex)
         )
-        np.testing.assert_allclose(np.linalg.norm(product, axis=0), 1.0, atol=1e-15)
+        np.testing.assert_allclose(
+            _su2(_quaternions(product)), _su2(a) @ _su2(b), rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            np.linalg.norm(_quaternions(product), axis=0), 1.0, atol=1e-15
+        )
+
+    def test_the_product_of_mirrored_pairs_is_the_mirrored_product(self):
+        # the ramp of -x is the conjugate of the ramp of x, bit for bit
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, 4, 500))
+        product, mirrored = (
+            _compose(
+                later, earlier, np.empty((2, 500), complex), np.empty(500, complex)
+            )
+            for later, earlier in [
+                (_pairs(a), _pairs(b)),
+                (np.conjugate(_pairs(a)), np.conjugate(_pairs(b))),
+            ]
+        )
+        np.testing.assert_array_equal(
+            mirrored.view(np.uint64), np.conjugate(product).view(np.uint64)
+        )
 
     @pytest.mark.parametrize("ramp", ["linear", "smooth"])
     # 100001 steps: six full blocks and a last one of 1697, odd at the first
@@ -646,6 +710,22 @@ class TestMirroredGrid:
         np.testing.assert_array_equal(probs, ref_probs)
         np.testing.assert_array_equal(drift, ref_drift)
 
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    @pytest.mark.parametrize("n_steps", [16383, 16384])
+    def test_each_point_is_its_solo_run_at_numpys_elision_size(self, ramp, n_steps):
+        # 4 distinct |x| take 16384-step chunks, whose second level is a
+        # (4, 4096) complex array per component: 256 KiB, the size from
+        # which numpy reuses an expression's temporary for its result
+        xs = np.array([0.0, 1.0, 2.0, 3.0, -0.0, -1.0, -2.0, -3.0])
+        starts = 50.0 * np.maximum(1.0, np.abs(xs))
+        t_f = 1e-3 * n_steps
+        probs, drift = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        for i in range(xs.shape[0]):
+            solo = _propagate_grid(
+                xs[i : i + 1], starts[i : i + 1], 1.0, t_f, 1e-3, ramp
+            )
+            assert (probs[i], drift[i]) == (solo[0][0], solo[1][0])
+
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(
         st.integers(1, 4),
@@ -838,6 +918,21 @@ class TestRegister:
             Statevector(np.zeros(3), 2)
         with pytest.raises(InvalidInputError, match="at least one qubit"):
             zero_state(0)
+
+    def test_rejects_a_size_that_is_not_an_integer(self):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            Statevector([1.0, 0.0], "a")
+
+    def test_rejects_a_size_past_the_bound_before_forming_its_length(self):
+        # 2**n at n = 10**9 is a billion-bit integer, ~125 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="MAX_QUBITS"):
+                Statevector([1.0, 0.0], 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_a_gate_output_off_unit_norm_aborts(self):
         # both gates preserve the norm, so a state 1e-9 off it stays off;
