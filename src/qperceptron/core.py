@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,28 +38,71 @@ MAX_ARITY = 16
 # activation is exactly 0 or 1 at and beyond +-ACTIVATION_CLIP; below it
 # x * x stays finite.
 ACTIVATION_CLIP = 1e150
+# the least float above 0: _real(value, name, _POSITIVE) asks for value > 0
+_POSITIVE = math.ulp(0.0)
 
 
 class InvalidInputError(ValueError):
     """Raised when a value violates a documented precondition."""
 
 
-def _check_finite(x: np.ndarray, name: str) -> None:
-    """InvalidInputError naming the first non-finite value of x, if any."""
-    finite = np.isfinite(x)
-    if not np.all(finite):
-        bad = float(np.asarray(x)[~finite].flat[0])
-        raise InvalidInputError(f"{name} must be finite, got {bad!r}")
+def _shown(value) -> str:
+    """repr(value), shortened by reprlib, on one line."""
+    return " ".join(reprlib.repr(value).split())
 
 
-def _finite_real(x, name: str) -> float:
-    """x as a float; InvalidInputError unless it is a finite numbers.Real."""
-    if not isinstance(x, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise InvalidInputError(f"{name} must be finite, got {x!r}")
+def _in_range(x, name: str, low, high, error, limit=None):
+    """x, else error naming name if it lies outside [low, high]; limit shows high."""
+    if x < low or x > high:
+        span = f"at least {low}" if high == math.inf else f"in [{low}, {limit or high}]"
+        raise error(f"{name} must be {span}, got {_shown(x)}")
     return x
+
+
+def _real(value, name: str, low=-math.inf, high=math.inf, *, finite=True) -> float:
+    """value as a float, else InvalidInputError naming name: a numbers.Real (bools
+    count), finite unless finite is False, in [low, high]; a huge int reads as inf."""
+    if not isinstance(value, (float, numbers.Real)):  # float skips the slower ABC check
+        raise InvalidInputError(f"{name} must be a real number, got {_shown(value)}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x!r}")
+    return x if low <= x <= high else _in_range(x, name, low, high, InvalidInputError)
+
+
+def _integer(value, name, low=-math.inf, high=math.inf, *, limit=None, error=InvalidInputError):
+    """value as an int, else error naming name: an integer to operator.index (bools
+    and numpy integers count, floats do not) in [low, high], shown as limit if given."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {_shown(value)}") from None
+    return i if low <= i <= high else _in_range(i, name, low, high, error, limit)
+
+
+def _instance(value, cls, name: str):
+    """value, else InvalidInputError naming name unless it is a cls (or a tuple of them)."""
+    if not isinstance(value, cls):
+        what = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        article = "an" if what[0] in "AEIOU" else "a"
+        raise InvalidInputError(f"{name} must be {article} {what}, got {_shown(value)}")
+    return value
+
+
+def _sequence(value, name: str, entry=None) -> tuple:
+    """value as a tuple, else InvalidInputError naming name: a tuple, list (both before the
+    slower ABC test) or other Sequence, not a str or bytes, or a numpy array of 1 or more
+    dimensions; entry is a class each entry must be an instance of, or a function checking one."""
+    ordered = isinstance(value, (tuple, list, Sequence)) and not isinstance(value, (str, bytes))
+    if not (ordered or isinstance(value, np.ndarray) and value.ndim > 0):
+        raise InvalidInputError(f"{name} must be a sequence, got {_shown(value)}")
+    if isinstance(entry, type):
+        label = f"{name} entries"
+        return tuple(_instance(v, entry, label) for v in value)
+    return tuple(value if entry is None else map(entry, value))
 
 
 def activation(x):
@@ -70,8 +114,14 @@ def activation(x):
     no step cancels and each is monotone, so f never decreases from one
     float to the next.  Accepts scalars or arrays; rejects non-finite input.
     """
-    x = np.asarray(x, dtype=float)
-    _check_finite(x, "activation input")
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"activation input must be real, got {_shown(x)}") from None
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = float(x[~finite].flat[0])
+        raise InvalidInputError(f"activation input must be finite, got {bad!r}")
     a = np.abs(x)
     a = np.where(a < ACTIVATION_CLIP, a, np.inf)  # an infinite |x| gives t = 0
     s = np.sqrt(1.0 + a * a)
@@ -87,11 +137,12 @@ class SpinConfig:
     spins: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.spins) == 0:
+        spins = _sequence(self.spins, "spins")
+        if len(spins) == 0:
             raise InvalidInputError("spin configuration must not be empty")
-        if any(s not in (-1, 1) for s in self.spins):
-            raise InvalidInputError(f"spins must be +1 or -1, got {self.spins}")
-        object.__setattr__(self, "spins", tuple(int(s) for s in self.spins))
+        if any(s not in (-1, 1) for s in spins):
+            raise InvalidInputError(f"spins must be +1 or -1, got {_shown(spins)}")
+        object.__setattr__(self, "spins", tuple(int(s) for s in spins))
 
     def __len__(self) -> int:
         return len(self.spins)
@@ -109,18 +160,25 @@ class SpinConfig:
 
 def bits_to_spins(bits: Sequence[int]) -> SpinConfig:
     """Map a bit sequence to spins via b -> 2*b - 1."""
+    bits = _sequence(bits, "bits")
     if any(b not in (0, 1) for b in bits):
-        raise InvalidInputError(f"bits must be 0 or 1, got {tuple(bits)}")
+        raise InvalidInputError(f"bits must be 0 or 1, got {_shown(bits)}")
     return SpinConfig(tuple(2 * int(b) - 1 for b in bits))
 
 
-def _integer_indices(indices) -> tuple[int, ...]:
-    """indices as a tuple of ints; InvalidInputError unless each is an integer."""
-    try:
-        return tuple(map(operator.index, indices))
-    except TypeError:
-        msg = f"term indices must be integers, got {indices!r}"
-        raise InvalidInputError(msg) from None
+def _term(indices, k: int | None = None) -> tuple[int, ...]:
+    """indices as a tuple of ints, else InvalidInputError: the rule of a product term,
+    at least two strictly increasing integers, each in 1..k (at least 1 if k is None)."""
+    term = _sequence(indices, "term indices", lambda i: _integer(i, "term index"))
+    if k is not None and not all(1 <= i <= k for i in term):
+        raise InvalidInputError(f"term {term} is outside spins 1..{k}")
+    if len(term) < 2:
+        raise InvalidInputError("a multi-qubit term needs at least two indices")
+    if any(i < 1 for i in term):
+        raise InvalidInputError(f"term indices are 1-based, got {term}")
+    if any(a >= b for a, b in zip(term, term[1:])):
+        raise InvalidInputError(f"term indices must be strictly increasing, got {term}")
+    return term
 
 
 @dataclass(frozen=True)
@@ -131,15 +189,8 @@ class MultiQubitTerm:
     weight: float = 0.0
 
     def __post_init__(self) -> None:
-        idx = _integer_indices(self.indices)
-        if len(idx) < 2:
-            raise InvalidInputError("a multi-qubit term needs at least two indices")
-        if any(i < 1 for i in idx):
-            raise InvalidInputError(f"term indices are 1-based, got {idx}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise InvalidInputError(f"term indices must be strictly increasing, got {idx}")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weight", _finite_real(self.weight, "term weight"))
+        object.__setattr__(self, "indices", _term(self.indices))
+        object.__setattr__(self, "weight", _real(self.weight, "term weight"))
 
 
 @dataclass(frozen=True)
@@ -151,15 +202,14 @@ class NeuralPotential:
     multi_terms: tuple[MultiQubitTerm, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        w = tuple(_finite_real(v, "linear weights") for v in self.linear_weights)
+        name = "linear weights"
+        w = _sequence(self.linear_weights, name, lambda v: _real(v, name))
         if len(w) == 0:
             raise InvalidInputError("potential needs at least one input spin")
-        bias = _finite_real(self.bias, "bias")
-        terms = tuple(self.multi_terms)
+        bias = _real(self.bias, "bias")
+        terms = _sequence(self.multi_terms, "multi_terms", MultiQubitTerm)
         seen: set[tuple[int, ...]] = set()
         for t in terms:
-            if not isinstance(t, MultiQubitTerm):
-                raise InvalidInputError("multi_terms entries must be MultiQubitTerm")
             if t.indices[-1] > len(w):
                 raise InvalidInputError(
                     f"term {t.indices} references a spin beyond arity {len(w)}"
@@ -183,19 +233,22 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
     each product term.  The k + len(template) + 1 columns are the inputs,
     each term's product, then -1, so features(inputs, template) @ _pack(p)
     evaluates p on every row.  On spins or bits every entry is exact.
-    An index that is not an integer in 1..k, or a term of fewer than two
-    indices, raises InvalidInputError.
+    Each term must follow the rule of _term over spins 1..k.
     """
-    inputs = np.asarray(inputs, dtype=float)
+    try:
+        inputs = np.asarray(inputs, dtype=float)
+        n, k = inputs.shape
+    except (TypeError, ValueError):  # not numbers, or not a table
+        raise InvalidInputError("inputs must be a table (N, k) of real numbers") from None
+    return _features(inputs, _sequence(template, "template", lambda indices: _term(indices, k)))
+
+
+def _features(inputs: np.ndarray, template) -> np.ndarray:
+    """features of a float table (N, k) and a template of terms _term accepts."""
     n, k = inputs.shape
     out = np.empty((n, k + len(template) + 1))
     out[:, :k] = inputs
     for m, indices in enumerate(template):
-        indices = _integer_indices(indices)
-        if not all(1 <= i <= k for i in indices):
-            raise InvalidInputError(f"term {indices} is outside spins 1..{k}")
-        if len(indices) < 2:
-            raise InvalidInputError("a multi-qubit term needs at least two indices")
         cols = np.subtract(indices, 1)
         np.multiply.reduce(inputs[:, cols], axis=1, out=out[:, k + m])
     out[:, -1] = -1.0
@@ -212,10 +265,7 @@ def _pack(p: NeuralPotential) -> np.ndarray:
 def _activations(potentials: Sequence[NeuralPotential], inputs) -> np.ndarray:
     """f(x) (N, len(potentials)) of each potential x on every encoded row (N, k)."""
     with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
-        xs = [
-            features(inputs, [t.indices for t in p.multi_terms]) @ _pack(p)
-            for p in potentials
-        ]
+        xs = [_features(inputs, [t.indices for t in p.multi_terms]) @ _pack(p) for p in potentials]
     return activation(np.stack(xs, axis=1))
 
 
@@ -232,8 +282,7 @@ def _unpack(
 
 def enumerate_inputs(k: int) -> list[SpinConfig]:
     """All 2^k spin configurations in ascending binary order, MSB first."""
-    if not 1 <= k <= MAX_ARITY:
-        raise InvalidInputError(f"arity must be in [1, {MAX_ARITY}], got {k}")
+    k = _integer(k, "arity", 1, MAX_ARITY)
     return [bits_to_spins(bits) for bits in _bit_rows(k).tolist()]
 
 
@@ -250,13 +299,11 @@ def reparameterize_bits_to_spins(p: NeuralPotential) -> NeuralPotential:
     values on corresponding inputs.  Product terms do not reparameterize this
     way and are rejected.
     """
-    if p.multi_terms:
+    if _instance(p, NeuralPotential, "p").multi_terms:
         raise InvalidInputError("only linear potentials admit the bit-to-spin map")
     half = tuple(w / 2.0 for w in p.linear_weights)
     try:
         shift = math.fsum(p.linear_weights) / 2.0
     except OverflowError:  # a partial sum passed the largest float
-        raise InvalidInputError(
-            "spin bias overflows: linear weights too large"
-        ) from None
+        raise InvalidInputError("spin bias overflows: linear weights too large") from None
     return NeuralPotential(half, p.bias - shift)

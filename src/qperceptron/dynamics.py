@@ -45,10 +45,8 @@ which no gate changes, so one superposed input register serves every row.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +56,12 @@ from .core import (
     SpinConfig,
     _activations,
     _bit_rows,
+    _instance,
+    _integer,
+    _real,
+    _sequence,
     activation,
+    bits_to_spins,
 )
 
 __all__ = [
@@ -91,8 +94,9 @@ MAX_MAGNITUDE = 1e150
 # The default drive starts at OMEGA_START_FACTOR * max(1, |x|).
 OMEGA_START_FACTOR = 50.0
 # Largest register zero_state, basis_state and statevector_table build:
-# 2^20 complex amplitudes, 16 MiB.
+# 2^20 complex amplitudes, 16 MiB.  _QUBITS is the rule _integer checks.
 MAX_QUBITS = 20
+_QUBITS = dict(name="number of qubits", low=1, high=MAX_QUBITS, limit=f"MAX_QUBITS = {MAX_QUBITS}")
 
 
 class InvalidWiringError(ValueError):
@@ -124,13 +128,6 @@ def _drive(omega_start, omega_end, t, t_f, ramp, out=None):
     return np.add(omega_end, fall, out=out)
 
 
-def _check_reals(**values) -> None:
-    """Reject a named value that is not a real number (numbers.Real)."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Real):
-            raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-
-
 def _check_magnitudes(**values) -> None:
     """Reject a named value whose magnitude exceeds MAX_MAGNITUDE or is nan."""
     for name, value in values.items():
@@ -160,9 +157,10 @@ class AdiabaticSchedule:
     def __post_init__(self) -> None:
         if self.ramp not in _RAMPS:
             raise InvalidInputError(f"unsupported ramp shape {self.ramp!r}")
-        _check_reals(
-            omega_start=self.omega_start, omega_end=self.omega_end, t_f=self.t_f, dt=self.dt
-        )
+        _real(self.omega_start, "omega_start", finite=False)
+        _real(self.omega_end, "omega_end", finite=False)
+        _real(self.t_f, "t_f", finite=False)
+        _real(self.dt, "dt", finite=False)
         _check_magnitudes(omega_start=self.omega_start, t_f=self.t_f)
         if not 1.0 / MAX_MAGNITUDE <= self.omega_end <= self.omega_start:
             raise InvalidInputError(
@@ -176,8 +174,8 @@ class AdiabaticSchedule:
 
 def default_schedule(x: float) -> AdiabaticSchedule:
     """Default ramp for x: start at OMEGA_START_FACTOR * max(1, |x|), end at 1."""
-    _check_reals(x=x)
-    return AdiabaticSchedule(OMEGA_START_FACTOR * max(1.0, abs(float(x))))
+    x = _real(x, "x", finite=False)
+    return AdiabaticSchedule(OMEGA_START_FACTOR * max(1.0, abs(x)))
 
 
 def instantaneous_upper_eigenstate(x, omega):
@@ -185,14 +183,14 @@ def instantaneous_upper_eigenstate(x, omega):
 
     This is the eigenvector of H = (x * sz + omega * sx) / 2 with eigenvalue
     +sqrt(x^2 + omega^2) / 2; at x = 0 it reduces to the equal superposition.
-    x and omega may also be real arrays, which broadcast.
+    x and omega may also be real arrays or sequences, which broadcast.
     """
     try:
-        real = all(np.asarray(v).dtype.kind in "biuf" for v in (x, omega))
+        x, omega = np.asarray(x), np.asarray(omega)
     except ValueError:  # a ragged sequence
-        real = False
-    if not real:
-        raise InvalidInputError(f"x and omega must be real, got {x!r} and {omega!r}")
+        x = omega = np.asarray(None)
+    if x.dtype.kind not in "biuf" or omega.dtype.kind not in "biuf":
+        raise InvalidInputError("x and omega must be real: numbers or arrays of them")
     if not np.all(omega > 0.0):
         raise InvalidInputError("omega must be positive")
     p = activation(x / omega)
@@ -451,11 +449,10 @@ def adiabatic_evolve(x: float, schedule: AdiabaticSchedule | None = None) -> flo
     |x| <= omega_start / 10 (enforced for both ramps); the smooth ramp
     starts in that eigenstate exactly.  See AdiabaticSchedule.
     """
-    _check_reals(x=x)
+    x = _real(x, "x", finite=False)
     sched = default_schedule(x) if schedule is None else schedule
-    if not isinstance(sched, AdiabaticSchedule):
-        raise InvalidInputError(f"schedule must be an AdiabaticSchedule, got {sched!r}")
-    probs, _ = _evolve(np.array([float(x)]), np.array([sched.omega_start]), sched)
+    _instance(sched, AdiabaticSchedule, "schedule")
+    probs, _ = _evolve(np.array([x]), np.array([sched.omega_start]), sched)
     return float(probs[0])
 
 
@@ -486,7 +483,7 @@ def _profile_schedule(
     end points hold, so adiabatic-check checks it before building the grid.
     """
     # Bound both before their product forms the drive, which could overflow.
-    _check_reals(omega_start_factor=omega_start_factor)
+    _real(omega_start_factor, "omega_start_factor", finite=False)
     _check_magnitudes(x=xs, omega_start_factor=omega_start_factor)
     starts = omega_start_factor * np.maximum(1.0, np.abs(xs))
     return starts, AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)
@@ -544,8 +541,9 @@ class Statevector:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_register(self.n))
-        amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        object.__setattr__(self, "n", _integer(self.n, **_QUBITS))
+        amplitudes = _instance(self.amplitudes, (np.ndarray, Sequence), "amplitudes")
+        amplitudes = np.asarray(amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amplitudes)
         if self.amplitudes.shape != (2**self.n,):
             raise InvalidInputError(
@@ -556,25 +554,10 @@ class Statevector:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
-def _check_register(n) -> int:
-    """n as a register size: an integer in 1..MAX_QUBITS, else InvalidInputError."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidInputError(f"number of qubits must be an integer, got {n!r}") from None
-    if not 1 <= n <= MAX_QUBITS:
-        raise InvalidInputError(
-            f"need at least one qubit and at most MAX_QUBITS = {MAX_QUBITS}, got {n}"
-        )
-    return n
-
-
 def zero_state(n: int) -> Statevector:
     """|0...0> on n qubits, at most MAX_QUBITS."""
-    n = _check_register(n)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(amps, n)
+    n = _integer(n, **_QUBITS)
+    return basis_state(n, (0,) * n)
 
 
 def _basis_index(bits) -> np.ndarray:
@@ -585,24 +568,12 @@ def _basis_index(bits) -> np.ndarray:
 
 def basis_state(n: int, bits: Sequence[int]) -> Statevector:
     """Computational basis state for an MSB-first bit string."""
-    n = _check_register(n)
-    if len(bits) != n:
+    n = _integer(n, **_QUBITS)
+    if len(bits_to_spins(bits)) != n:
         raise InvalidInputError(f"expected {n} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise InvalidInputError("bits must be 0 or 1")
     amps = np.zeros(2**n, dtype=complex)
     amps[_basis_index(bits)] = 1.0
     return Statevector(amps, n)
-
-
-def _check_qubit(state: Statevector, j) -> int:
-    try:
-        j = operator.index(j)
-    except TypeError:
-        raise InvalidWiringError(f"qubit {j!r} is not an integer") from None
-    if not 1 <= j <= state.n:
-        raise InvalidWiringError(f"qubit {j} outside register 1..{state.n}")
-    return j
 
 
 def _update_qubit(state: Statevector, j: int, pair) -> Statevector:
@@ -619,7 +590,8 @@ def _update_qubit(state: Statevector, j: int, pair) -> Statevector:
 
 def apply_hadamard(state: Statevector, j: int) -> Statevector:
     """Hadamard on qubit j (an involution)."""
-    j = _check_qubit(state, j)
+    n = _instance(state, Statevector, "state").n
+    j = _integer(j, "qubit", 1, n, error=InvalidWiringError)
     r = 1.0 / np.sqrt(2.0)
     return _update_qubit(state, j, lambda a0, a1: ((a0 + a1) * r, (a0 - a1) * r))
 
@@ -633,11 +605,10 @@ def apply_perceptron_gate(
     sees the rotation that maps |0> to sqrt(1 - f(x)) |0> + sqrt(f(x)) |1>,
     completed as a real rotation (angle 2 * arcsin(sqrt(f(x)))).
     """
-    target = _check_qubit(state, target)
-    if target <= p.arity:
-        raise InvalidWiringError(
-            f"target qubit {target} is among the input qubits 1..{p.arity}"
-        )
+    n = _instance(state, Statevector, "state").n
+    target = _integer(target, "target qubit", 1, n, error=InvalidWiringError)
+    if target <= _instance(p, NeuralPotential, "p").arity:
+        raise InvalidWiringError(f"target qubit {target} is among the input qubits 1..{p.arity}")
     prob = _activations([p], 2.0 * _bit_rows(p.arity) - 1.0)
     return _rotate_target(state, prob[:, 0], p.arity, target)
 
@@ -660,7 +631,9 @@ def apply_network(
     state: Statevector, wiring: Sequence[tuple[NeuralPotential, int]]
 ) -> Statevector:
     """Apply perceptron gates in order; target qubits must be distinct."""
-    targets = [_check_qubit(state, t) for _, t in wiring]
+    n = _instance(state, Statevector, "state").n
+    wiring = _sequence(wiring, "wiring", lambda gate: _sequence(gate, "wiring entries"))
+    targets = [_integer(t, "target qubit", 1, n, error=InvalidWiringError) for _, t in wiring]
     if len(set(targets)) != len(targets):
         raise InvalidWiringError(f"duplicate target qubits in {targets}")
     out = state
@@ -679,6 +652,7 @@ def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
     its marginal on that row, times 2^k.  zero_state checks the register,
     k + outputs qubits, against MAX_QUBITS before it allocates it.
     """
+    potentials = _sequence(potentials, "potentials", NeuralPotential)
     if not potentials:
         raise InvalidInputError("need at least one potential")
     k = potentials[0].arity
@@ -699,6 +673,7 @@ def forward_statevector(
     potentials: Sequence[NeuralPotential], s: SpinConfig
 ) -> np.ndarray:
     """Network outputs on one basis input: the row of statevector_table for s."""
-    if any(p.arity != len(s) for p in potentials):
+    table = statevector_table(potentials)
+    if potentials[0].arity != len(_instance(s, SpinConfig, "s")):
         raise InvalidInputError("every potential must match the input arity")
-    return statevector_table(potentials)[_basis_index(s.bits)]
+    return table[_basis_index(s.bits)]

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -30,6 +31,7 @@ from .core import (
     InvalidInputError,
     MultiQubitTerm,
     NeuralPotential,
+    _instance,
     reparameterize_bits_to_spins,
 )
 from .dynamics import _RAMPS, OMEGA_START_FACTOR, AdiabaticSchedule, _ramp_steps
@@ -221,12 +223,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Train every seed, detect plateaus, and audit the template."""
     started = time.perf_counter()
-    task = config.spec
+    task = _instance(config, ExperimentConfig, "config").spec
 
     nets = [
-        initialize_network(
-            task.arity, task.templates, config.trainer_config(seed), task.name
-        )
+        initialize_network(task.arity, task.templates, config.trainer_config(seed), task.name)
         for seed in config.seeds
     ]
     # train and detect_plateau read every field but the seed, which only
@@ -235,14 +235,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     trained = train(nets, task.examples, trainer, config.encoding)  # type: ignore[arg-type]
     train_seconds = time.perf_counter() - t0
-    outcomes = []
-    for seed, (net, curve) in zip(config.seeds, trained):
-        plateau = detect_plateau(curve, trainer)
-        outcomes.append(SeedOutcome(seed, curve, net, plateau, train_seconds))
+    outcomes = [
+        SeedOutcome(seed, curve, net, detect_plateau(curve, trainer), train_seconds)
+        for seed, (net, curve) in zip(config.seeds, trained)
+    ]
 
-    oracle = tuple(
-        check_exact_representability(task, j) for j in range(task.n_outputs)
-    )
+    oracle = tuple(check_exact_representability(task, j) for j in range(task.n_outputs))
     epoch_counts = [
         float("inf") if o.epochs_to_tolerance is None else float(o.epochs_to_tolerance)
         for o in outcomes
@@ -265,11 +263,12 @@ def emit_cost_curve_csv(result: ExperimentResult, out_dir: str | Path) -> list[P
     block's row format is built once and reused by the next seed whose
     block covers the same epochs.
     """
-    out = Path(out_dir)
+    outcomes = _instance(result, ExperimentResult, "result").outcomes
+    out = Path(_instance(out_dir, (str, os.PathLike), "out_dir"))
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     span, rows = (0, 0), ""  # the last block's (start, length) and its row format
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         path = out / f"cost_seed{outcome.seed}.csv"
         costs = outcome.curve.costs
         with open(path, "w", newline="\n") as fh:
@@ -286,35 +285,29 @@ def emit_cost_curve_csv(result: ExperimentResult, out_dir: str | Path) -> list[P
 
 
 def _weights_payload(net: TrainedNetwork) -> list[dict[str, Any]]:
-    payload = []
-    for p in net.perceptrons:
-        payload.append(
-            {
-                "linear": list(p.linear_weights),
-                "multi": [
-                    {"indices": list(t.indices), "weight": t.weight}
-                    for t in p.multi_terms
-                ],
-                "bias": p.bias,
-            }
-        )
-    return payload
+    return [
+        {
+            "linear": list(p.linear_weights),
+            "multi": [{"indices": list(t.indices), "weight": t.weight} for t in p.multi_terms],
+            "bias": p.bias,
+        }
+        for p in net.perceptrons
+    ]
 
 
 def emit_summary(result: ExperimentResult, path: str | Path) -> Path:
     """Write the experiment summary JSON; key set is part of the contract."""
-    config = result.config
-    per_seed = []
-    for o in result.outcomes:
-        per_seed.append(
-            {
-                "seed": o.seed,
-                "epochs_to_tolerance": o.epochs_to_tolerance,
-                "final_cost": o.final_cost,
-                "plateau": o.plateau,
-                "weights": _weights_payload(o.network),
-            }
-        )
+    config = _instance(result, ExperimentResult, "result").config
+    per_seed = [
+        {
+            "seed": o.seed,
+            "epochs_to_tolerance": o.epochs_to_tolerance,
+            "final_cost": o.final_cost,
+            "plateau": o.plateau,
+            "weights": _weights_payload(o.network),
+        }
+        for o in result.outcomes
+    ]
     doc = {
         "task": config.task,
         "mode": config.mode,
@@ -331,7 +324,7 @@ def emit_summary(result: ExperimentResult, path: str | Path) -> Path:
             "feasible" if v.feasible else "infeasible" for v in result.oracle
         ],
     }
-    path = Path(path)
+    path = Path(_instance(path, (str, os.PathLike), "path"))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")

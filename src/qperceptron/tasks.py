@@ -17,8 +17,8 @@ and only intended for small registers (k <= 5).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -30,11 +30,14 @@ from .core import (
     NeuralPotential,
     _activations,
     _bit_rows,
-    _finite_real,
+    _features,
+    _instance,
+    _integer,
     _pack,
+    _real,
+    _sequence,
     _unpack,
     enumerate_inputs,
-    features,
 )
 from .dynamics import statevector_table
 from .training import TrainedNetwork, TrainingExample, _input_matrix, _rows
@@ -91,27 +94,18 @@ class TaskSpec:
     targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            arity = operator.index(self.arity)
-        except TypeError:
-            raise InvalidInputError(f"arity must be an integer, got {self.arity!r}") from None
-        if not 1 <= arity <= MAX_ARITY:
-            raise InvalidInputError(f"arity must be in [1, {MAX_ARITY}], got {arity}")
-        if not isinstance(self.templates, Sequence) or not all(
-            isinstance(t, Sequence) for t in self.templates
-        ):
-            raise InvalidInputError("templates must be a sequence of index sequences")
-        if len(self.templates) == 0:
+        arity = _integer(self.arity, "arity", 1, MAX_ARITY)
+        templates = _sequence(self.templates, "templates", lambda t: _sequence(t, "templates"))
+        if len(templates) == 0:
             raise InvalidInputError("task needs at least one output")
-        potentials = [_unpack(arity, t, np.zeros(arity + len(t) + 1)) for t in self.templates]
+        potentials = [_unpack(arity, t, np.zeros(arity + len(t) + 1)) for t in templates]
         templates = tuple(tuple(t.indices for t in p.multi_terms) for p in potentials)
-        if not isinstance(self.examples, Sequence):
-            raise InvalidInputError("examples must be a sequence of TrainingExample rows")
-        if len(self.examples) != 2**arity:  # before any array of 2^arity rows
+        examples = _sequence(
+            self.examples, "examples", lambda ex: _instance(ex, TrainingExample, "every example")
+        )
+        if len(examples) != 2**arity:  # before any array of 2^arity rows
             raise InvalidInputError(f"task must hold the full truth table of {2**arity} rows")
-        if not all(isinstance(ex, TrainingExample) for ex in self.examples):
-            raise InvalidInputError("every example must be a TrainingExample")
-        examples = tuple(sorted(self.examples, key=operator.attrgetter("spins.spins")))
+        examples = tuple(sorted(examples, key=operator.attrgetter("spins.spins")))
         bits, targets = _rows(examples, arity, len(templates))
         if not np.array_equal(bits, _bit_rows(arity)):
             raise InvalidInputError("task must enumerate the full truth table")
@@ -126,14 +120,7 @@ class TaskSpec:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _prime(bits: tuple[int, ...], bit_order: BitOrder) -> tuple[int, ...]:
@@ -262,7 +249,7 @@ def verify_truth_table(
     each output's potential; the statevector engine builds
     statevector_table once, whose row r is basis state r, as is the task's.
     """
-    if net.arity != task.arity:
+    if _instance(net, TrainedNetwork, "net").arity != _instance(task, TaskSpec, "task").arity:
         raise InvalidInputError("network arity does not match task")
     if net.n_outputs != task.n_outputs:
         raise InvalidInputError("network output count does not match task")
@@ -329,20 +316,13 @@ def check_exact_representability(
     infeasible with margin 0.0 and no witness, the LP's own answer there,
     since the face certifies delta* = 0 exactly.  The LP decides the rest.
     """
-    if task.arity > MAX_ORACLE_ARITY:
-        raise InvalidInputError(
-            f"oracle is exhaustive and limited to arity {MAX_ORACLE_ARITY}"
-        )
-    try:
-        output_index = operator.index(output_index)
-    except TypeError:
-        raise InvalidInputError(f"non-integer output_index {output_index!r}") from None
-    if not (0 <= output_index < task.n_outputs):
-        raise InvalidInputError(f"output_index {output_index} out of range")
+    if _instance(task, TaskSpec, "task").arity > MAX_ORACLE_ARITY:
+        raise InvalidInputError(f"oracle is exhaustive and limited to arity {MAX_ORACLE_ARITY}")
+    output_index = _integer(output_index, "output_index", 0, task.n_outputs - 1)
     if _xor_face(task, output_index):
         return FeasibilityVerdict(False, 0.0, None)
     template = task.templates[output_index]
-    phi = features(_input_matrix(task.bits, "spin"), template)
+    phi = _features(_input_matrix(task.bits, "spin"), template)
     signs = 2.0 * task.targets[:, output_index] - 1.0
     n_rows, n_params = phi.shape
     signed = signs[:, None] * phi
@@ -440,6 +420,7 @@ def scale_potential(p: NeuralPotential, factor: float) -> NeuralPotential:
     """Multiply every weight and the bias by factor; the sign pattern is kept.
     A factor that is not a finite real, or a product that overflows, raises
     InvalidInputError."""
-    factor = _finite_real(factor, "scale factor")
+    factor = _real(factor, "scale factor")
     with np.errstate(over="ignore"):  # _unpack rejects an overflowed weight
-        return _unpack(p.arity, [t.indices for t in p.multi_terms], _pack(p) * factor)
+        terms = [t.indices for t in _instance(p, NeuralPotential, "p").multi_terms]
+        return _unpack(p.arity, terms, _pack(p) * factor)

@@ -21,19 +21,24 @@ are batches of one.
 
 from __future__ import annotations
 
-import numbers
-import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .core import (
+    _POSITIVE,
+    MAX_ARITY,
     InvalidInputError,
     NeuralPotential,
     SpinConfig,
     _activations,
+    _instance,
+    _integer,
     _pack,
+    _real,
+    _sequence,
     _unpack,
     features,
 )
@@ -67,13 +72,13 @@ class TrainingExample:
     target: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.spins, SpinConfig):
-            raise InvalidInputError("example spins must be a SpinConfig")
-        if len(self.target) == 0:
+        _instance(self.spins, SpinConfig, "example spins")
+        target = _sequence(self.target, "target")
+        if len(target) == 0:
             raise InvalidInputError("target must have at least one output bit")
-        if any(t not in (0, 1) for t in self.target):
-            raise InvalidInputError(f"targets must be 0 or 1, got {self.target}")
-        object.__setattr__(self, "target", tuple(int(t) for t in self.target))
+        if any(t not in (0, 1) for t in target):
+            raise InvalidInputError(f"targets must be 0 or 1, got {target}")
+        object.__setattr__(self, "target", tuple(int(t) for t in target))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -93,24 +98,14 @@ class TrainerConfig:
     plateau_epsilon: float = 5e-4
 
     def __post_init__(self) -> None:
-        for name in ("eta", "cost_tolerance", "init_range", "plateau_epsilon"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidInputError(f"{name} must be a real number")
-        for name, least in (("max_epochs", 1), ("seed", 0), ("plateau_window", 2)):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidInputError(f"{name} must be an integer") from None
-            if value < least:
-                raise InvalidInputError(f"{name} must be at least {least}")
-        if not (self.eta >= 0.0 and np.isfinite(self.eta)):
-            raise InvalidInputError("eta must be a finite non-negative real")
-        if not (self.cost_tolerance > 0.0):
-            raise InvalidInputError("cost_tolerance must be positive")
-        if not (self.init_range >= 0.0 and np.isfinite(2.0 * self.init_range)):
-            raise InvalidInputError("init_range must be >= 0 and 2 * init_range finite")
-        if not (self.plateau_epsilon > 0.0):
-            raise InvalidInputError("plateau_epsilon must be positive")
+        _real(self.eta, "eta", 0.0)
+        _integer(self.max_epochs, "max_epochs", 1)
+        _real(self.cost_tolerance, "cost_tolerance", _POSITIVE)
+        # weights are drawn from [-init_range, init_range], a finite span
+        _real(self.init_range, "init_range", 0.0, sys.float_info.max / 2)
+        _integer(self.seed, "seed", 0)
+        _integer(self.plateau_window, "plateau_window", 2)
+        _real(self.plateau_epsilon, "plateau_epsilon", _POSITIVE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +126,14 @@ class TrainedNetwork:
     task_name: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.perceptrons) == 0:
+        perceptrons = _sequence(self.perceptrons, "perceptrons", NeuralPotential)
+        arity = _integer(self.arity, "arity", 1)
+        if len(perceptrons) == 0:
             raise InvalidInputError("network needs at least one perceptron")
-        if any(p.arity != self.arity for p in self.perceptrons):
+        if any(p.arity != arity for p in perceptrons):
             raise InvalidInputError("all perceptrons must share the network arity")
-        object.__setattr__(self, "perceptrons", tuple(self.perceptrons))
+        object.__setattr__(self, "perceptrons", perceptrons)
+        object.__setattr__(self, "arity", arity)
 
     @property
     def n_outputs(self) -> int:
@@ -160,13 +158,12 @@ def _rows(
     rows: Sequence[TrainingExample], arity: int, n_outputs: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Input bits (N, arity) and targets (N, n_outputs) of rows, as int arrays."""
+    rows = _sequence(rows, "training_set", TrainingExample)
     if len(rows) == 0:
         raise InvalidInputError("training set must not be empty")
     for ex in rows:
         if len(ex.spins) != arity:
-            raise InvalidInputError(
-                f"example input arity {len(ex.spins)} does not match {arity}"
-            )
+            raise InvalidInputError(f"example input arity {len(ex.spins)} does not match {arity}")
         if len(ex.target) != n_outputs:
             raise InvalidInputError(
                 f"example target width {len(ex.target)} does not match "
@@ -263,7 +260,7 @@ def forward_network(
     net: TrainedNetwork, s: SpinConfig, encoding: Encoding = "spin"
 ) -> np.ndarray:
     """Output vector y = f(x_j) for one input configuration."""
-    if len(s) != net.arity:
+    if len(_instance(s, SpinConfig, "s")) != _instance(net, TrainedNetwork, "net").arity:
         raise InvalidInputError("input arity does not match network")
     inputs = _input_matrix(np.array([s.bits]), encoding)
     return _activations(net.perceptrons, inputs)[0]
@@ -275,6 +272,7 @@ def cost(
     encoding: Encoding = "spin",
 ) -> float:
     """Mean squared error with the 1 / (2 N k) normalization."""
+    net = _instance(net, TrainedNetwork, "net")
     design, theta, targets = _stack([net], training_set, encoding)
     with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
         return float(_costs(_forward(design, theta, targets)[1])[0])
@@ -284,7 +282,7 @@ def quantum_gradients(
     net: TrainedNetwork, training_set: Sequence[TrainingExample]
 ) -> tuple[PotentialGradient, ...]:
     """Exact cost gradients for every perceptron under the spin encoding."""
-    design, theta, targets = _stack([net], training_set, "spin")
+    design, theta, targets = _stack([_instance(net, TrainedNetwork, "net")], training_set, "spin")
     with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
         grad = _gradients(design, *_forward(design, theta, targets))[0]
     sizes = [(p.arity, len(p.multi_terms)) for p in net.perceptrons]
@@ -324,7 +322,8 @@ def train(
     run touch its memory.  Each curve is a view of its network's row, so
     it keeps the whole record alive.
     """
-    _check_seed_epochs(len(nets), config.max_epochs)
+    nets = _sequence(nets, "nets", TrainedNetwork)
+    _check_seed_epochs(len(nets), _instance(config, TrainerConfig, "config").max_epochs)
     design, theta, targets = _stack(nets, training_set, encoding)
     n_nets = len(nets)
     tol = config.cost_tolerance
@@ -361,7 +360,8 @@ def train(
 def detect_plateau(curve: CostCurve, config: TrainerConfig) -> float | None:
     """Mean of the trailing window when its spread is below plateau_epsilon;
     None otherwise, and for a curve no longer than the window."""
-    if len(curve.costs) <= config.plateau_window:
+    _instance(curve, CostCurve, "curve")
+    if len(curve.costs) <= _instance(config, TrainerConfig, "config").plateau_window:
         return None
     window = curve.costs[-config.plateau_window :]
     if float(window.max() - window.min()) < config.plateau_epsilon:
@@ -379,9 +379,11 @@ def initialize_network(
 
     templates[j] lists the multi-qubit index tuples of perceptron j.  Draw
     order is fixed per perceptron: linear weights, term weights, bias, in
-    one draw laid out as core's feature map.
+    one draw laid out as core's feature map.  arity is at most MAX_ARITY.
     """
-    rng = np.random.default_rng(config.seed)
+    arity = _integer(arity, "arity", 1, MAX_ARITY)
+    templates = _sequence(templates, "templates", lambda t: _sequence(t, "templates"))
+    rng = np.random.default_rng(_instance(config, TrainerConfig, "config").seed)
     r = config.init_range
     perceptrons = tuple(
         _unpack(arity, terms, rng.uniform(-r, r, arity + len(terms) + 1))

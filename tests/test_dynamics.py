@@ -175,6 +175,14 @@ class TestHamiltonianAndEigenstate:
             one = instantaneous_upper_eigenstate(xs[i, 0], omegas[j])
             assert (lower[i, j], upper[i, j]) == one
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_a_list_or_tuple_is_its_array(self, container):
+        xs, omegas = [-1.5, 0.0, 0.25, 3.0], [2.0, 0.5, 1.0, 7.0]
+        for omega, given in [(np.array(omegas), container(omegas)), (2.0, 2.0)]:
+            got = instantaneous_upper_eigenstate(container(xs), given)
+            expected = instantaneous_upper_eigenstate(np.array(xs), omega)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
 
 class TestAdiabaticEvolve:
     def test_balanced_potential_stays_balanced(self):
@@ -857,9 +865,10 @@ class TestRegister:
     def test_a_register_holds_at_most_max_qubits(self):
         assert zero_state(MAX_QUBITS).n == MAX_QUBITS
         too_wide = MAX_QUBITS + 1
-        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 21"):
+        message = r"number of qubits must be in \[1, MAX_QUBITS = 20\], got 21"
+        with pytest.raises(InvalidInputError, match=message):
             zero_state(too_wide)
-        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 21"):
+        with pytest.raises(InvalidInputError, match=message):
             basis_state(too_wide, (0,) * too_wide)
 
     def test_basis_state_uses_first_qubit_as_most_significant(self):
@@ -916,7 +925,8 @@ class TestRegister:
     def test_rejects_a_mismatched_length_and_an_empty_register(self):
         with pytest.raises(InvalidInputError, match="does not match n=2"):
             Statevector(np.zeros(3), 2)
-        with pytest.raises(InvalidInputError, match="at least one qubit"):
+        empty = r"number of qubits must be in \[1, MAX_QUBITS = 20\], got 0"
+        with pytest.raises(InvalidInputError, match=empty):
             zero_state(0)
 
     def test_rejects_a_size_that_is_not_an_integer(self):
@@ -948,11 +958,11 @@ class TestRegister:
     @pytest.mark.parametrize("j", [1.5, 3.0, "1", None, [3]])
     def test_rejects_a_qubit_that_is_not_an_integer(self, j):
         p = NeuralPotential((0.5,), 0.0, ())
-        with pytest.raises(InvalidWiringError, match="is not an integer"):
+        with pytest.raises(InvalidWiringError, match="qubit must be an integer"):
             apply_hadamard(zero_state(3), j)
-        with pytest.raises(InvalidWiringError, match="is not an integer"):
+        with pytest.raises(InvalidWiringError, match="qubit must be an integer"):
             apply_perceptron_gate(zero_state(3), p, j)
-        with pytest.raises(InvalidWiringError, match="is not an integer"):
+        with pytest.raises(InvalidWiringError, match="qubit must be an integer"):
             apply_network(zero_state(3), [(p, j)])
 
     def test_an_integer_qubit_of_another_type_is_that_qubit(self):
@@ -971,9 +981,9 @@ class TestRegister:
     @pytest.mark.parametrize("j", [0, 3])
     def test_rejects_a_qubit_outside_the_register(self, j):
         p = NeuralPotential((0.5,), 0.0, ())
-        with pytest.raises(InvalidWiringError, match="outside register 1..2"):
+        with pytest.raises(InvalidWiringError, match=r"qubit must be in \[1, 2\], got"):
             apply_hadamard(zero_state(2), j)
-        with pytest.raises(InvalidWiringError, match="outside register 1..2"):
+        with pytest.raises(InvalidWiringError, match=r"qubit must be in \[1, 2\], got"):
             apply_perceptron_gate(zero_state(2), p, j)
 
 
@@ -1213,9 +1223,10 @@ class TestStatevectorTable:
         # 2^33 amplitudes would take 128 GiB
         monkeypatch.setattr(dynamics.np, "zeros", no_register)
         wide = [NeuralPotential((0.0,) * 16, 0.0)] * 17
-        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 33"):
+        too_wide = r"number of qubits must be in \[1, MAX_QUBITS = 20\], got 33"
+        with pytest.raises(InvalidInputError, match=too_wide):
             statevector_table(wide)
-        with pytest.raises(InvalidInputError, match="at most MAX_QUBITS = 20, got 33"):
+        with pytest.raises(InvalidInputError, match=too_wide):
             forward_statevector(wide, SpinConfig((1,) * 16))
 
     def test_rejects_no_potentials_and_mixed_arities(self):

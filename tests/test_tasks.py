@@ -242,7 +242,7 @@ class TestTaskSpec:
             (((1,),), "at least two indices"),
             (((1, 1),), "strictly increasing"),
             (((2, 1),), "strictly increasing"),
-            (((1.5, 2),), "must be integers"),
+            (((1.5, 2),), "term index must be an integer"),
             (((1, 2), (1, 2)), "duplicate term"),
         ],
     )
@@ -525,7 +525,7 @@ class TestRepresentabilityOracle:
 
     @pytest.mark.parametrize("index", [1.5, "0", None, (0,)])
     def test_an_output_index_that_is_not_an_integer(self, index):
-        with pytest.raises(InvalidInputError, match="non-integer output_index"):
+        with pytest.raises(InvalidInputError, match="output_index must be an integer"):
             check_exact_representability(resolve_task("cnot"), index)
 
     @pytest.mark.parametrize("index", [True, np.int64(1)])
@@ -535,7 +535,7 @@ class TestRepresentabilityOracle:
         verdict = check_exact_representability(cnot, index)
         assert _fields(verdict) == _fields(check_exact_representability(cnot, 1))
         assert verdict.feasible
-        with pytest.raises(InvalidInputError, match="output_index 1 out of range"):
+        with pytest.raises(InvalidInputError, match=r"output_index must be in \[0, 0\], got 1"):
             check_exact_representability(resolve_task("xor"), index)
 
     def test_arity_guard(self):

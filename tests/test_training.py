@@ -124,6 +124,8 @@ class TestTrainerConfig:
             ("cost_tolerance", "0.01", "cost_tolerance must be a real number"),
             ("init_range", None, "init_range must be a real number"),
             ("plateau_epsilon", "5e-4", "plateau_epsilon must be a real number"),
+            # an int that fits neither int64 nor a float
+            pytest.param("eta", 10**400, "eta must be finite, got inf", id="eta-10**400"),
         ],
     )
     def test_rejects_a_field_of_the_wrong_type_or_sign(self, field, value, message):
@@ -598,3 +600,16 @@ class TestTrainedNetworkValidation:
     def test_needs_a_perceptron(self):
         with pytest.raises(InvalidInputError):
             TrainedNetwork((), 2)
+
+    def test_an_arity_is_stored_as_an_int_and_a_float_is_rejected(self):
+        p = NeuralPotential((0.1, 0.2), 0.0)
+        config = TrainerConfig(seed=0)
+        for make in (
+            lambda arity: TrainedNetwork((p,), arity),
+            lambda arity: initialize_network(arity, [()], config),
+        ):
+            net = make(np.int64(2))
+            assert type(net.arity) is int
+            assert cost(net, resolve_task("xor").examples) > 0.0
+            with pytest.raises(InvalidInputError, match="arity must be an integer, got 2.0"):
+                make(2.0)
