@@ -105,6 +105,15 @@ def _sequence(value, name: str, entry=None) -> tuple:
     return tuple(value if entry is None else map(entry, value))
 
 
+def _real_array(value) -> np.ndarray | None:
+    """value as a float array, or None unless numpy reads it as bools, ints or floats."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence
+        return None
+    return array.astype(float, copy=False) if array.dtype.kind in "biuf" else None
+
+
 def activation(x):
     """Excitation probability response f(x) = (1 + x / sqrt(1 + x^2)) / 2.
 
@@ -114,10 +123,9 @@ def activation(x):
     no step cancels and each is monotone, so f never decreases from one
     float to the next.  Accepts scalars or arrays; rejects non-finite input.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"activation input must be real, got {_shown(x)}") from None
+    x, given = _real_array(x), x
+    if x is None:
+        raise InvalidInputError(f"activation input must be real, got {_shown(given)}")
     finite = np.isfinite(x)
     if not finite.all():
         bad = float(x[~finite].flat[0])
@@ -140,7 +148,8 @@ class SpinConfig:
         spins = _sequence(self.spins, "spins")
         if len(spins) == 0:
             raise InvalidInputError("spin configuration must not be empty")
-        if any(s not in (-1, 1) for s in spins):
+        # a number, so that an array entry cannot reach the ambiguous s in (-1, 1)
+        if any(not isinstance(s, (int, numbers.Real)) or s not in (-1, 1) for s in spins):
             raise InvalidInputError(f"spins must be +1 or -1, got {_shown(spins)}")
         object.__setattr__(self, "spins", tuple(int(s) for s in spins))
 
@@ -235,11 +244,10 @@ def features(inputs, template: Sequence[Sequence[int]]) -> np.ndarray:
     evaluates p on every row.  On spins or bits every entry is exact.
     Each term must follow the rule of _term over spins 1..k.
     """
-    try:
-        inputs = np.asarray(inputs, dtype=float)
-        n, k = inputs.shape
-    except (TypeError, ValueError):  # not numbers, or not a table
-        raise InvalidInputError("inputs must be a table (N, k) of real numbers") from None
+    inputs = _real_array(inputs)
+    if inputs is None or inputs.ndim != 2:
+        raise InvalidInputError("inputs must be a table (N, k) of real numbers")
+    k = inputs.shape[1]
     return _features(inputs, _sequence(template, "template", lambda indices: _term(indices, k)))
 
 

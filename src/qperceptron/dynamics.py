@@ -16,18 +16,19 @@ upper eigenstate of H(0), so the error falls rapidly with t_f.
 
 The propagator steps with the exact unitary of the midpoint Hamiltonian,
 an element w I - i (p X + q Y + r Z) of SU(2), and composes the steps in
-a pairwise tree; each point's product becomes a complex 2x2 matrix once,
-applied to the start state.  A step is built from one tangent
-T = tan(E dt) as the real quaternion (w, p, q, r) = (1, T Omega, 0, -T x) / 2E,
-the unit step times sqrt(1 + T^2) up to a global phase.  The tree's first
-level pairs the steps with 4 real products; one pack writes its products as
-complex pairs (alpha, gamma) = (w + i r, p + i q), which the upper levels
-compose with 4 complex products each, none written over an operand (see
-_compose).  The tree runs depth first over chunks that share one 2.75 MiB
-workspace, so past the per-point products (under 0.6 kB a point) the
-working set does not grow with the grid.  H(-x) = X H(x) X, so the ramp of
--x is the complex conjugate of the ramp of x, exactly, and the tree runs
-once per distinct (|x|, omega_start) of the grid: a grid mirrored about 0
+one pairwise tree over the whole ramp; each point's amplitudes are read
+straight off its product and its start state.  A step is built from one
+tangent T = tan(E dt) as the real quaternion
+(w, p, q, r) = (1, T Omega, 0, -T x) / 2E, the unit step times
+sqrt(1 + T^2) up to a global phase.  The tree's first level pairs the
+steps with 4 real products; one pack writes its products as complex pairs
+(alpha, gamma) = (w + i r, p + i q), which the upper levels compose with 4
+complex products each, none written over an operand (see _compose).  The
+tree runs depth first over chunks that share one 2.75 MiB workspace, so
+past the per-point products (under 0.6 kB a point) the working set does
+not grow with the grid.  H(-x) = X H(x) X, so the ramp of -x is the
+complex conjugate of the ramp of x, exactly, and the tree runs once per
+distinct (|x|, omega_start) of the grid: a grid mirrored about 0
 costs about half.  A grid may take at most MAX_POINT_STEPS point-steps, and
 no |x|, omega_start or t_f may exceed MAX_MAGNITUDE, below which no square
 or product of two of them overflows, nor may omega_end fall below
@@ -59,6 +60,7 @@ from .core import (
     _instance,
     _integer,
     _real,
+    _real_array,
     _sequence,
     activation,
     bits_to_spins,
@@ -185,11 +187,8 @@ def instantaneous_upper_eigenstate(x, omega):
     +sqrt(x^2 + omega^2) / 2; at x = 0 it reduces to the equal superposition.
     x and omega may also be real arrays or sequences, which broadcast.
     """
-    try:
-        x, omega = np.asarray(x), np.asarray(omega)
-    except ValueError:  # a ragged sequence
-        x = omega = np.asarray(None)
-    if x.dtype.kind not in "biuf" or omega.dtype.kind not in "biuf":
+    x, omega = _real_array(x), _real_array(omega)
+    if x is None or omega is None:
         raise InvalidInputError("x and omega must be real: numbers or arrays of them")
     if not np.all(omega > 0.0):
         raise InvalidInputError("omega must be positive")
@@ -237,13 +236,11 @@ def _compose(later, earlier, out, scratch) -> np.ndarray:
     return out
 
 
-# Steps per block; the blocks of a ramp are chained in time order.
-_BLOCK = 1 << 14
-# Most point-steps one chunk of a block holds, unless the chunk is 2 steps.
-# A chunk's working set is 11 half-chunk rows of float64, 2.75 MiB at this
-# budget.  Of 2^14 .. 2^18 it ran the benchmark's adiabatic grids fastest (one CPU
-# of a 2-vCPU Xeon, 3 interleaved runs): 2^14 took ~45% longer, 2^15 and
-# 2^18 7-25%, 2^17 -2 to +12%.
+# Most point-steps one chunk holds, unless the chunk is 2 steps.  A chunk's
+# working set is 11 half-chunk rows of float64, 2.75 MiB at this budget.  Of
+# 2^14 .. 2^18 it ran the benchmark's adiabatic grids fastest (one CPU of a
+# 2-vCPU Xeon, 3 interleaved runs, chunks then at most 2^14 steps): 2^14
+# took ~45% longer, 2^15 and 2^18 7-25%, 2^17 -2 to +12%.
 _CHUNK_POINT_STEPS = 1 << 16
 
 
@@ -269,16 +266,16 @@ def _propagate_grid(
     (1, P, 0, R) = (1, u Omega, 0, -u x): U / cos(E dt), so
     (1, P, 0, R) / sqrt(1 + T^2) is U times the sign of cos(E dt), a
     global phase that no probability or norm sees.  |T| stays below ~1.6e16
-    for every double, so nothing overflows.  Within a block of _BLOCK steps
-    a pairwise tree composes the steps, later step on the left, carrying an
-    odd tail to the next level; the blocks are then chained in time order.
+    for every double, so nothing overflows.  One pairwise tree over the
+    whole ramp composes the steps, later step on the left, carrying an odd
+    tail to the next level.
 
-    The tree is evaluated depth first.  A block is cut into aligned chunks
-    of the largest power of two of steps, at most _BLOCK and at least 2,
-    whose points x steps stay within _CHUNK_POINT_STEPS.  A chunk holds
-    its steps as two (point, step) halves of (1 + T^2, P, R), one of the
-    even offsets and one of the odd, and writes the tree's first level
-    from them directly: each odd step L times the even step E before it,
+    The tree is evaluated depth first.  The ramp is cut into aligned chunks
+    of the largest power of two of steps, at least 2, whose points x steps
+    stay within _CHUNK_POINT_STEPS.  A chunk holds its steps as two
+    (point, step) halves of (1 + T^2, P, R), one of the even offsets and
+    one of the odd, and writes the tree's first level from them directly:
+    each odd step L times the even step E before it,
     (1 - P_L P_E - R_L R_E, P_E + P_L, R_L P_E - P_L R_E, R_E + R_L), 4
     products, scaled by 1 / sqrt((1 + T_L^2)(1 + T_E^2)).  That is bitwise
     the 16-multiply product of (1, P, 0, R) steps, whose other terms are
@@ -289,19 +286,18 @@ def _propagate_grid(
     One pack writes the first level as the complex pairs of _compose, which
     composes the upper levels in the step rows and the first level's rows by
     turns.  The chunk products go on a binary-counter stack: two subtrees of
-    equal size merge, the later on the left, and at the end of the block the
-    stack folds from the top.  That is the same pairwise-with-carry tree as
-    over the whole block at once, so every product keeps its bits.  The fold
-    goes on into the product of the earlier blocks, at the bottom of the
-    stack, which chains the block after them.
+    equal size merge, the later on the left, and at the end of the ramp the
+    stack folds from the top.  Each chunk is an aligned subtree, so that is
+    the same pairwise-with-carry tree as over the whole ramp at once, and
+    every product keeps its bits whatever the chunk size.
 
     Every chunk array is a contiguous view into one workspace of 11
     half-chunk rows, allocated once per call, each array written over ones
     already read.  The working set is that workspace, at most 2.75 MiB
     (88 bytes a point beyond 2^15 points, where a chunk is the minimum 2
-    steps), and a stack of at most 16 (2, points) pairs, whatever the number
-    of steps.  Every operation is elementwise over points, so a point's
-    result does not depend on the rest of the grid, and the norm is
+    steps), and a stack of at most 13 (2, points) pairs within
+    MAX_POINT_STEPS.  Every operation is elementwise over points, so a
+    point's result does not depend on the rest of the grid, and the norm is
     preserved to rounding error by construction.
 
     The tree runs once per distinct (|x|, omega_start); a point whose x has
@@ -309,8 +305,10 @@ def _propagate_grid(
     own steps' product: -x's step is (1, P, 0, -R) with the same T, so its
     first-level pair is the conjugate, the product of conjugates is the
     conjugate of the product, and negation is exact and rounding symmetric
-    (save for the sign of an exact 0, which no probability sees).  Start
-    state, matrix, P and drift stay per point.
+    (save for the sign of an exact 0, which no probability sees).  The
+    amplitudes are then read off each point's pair (alpha, gamma) and real
+    start (a, b): psi_down = conj(alpha) a - i conj(gamma) b and
+    psi_up = alpha b - i gamma a.
 
     Raises InvalidInputError, before any step, beyond MAX_POINT_STEPS.
     """
@@ -322,7 +320,7 @@ def _propagate_grid(
     g = mags.shape[0]
     x_sq, minus_x = mags[:, None] ** 2, -mags[:, None]
     chunk = 2
-    while chunk < _BLOCK and 2 * chunk * g <= _CHUNK_POINT_STEPS:
+    while 2 * chunk * g <= _CHUNK_POINT_STEPS:
         chunk *= 2
     rows = np.empty((11, g * (chunk // 2)))
     even, odd, scratch = rows[0:3], rows[3:6], rows[6]
@@ -330,7 +328,7 @@ def _propagate_grid(
     # the complex levels: the step rows, the first level's rows and a spill
     low, high = rows[0:6].reshape(-1).view(complex), four.view(complex)
     spill_pairs = scratch[: scratch.shape[0] // 2 * 2].view(complex)
-    stack = np.empty(((_BLOCK // chunk).bit_length() + 2, 2, g), dtype=complex)
+    stack = np.empty((math.ceil(n_steps / chunk).bit_length() + 1, 2, g), dtype=complex)
     sizes: list[int] = []  # chunks under each stack entry, bottom first
 
     def view(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -356,64 +354,54 @@ def _propagate_grid(
         stack[i - 1] = stack[i + 1]
         sizes[-1] += sizes.pop(-2)
 
-    for start in range(0, n_steps, _BLOCK):
-        stop = min(start + _BLOCK, n_steps)
-        for first in range(start, stop, chunk):
-            last = min(first + chunk, stop)
-            es, ep, er = steps(first, last, even)
-            ls, lp, lr = steps(first + 1, last, odd)
-            pairs = ls.shape[1]
-            level = view(four, 4, g, es.shape[1])
-            if pairs < level.shape[2]:  # the odd last step
-                norm = 1.0 / np.sqrt(es[:, -1])
-                level[0, :, -1], level[2, :, -1] = norm, 0.0
-                level[1, :, -1], level[3, :, -1] = ep[:, -1] * norm, er[:, -1] * norm
-            es, ep, er = es[:, :pairs], ep[:, :pairs], er[:, :pairs]
-            w, p, q, r = fused = level[..., :pairs]
-            spill = view(scratch, g, pairs)
-            np.subtract(1.0, np.multiply(lp, ep, out=w), out=w)
-            np.subtract(w, np.multiply(lr, er, out=spill), out=w)
-            np.add(ep, lp, out=p)
-            np.multiply(lr, ep, out=q)
-            np.subtract(q, np.multiply(lp, er, out=spill), out=q)
-            np.add(er, lr, out=r)
-            np.divide(1.0, np.sqrt(np.multiply(ls, es, out=ls), out=ls), out=ls)
-            np.multiply(fused, ls, out=fused)
-            u = view(low, 2, g, level.shape[2])  # (w + i r, p + i q)
-            np.copyto(u.real, level[:2])
-            np.copyto(u.imag, level[3:1:-1])
-            spare, held = high, low
-            while u.shape[2] > 1:
-                pairs = u.shape[2] // 2
-                nxt = view(spare, 2, g, u.shape[2] - pairs)
-                later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
-                _compose(later, earlier, nxt[..., :pairs], view(spill_pairs, g, pairs))
-                if u.shape[2] % 2:
-                    nxt[..., -1] = u[..., -1]
-                u, spare, held = nxt, held, spare
-            stack[len(sizes)] = u[..., 0]
-            sizes.append(1)
-            while len(sizes) > 1 and sizes[-1] == sizes[-2]:
-                merge()
-        while len(sizes) > 1:
+    for first in range(0, n_steps, chunk):
+        last = min(first + chunk, n_steps)
+        es, ep, er = steps(first, last, even)
+        ls, lp, lr = steps(first + 1, last, odd)
+        pairs = ls.shape[1]
+        level = view(four, 4, g, es.shape[1])
+        if pairs < level.shape[2]:  # the odd last step
+            norm = 1.0 / np.sqrt(es[:, -1])
+            level[0, :, -1], level[2, :, -1] = norm, 0.0
+            level[1, :, -1], level[3, :, -1] = ep[:, -1] * norm, er[:, -1] * norm
+        es, ep, er = es[:, :pairs], ep[:, :pairs], er[:, :pairs]
+        w, p, q, r = fused = level[..., :pairs]
+        spill = view(scratch, g, pairs)
+        np.subtract(1.0, np.multiply(lp, ep, out=w), out=w)
+        np.subtract(w, np.multiply(lr, er, out=spill), out=w)
+        np.add(ep, lp, out=p)
+        np.multiply(lr, ep, out=q)
+        np.subtract(q, np.multiply(lp, er, out=spill), out=q)
+        np.add(er, lr, out=r)
+        np.divide(1.0, np.sqrt(np.multiply(ls, es, out=ls), out=ls), out=ls)
+        np.multiply(fused, ls, out=fused)
+        u = view(low, 2, g, level.shape[2])  # (w + i r, p + i q)
+        np.copyto(u.real, level[:2])
+        np.copyto(u.imag, level[3:1:-1])
+        spare, held = high, low
+        while u.shape[2] > 1:
+            pairs = u.shape[2] // 2
+            nxt = view(spare, 2, g, u.shape[2] - pairs)
+            later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
+            _compose(later, earlier, nxt[..., :pairs], view(spill_pairs, g, pairs))
+            if u.shape[2] % 2:
+                nxt[..., -1] = u[..., -1]
+            u, spare, held = nxt, held, spare
+        stack[len(sizes)] = u[..., 0]
+        sizes.append(1)
+        while len(sizes) > 1 and sizes[-1] == sizes[-2]:
             merge()
-        sizes[0] = 0  # the blocks so far, which no chunk subtree matches
+    while len(sizes) > 1:
+        merge()
     alpha, gamma = pair = stack[0][:, inverse]
-    del stack  # the per-point matrices below need not sit on top of it
     np.conjugate(pair, out=pair, where=np.signbit(xs))
-    mat = np.empty((xs.shape[0], 2, 2), dtype=complex)
-    mat[:, 0, 0], mat[:, 1, 1] = np.conjugate(alpha), alpha
-    turn = mat[:, 1, 0]
-    turn.real, turn.imag = gamma.imag, -gamma.real  # -i gamma
-    mat[:, 0, 1] = -np.conjugate(turn)  # -i conj gamma
     if ramp == "linear":
-        psi0 = np.full((xs.shape[0], 2), 1.0 / np.sqrt(2.0), dtype=complex)
+        a = b = 1.0 / np.sqrt(2.0)
     else:
-        start = instantaneous_upper_eigenstate(xs, omega_starts)
-        psi0 = np.stack(start, axis=1).astype(complex)
-    psi = np.einsum("gij,gj->gi", mat, psi0)
-    probs = np.abs(psi[:, 1]) ** 2
-    drift = np.abs(np.sqrt(np.sum(np.abs(psi) ** 2, axis=1)) - 1.0)
+        a, b = instantaneous_upper_eigenstate(xs, omega_starts)
+    down = np.conjugate(alpha) * a - 1j * np.conjugate(gamma) * b
+    probs = np.abs(alpha * b - 1j * gamma * a) ** 2
+    drift = np.abs(np.sqrt(np.abs(down) ** 2 + probs) - 1.0)
     return probs, drift
 
 
@@ -503,13 +491,9 @@ def adiabatic_profile(
     which checks the ramp settings with the largest start, and omega_end
     also with the smallest; P is compared against f(x / omega_end).
     """
-    try:
-        grid = np.asarray(list(xs))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        grid = None
-    if grid is None or grid.dtype.kind not in "biuf":
+    grid = _real_array(xs)
+    if grid is None or grid.ndim == 0:
         raise InvalidInputError("x grid must be a sequence of real numbers")
-    grid = grid.astype(float)
     if grid.size == 0:
         raise InvalidInputError("empty x grid")
     if grid.ndim != 1:
@@ -633,6 +617,8 @@ def apply_network(
     """Apply perceptron gates in order; target qubits must be distinct."""
     n = _instance(state, Statevector, "state").n
     wiring = _sequence(wiring, "wiring", lambda gate: _sequence(gate, "wiring entries"))
+    if any(len(gate) != 2 for gate in wiring):
+        raise InvalidWiringError("wiring entries must be (potential, target) pairs")
     targets = [_integer(t, "target qubit", 1, n, error=InvalidWiringError) for _, t in wiring]
     if len(set(targets)) != len(targets):
         raise InvalidWiringError(f"duplicate target qubits in {targets}")

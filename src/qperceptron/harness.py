@@ -355,12 +355,9 @@ def load_summary(path: str | Path) -> dict[str, Any]:
 
 def _potential_from_payload(w: dict[str, Any]) -> NeuralPotential:
     return NeuralPotential(
-        linear_weights=tuple(float(v) for v in w["linear"]),
-        bias=float(w["bias"]),
-        multi_terms=tuple(
-            MultiQubitTerm(t["indices"], float(t["weight"]))
-            for t in w["multi"]
-        ),
+        linear_weights=w["linear"],
+        bias=w["bias"],
+        multi_terms=tuple(MultiQubitTerm(t["indices"], t["weight"]) for t in w["multi"]),
     )
 
 

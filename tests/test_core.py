@@ -48,6 +48,11 @@ class TestSpinEncoding:
         with pytest.raises(InvalidInputError):
             SpinConfig(())
 
+    def test_spin_config_rejects_a_table_of_spins(self):
+        # each row would meet "in (-1, 1)" as an array of ambiguous truth
+        with pytest.raises(InvalidInputError, match=r"spins must be \+1 or -1, got \(array"):
+            SpinConfig(np.array([[1, -1]]))
+
     def test_bits_property(self):
         assert SpinConfig((1, -1, 1)).bits == (1, 0, 1)
 
@@ -212,6 +217,12 @@ class TestActivation:
         with pytest.raises(InvalidInputError):
             activation(float("inf"))
 
+    @pytest.mark.parametrize("x", [np.array([1j]), [0.5, 1j], "0.5", np.array(["0.5"])])
+    def test_rejects_an_input_that_is_not_real(self, x):
+        # a complex input read as float would lose its imaginary part
+        with pytest.raises(InvalidInputError, match="activation input must be real"):
+            activation(x)
+
     def test_vectorized_matches_scalar(self):
         xs = np.array([-2.0, 0.0, 3.5])
         np.testing.assert_allclose(
@@ -372,6 +383,11 @@ class TestFeatures:
         spins = np.array([[1.0, -1.0], [-1.0, -1.0]])
         with pytest.raises(InvalidInputError, match=message):
             features(spins, [(1, 2), term])
+
+    @pytest.mark.parametrize("inputs", [np.array([[1.0, 1j]]), [["1", "-1"]], [1.0, -1.0]])
+    def test_rejects_inputs_that_are_not_a_real_table(self, inputs):
+        with pytest.raises(InvalidInputError, match=r"inputs must be a table \(N, k\) of real"):
+            features(inputs, [(1, 2)])
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_matmul_agrees_with_evaluate_potential(self, k):

@@ -413,11 +413,13 @@ def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
     of steps (1, P, 0, R) per block from the tangents T of their angles,
     16-multiply Hamilton products at the first level, each scaled by
     1 / sqrt((1 + T_L^2)(1 + T_E^2)), then (w + i r, p + i q) pairs composed
-    by written-out pair products at every upper level and across blocks."""
+    by written-out pair products at every upper level.  The blocks are
+    aligned subtrees, so folding their products pairwise with carry gives
+    the one tree over the whole ramp."""
     g = xs.shape[0]
     n_steps = _ramp_steps(g, t_f, dt)
     step = t_f / n_steps
-    total = None
+    products = []
     block = 1 << 14
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
@@ -445,8 +447,12 @@ def _quaternion_propagate(xs, omega_starts, omega_end, t_f, dt, ramp):
             later, earlier = u[..., 1 : 2 * pairs : 2], u[..., 0 : 2 * pairs : 2]
             product = _pair_expression(later, earlier)
             u = np.concatenate([product, u[..., 2 * pairs :]], axis=2)
-        total = u[..., 0] if total is None else _pair_expression(u[..., 0], total)
-    w, p, q, r = _quaternions(total)
+        products.append(u[..., 0])
+    while len(products) > 1:
+        pairs = len(products) // 2
+        later, earlier = products[1 : 2 * pairs : 2], products[0 : 2 * pairs : 2]
+        products = [*map(_pair_expression, later, earlier), *products[2 * pairs :]]
+    w, p, q, r = _quaternions(products[0])
     mat = np.empty((g, 2, 2), dtype=complex)
     mat[:, 0, 0] = w - 1j * r
     mat[:, 0, 1] = -q - 1j * p
@@ -569,9 +575,8 @@ class TestQuaternionPropagator:
         assert evolved == list(profile.probabilities)
 
 
-# The chunk _propagate_grid cuts its blocks into, by the number of points:
-# the largest power of two of steps, at most 16384 and at least 2, with
-# points x chunk <= 2^16.
+# The chunk _propagate_grid cuts a ramp into, by the number of points: the
+# largest power of two of steps, at least 2, with points x chunk <= 2^16.
 _CHUNKS = {4: 16384, 5: 8192, 8: 8192, 9: 4096, 16: 4096, 17: 2048, 1000: 64}
 
 
@@ -1127,6 +1132,12 @@ class TestNetworkApplication:
         p = NeuralPotential((0.1, 0.2), 0.0)
         with pytest.raises(InvalidWiringError):
             apply_network(zero_state(3), [(p, 3), (p, 3)])
+
+    def test_an_entry_that_is_not_a_pair_is_rejected(self):
+        p = NeuralPotential((0.1, 0.2), 0.0)
+        match = r"wiring entries must be \(potential, target\) pairs"
+        with pytest.raises(InvalidWiringError, match=match):
+            apply_network(zero_state(3), [(p,)])
 
     def test_all_zero_network_outputs_half(self):
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))

@@ -411,6 +411,23 @@ class TestMalformedSummary:
         with pytest.raises(ConfigError):
             load_network_from_summary(path)
 
+    def test_gate_verify_rejects_weights_stored_as_numeric_strings(self, tmp_path, capsys):
+        # float() would read each string, and the run would verify as passed
+        result = _run(ExperimentConfig(task="xor", seeds=(0,)))
+        path = emit_summary(result, tmp_path / "summary.json")
+        assert cli(["gate-verify", "--summary", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("verdict=pass\n")
+        doc = json.loads(path.read_text())
+        for w in doc["per_seed"][0]["weights"]:
+            w["linear"], w["bias"] = [str(v) for v in w["linear"]], str(w["bias"])
+            w["multi"] = [{**t, "weight": str(t["weight"])} for t in w["multi"]]
+        path.write_text(json.dumps(doc))
+        assert cli(["gate-verify", "--summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: malformed seed entry: ")
+        assert len(captured.err.splitlines()) == 1
+
     # read as a network, but no engine can evaluate it
     @pytest.mark.parametrize("case", [*CASES, "overflowing-weights"])
     def test_gate_verify_exits_one_with_one_line(

@@ -102,6 +102,38 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
 
 
+# the (module, attribute) rows of perfbench/spans.py's WRAPPERS that name
+# nothing in the package: call sites removed since the benchmark was written,
+# whose metrics read 0 until the benchmark is mended
+DEAD_WRAPPERS = {
+    ("qperceptron.tasks", "forward_statevector"),
+    ("qperceptron.training", "activation"),
+    ("qperceptron.training", "evaluate_potential"),
+    ("qperceptron.dynamics", "evaluate_potential"),
+}
+
+
+def _wrapped_call_sites() -> list[tuple[str, str]]:
+    """The (module, attribute) of each row of WRAPPERS, read from the source."""
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text())
+    (rows,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPERS"]
+    )
+    return [(module, attribute) for module, attribute, _, _ in rows]
+
+
+def test_every_call_site_the_benchmark_wraps_exists():
+    # the tracer skips a missing attribute, so a rename would zero a metric
+    missing = {
+        (module, attribute)
+        for module, attribute in _wrapped_call_sites()
+        if not hasattr(importlib.import_module(module), attribute)
+    }
+    assert missing <= DEAD_WRAPPERS
+
+
 def test_the_caller_check_sees_names_and_attributes_only():
     source = '__all__ = ["a", "b"]\nb.c(d)\ne = f.g\nh.i = 1\n'
     assert _read_names(source) == {"b", "c", "d", "f", "g", "h"}
