@@ -24,14 +24,15 @@ sqrt(1 + T^2) up to a global phase.  The tree's first level pairs the
 steps with 4 real products; one pack writes its products as complex pairs
 (alpha, gamma) = (w + i r, p + i q), which the upper levels compose with 4
 complex products each, none written over an operand (see _compose).  The
-tree runs depth first over chunks that share one 2.75 MiB workspace, so
-past the per-point products (under 0.6 kB a point) the working set does
-not grow with the grid.  H(-x) = X H(x) X, so the ramp of -x is the
-complex conjugate of the ramp of x, exactly, and the tree runs once per
-distinct (|x|, omega_start) of the grid: a grid mirrored about 0
-costs about half.  A grid may take at most MAX_POINT_STEPS point-steps, and
-no |x|, omega_start or t_f may exceed MAX_MAGNITUDE, below which no square
-or product of two of them overflows, nor may omega_end fall below
+tree runs depth first over chunks that share one 2.75 MiB workspace, which
+starts on a 64-byte boundary (see _aligned_rows), so past the per-point
+products (under 0.6 kB a point) the working set does not grow with the
+grid.  H(-x) = X H(x) X, so the ramp of -x is the complex conjugate of
+the ramp of x, exactly, and the tree runs once per distinct
+(|x|, omega_start) of the grid: a grid mirrored about 0 costs about half.
+A grid may take at most MAX_POINT_STEPS point-steps, and no |x|,
+omega_start or t_f may exceed MAX_MAGNITUDE, below which no square or
+product of two of them overflows, nor may omega_end fall below
 1 / MAX_MAGNITUDE.  AdiabaticSchedule checks the ramp, _evolve the
 potentials, for adiabatic_evolve and adiabatic_profile alike.
 
@@ -121,10 +122,10 @@ def _drive(omega_start, omega_end, t, t_f, ramp, out=None):
 
     The terms of the broadcast shape are written into out, if given.
     """
-    if ramp == "linear":
-        drop = np.multiply(omega_end - omega_start, t, out=out)
-        return np.add(omega_start, np.divide(drop, t_f, out=out), out=out)
     u = t / t_f
+    if ramp == "linear":
+        drop = np.multiply(omega_end - omega_start, u, out=out)
+        return np.add(omega_start, drop, out=out)
     rest = 1.0 - u**3 * (10.0 + u * (6.0 * u - 15.0))  # 1 - smootherstep(u)
     fall = np.multiply(omega_start - omega_end, rest, out=out)
     return np.add(omega_end, fall, out=out)
@@ -237,11 +238,20 @@ def _compose(later, earlier, out, scratch) -> np.ndarray:
 
 
 # Most point-steps one chunk holds, unless the chunk is 2 steps.  A chunk's
-# working set is 11 half-chunk rows of float64, 2.75 MiB at this budget.  Of
-# 2^14 .. 2^18 it ran the benchmark's adiabatic grids fastest (one CPU of a
-# 2-vCPU Xeon, 3 interleaved runs, chunks then at most 2^14 steps): 2^14
-# took ~45% longer, 2^15 and 2^18 7-25%, 2^17 -2 to +12%.
+# working set is 11 half-chunk rows of float64, 2.75 MiB at this budget.
+# With the workspace 64-byte aligned (3 interleaved runs of the benchmark's
+# adiabatic grids, one AVX-512 CPU of a 2-vCPU Xeon) 2^15 ran ~2% slower and
+# 2^17 ~13%; before alignment 2^14 took ~45% longer and 2^18 7-25%.
 _CHUNK_POINT_STEPS = 1 << 16
+
+
+def _aligned_rows(count: int, width: int) -> np.ndarray:
+    """count float64 rows of width starting on a 64-byte boundary, as does
+    every row if width is a multiple of 8 (up to 2^11 distinct points):
+    np.empty aligns to 16 bytes, and split AVX-512 loads ran ~2x slower."""
+    buf = np.empty(count * width + 7)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip : skip + count * width].reshape(count, width)
 
 
 def _propagate_grid(
@@ -292,13 +302,13 @@ def _propagate_grid(
     every product keeps its bits whatever the chunk size.
 
     Every chunk array is a contiguous view into one workspace of 11
-    half-chunk rows, allocated once per call, each array written over ones
-    already read.  The working set is that workspace, at most 2.75 MiB
-    (88 bytes a point beyond 2^15 points, where a chunk is the minimum 2
-    steps), and a stack of at most 13 (2, points) pairs within
-    MAX_POINT_STEPS.  Every operation is elementwise over points, so a
-    point's result does not depend on the rest of the grid, and the norm is
-    preserved to rounding error by construction.
+    half-chunk rows, allocated once per call on a 64-byte boundary (see
+    _aligned_rows), each array written over ones already read.  The working
+    set is that workspace, at most 2.75 MiB (88 bytes a point beyond 2^15
+    points, where a chunk is the minimum 2 steps), and a stack of at most
+    13 (2, points) pairs within MAX_POINT_STEPS.  Every operation is
+    elementwise over points, so a point's result does not depend on the rest
+    of the grid, and the norm is preserved to rounding error by construction.
 
     The tree runs once per distinct (|x|, omega_start); a point whose x has
     its sign bit set takes the conjugate of that pair.  That is bitwise its
@@ -322,7 +332,7 @@ def _propagate_grid(
     chunk = 2
     while 2 * chunk * g <= _CHUNK_POINT_STEPS:
         chunk *= 2
-    rows = np.empty((11, g * (chunk // 2)))
+    rows = _aligned_rows(11, g * (chunk // 2))
     even, odd, scratch = rows[0:3], rows[3:6], rows[6]
     four = rows[7:11].reshape(-1)
     # the complex levels: the step rows, the first level's rows and a spill

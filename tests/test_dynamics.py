@@ -659,6 +659,62 @@ class TestDepthFirstPropagator:
             gc.enable()
 
 
+class _OffsetNumpy:
+    """numpy for dynamics alone, whose empty returns buffers that start
+    offset bytes past a 64-byte boundary, as numpy's own 16-byte-aligned ones
+    may; each is appended to served."""
+
+    def __init__(self, offset, served):
+        self.offset, self.served = offset, served
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        raw = np.empty(nbytes + 128, dtype=np.uint8)
+        start = (self.offset - raw.ctypes.data) % 64
+        self.served.append(raw[start : start + nbytes].view(dtype).reshape(shape))
+        return self.served[-1]
+
+
+class TestAlignedWorkspace:
+    @pytest.mark.parametrize("ramp", ["linear", "smooth"])
+    # several chunks each, of 32768, 4096, 512, 8, 4 and 2 steps: past 2^11
+    # points the half-chunk rows, of 16396, 16390 and 16387 floats, are not
+    # whole 64-byte lines, so only the workspace's start is aligned
+    @pytest.mark.parametrize(
+        "points, n_steps",
+        [(1, 70001), (7, 9001), (61, 5003), (4099, 19), (8195, 11), (16387, 7)],
+    )
+    def test_workspace_starts_on_64_bytes_and_no_bit_moves(
+        self, monkeypatch, ramp, points, n_steps
+    ):
+        xs, starts = _grid(points, points)
+        t_f = 1e-3 * n_steps
+        want = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+        aligned_rows, workspaces = dynamics._aligned_rows, []
+
+        def spy(*args):
+            workspaces.append(aligned_rows(*args))
+            return workspaces[-1]
+
+        for offset in (0, 16, 32, 48):
+            served, workspaces[:] = [], []
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "np", _OffsetNumpy(offset, served))
+                patch.setattr(dynamics, "_aligned_rows", spy)
+                got = _propagate_grid(xs, starts, 1.0, t_f, 1e-3, ramp)
+            (rows,) = workspaces
+            assert any(np.shares_memory(rows, buf) for buf in served)
+            assert rows.ctypes.data % 64 == 0
+            if points <= 61:
+                assert [row.ctypes.data % 64 for row in rows] == [0] * 11
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
 def _mirrored_grid(points, mirrors, duplicates, seed):
     """A shuffled grid of random points, the exact mirror -x of the first
     mirrors of them, exact duplicates of the first duplicates, +0.0 and -0.0."""
