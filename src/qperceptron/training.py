@@ -14,9 +14,12 @@ input values for a multi-qubit weight, and -1 for the bias.
 All training runs one batched kernel: the parameters of S networks that
 share a template (one per seed) form one tensor (S, O, P), evaluated against
 one zero-padded design tensor (O, N, P) for O outputs, N rows and P
-parameter slots.  One forward pass per epoch gives both the cost recorded
-for that epoch and the next epoch's gradient.  cost and quantum_gradients
-are batches of one.
+parameter slots.  One forward pass per epoch gives the errors of that epoch
+and the next epoch's gradient.  Epochs run in blocks of at most
+_BLOCK_EPOCHS: each keeps its epochs' parameters and errors, and one einsum
+at the block's end gives every cost of the block, from which each seed's
+first crossing of the tolerance fixes its stop epoch.  cost and
+quantum_gradients are batches of one.
 """
 
 from __future__ import annotations
@@ -62,6 +65,12 @@ Encoding = Literal["spin", "bit"]
 # at most this many seed-epochs (seeds x max_epochs) in one run: 10,000 seeds
 # at the default max_epochs, a cost record of at most 400 MB
 MAX_SEED_EPOCHS = 5 * 10**7
+
+# train's blocks: at most this many epochs, and at most this many elements
+# in a block's parameters and errors together, so that they hold one epoch's
+# when per-epoch arrays are large
+_BLOCK_EPOCHS = 8
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -218,22 +227,28 @@ def _stack(
 
 
 def _forward(
-    design: np.ndarray, theta: np.ndarray, targets: np.ndarray
+    design: np.ndarray,
+    theta: np.ndarray,
+    targets: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """1 + x^2 and the errors f(x) - t of every potential x, both (S, O, N).
+    """1 + x^2 and the errors f(x) - t of every potential x, both (S, O, N);
+    the errors go to out when it is given.
 
     einsum sums each entry over one seed's own row in a fixed order (BLAS
     blocking would depend on the number of rows), so a seed's numbers do not
     depend on which other seeds share the batch.  Callers scope
     np.errstate(over="ignore"), so an overflowing 1 + x^2 only raises.
+    q = 1 + x^2 is at least 1 unless it is inf or NaN, and max propagates
+    NaN, so one reduce tests every potential.
     """
     x = np.einsum("sop,onp->son", theta, design)
     q = 1.0 + x * x
-    if not np.isfinite(q).all():
+    if not q.max() < np.inf:
         raise InvalidInputError(
             "training diverged: a potential is not finite or overflows"
         )
-    return q, 0.5 * (1.0 + x / np.sqrt(q)) - targets
+    return q, np.subtract(0.5 * (1.0 + x / np.sqrt(q)), targets, out=out)
 
 
 def _gradients(design: np.ndarray, q: np.ndarray, err: np.ndarray) -> np.ndarray:
@@ -244,9 +259,10 @@ def _gradients(design: np.ndarray, q: np.ndarray, err: np.ndarray) -> np.ndarray
     return scale * np.einsum("son,onp->sop", delta, design)
 
 
-def _costs(err: np.ndarray) -> np.ndarray:
-    _, n_outputs, n_examples = err.shape
-    return np.einsum("son,son->s", err, err) / (2.0 * n_examples * n_outputs)
+def _costs(errs: np.ndarray) -> np.ndarray:
+    """Costs (E, S) of the errors (E, S, O, N) of E epochs."""
+    *_, n_outputs, n_examples = errs.shape
+    return np.einsum("eson,eson->es", errs, errs) / (2.0 * n_examples * n_outputs)
 
 
 def _network(net: TrainedNetwork, theta: np.ndarray) -> TrainedNetwork:
@@ -275,7 +291,7 @@ def cost(
     net = _instance(net, TrainedNetwork, "net")
     design, theta, targets = _stack([net], training_set, encoding)
     with np.errstate(over="ignore"):  # an overflow raises "diverged" instead
-        return float(_costs(_forward(design, theta, targets)[1])[0])
+        return float(_costs(_forward(design, theta, targets)[1][None])[0, 0])
 
 
 def quantum_gradients(
@@ -301,6 +317,12 @@ def _check_seed_epochs(seeds: int, max_epochs: int) -> None:
         )
 
 
+def _block_epochs(theta: np.ndarray, err: np.ndarray) -> int:
+    """Epochs in one of train's blocks for per-epoch parameters theta and
+    errors err: at most _BLOCK_EPOCHS, within _BLOCK_ELEMENTS, at least 1."""
+    return max(1, min(_BLOCK_EPOCHS, _BLOCK_ELEMENTS // (theta.size + err.size)))
+
+
 def train(
     nets: Sequence[TrainedNetwork],
     training_set: Sequence[TrainingExample],
@@ -314,13 +336,19 @@ def train(
 
     nets share one arity and template (one per seed, say); the result holds
     one (network, curve) pair per network, in order.  Networks train in
-    lockstep on one stacked parameter tensor, and each leaves the batch at
-    the first epoch its cost falls below the tolerance.  A network's
-    results are the same whatever other networks share its batch.  The
-    cost record, (len(nets), max_epochs) and at most MAX_SEED_EPOCHS
-    entries, is allocated once, one row per network; only the epochs that
-    run touch its memory.  Each curve is a view of its network's row, so
-    it keeps the whole record alive.
+    lockstep on one stacked parameter tensor, and each stops at the first
+    epoch its cost falls below the tolerance, with that epoch's weights.
+    Epochs run in blocks that keep every epoch's parameters and errors; the
+    block's costs, and so the stops, are computed once at its end, and a
+    network that stopped leaves the batch there.  A potential that is not
+    finite ends its block before its epoch, which reruns for the networks
+    that had not stopped, so "diverged" is raised only if one of them
+    diverges.  A network's results are the same whatever other networks
+    share its batch.  The cost record, (len(nets), max_epochs) and at most
+    MAX_SEED_EPOCHS entries, is allocated once, one row per network; a
+    network's costs are written only through its last epoch, so only the
+    epochs that run touch its memory.  Each curve is a view of its
+    network's row, so it keeps the whole record alive.
     """
     nets = _sequence(nets, "nets", TrainedNetwork)
     _check_seed_epochs(len(nets), _instance(config, TrainerConfig, "config").max_epochs)
@@ -331,25 +359,43 @@ def train(
     ran = np.full(n_nets, config.max_epochs)
     final = np.empty_like(theta)
     active = np.arange(n_nets)
-    rows = slice(None)  # a basic index into costs until the first seed stops
+    start = 0  # the first epoch of the block
     # one scope for the whole run: an overflow raises "diverged" instead
     with np.errstate(over="ignore"):
         q, err = _forward(design, theta, targets)
-        for e in range(config.max_epochs):
-            theta = theta - config.eta * _gradients(design, q, err)
-            q, err = _forward(design, theta, targets)
-            c = _costs(err)
-            costs[rows, e] = c
-            if c.min() < tol:  # costs are finite: _forward checks
-                done = c < tol
-                stopped = active[done]
-                ran[stopped] = e + 1
-                final[stopped] = theta[done]
-                keep = ~done
-                active, theta, q, err = active[keep], theta[keep], q[keep], err[keep]
-                rows = active
-                if active.size == 0:
+        block = _block_epochs(theta, err)
+        thetas = np.empty((block, *theta.shape))
+        errs = np.empty((block, *err.shape))
+        while active.size and start < config.max_epochs:
+            size = min(block, config.max_epochs - start)
+            for i in range(size):
+                grad = _gradients(design, q, err)
+                theta = np.subtract(theta, config.eta * grad, out=thetas[i])
+                try:
+                    q, err = _forward(design, theta, targets, errs[i])
+                except InvalidInputError:
+                    if i == 0:  # no network in the batch has stopped
+                        raise
+                    size, theta = i, thetas[i - 1]
+                    q, err = _forward(design, theta, targets)
                     break
+            c = _costs(errs[:size])
+            if c.min() < tol:  # costs are finite: _forward checks
+                below = c < tol
+                done = below.any(axis=0)
+                stop = below.argmax(axis=0)  # the first epoch below, per network
+                for s in done.nonzero()[0]:
+                    costs[active[s], start : start + stop[s] + 1] = c[: stop[s] + 1, s]
+                ran[active[done]] = start + stop[done] + 1
+                final[active[done]] = thetas[stop[done], done]
+                keep = ~done
+                active, c, theta, q, err = (
+                    active[keep], c[:, keep], theta[keep], q[keep], err[keep]
+                )
+                thetas = np.empty((block, *theta.shape))
+                errs = np.empty((block, *err.shape))
+            costs[active, start : start + size] = c.T
+            start += size
     final[active] = theta
     return [
         (_network(net_s, final[s]), CostCurve(costs[s, : ran[s]], tol))

@@ -10,7 +10,9 @@ cost_csv_text and summary_text are the row-by-row and streaming writers
 that harness's emitters must match byte for byte; xor_face searches every
 face of a truth table for the oracle's parity obstruction, and staged_lp
 stages the oracle's LP as a @ x <= b, c . x and solves it with a simplex
-that builds its own tableau and makes Bland's choices in numpy.  Nothing in
+that builds its own tableau and makes Bland's choices in numpy; train is
+the per-epoch loop that training.train's blocks of epochs must match bit
+for bit, one cost and one tolerance test per epoch.  Nothing in
 the package calls them, so they live with the tests, as does
 potentials_over, the hypothesis strategy that the engine properties draw
 from.
@@ -35,7 +37,15 @@ from qperceptron.tasks import (
     FeasibilityVerdict,
     TaskSpec,
 )
-from qperceptron.training import _input_matrix
+from qperceptron.training import (
+    CostCurve,
+    _check_seed_epochs,
+    _forward,
+    _gradients,
+    _input_matrix,
+    _network,
+    _stack,
+)
 
 
 def evaluate_potential(p: NeuralPotential, s: SpinConfig) -> float:
@@ -191,3 +201,35 @@ def simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         t[r, e] = 1.0 / col[r]
         basic[r], nonbasic[e] = nonbasic[e], basic[r]
     raise RuntimeError(f"feasibility LP failed: no optimum within {_MAX_PIVOTS} pivots")
+
+
+def train(nets, training_set, config, encoding="spin"):
+    """training.train one epoch at a time: each epoch's costs recorded and
+    tested against the tolerance, and a network leaving the batch at once."""
+    _check_seed_epochs(len(nets), config.max_epochs)
+    design, theta, targets = _stack(nets, training_set, encoding)
+    n_outputs, n_examples, _ = design.shape
+    tol = config.cost_tolerance
+    costs = np.empty((len(nets), config.max_epochs))
+    ran = np.full(len(nets), config.max_epochs)
+    final = np.empty_like(theta)
+    active = np.arange(len(nets))
+    with np.errstate(over="ignore"):
+        q, err = _forward(design, theta, targets)
+        for e in range(config.max_epochs):
+            theta = theta - config.eta * _gradients(design, q, err)
+            q, err = _forward(design, theta, targets)
+            c = np.einsum("son,son->s", err, err) / (2.0 * n_examples * n_outputs)
+            costs[active, e] = c
+            done = c < tol
+            ran[active[done]] = e + 1
+            final[active[done]] = theta[done]
+            keep = ~done
+            active, theta, q, err = active[keep], theta[keep], q[keep], err[keep]
+            if active.size == 0:
+                break
+    final[active] = theta
+    return [
+        (_network(net_s, final[s]), CostCurve(costs[s, : ran[s]], tol))
+        for s, net_s in enumerate(nets)
+    ]

@@ -37,10 +37,38 @@ from qperceptron.harness import (
     emit_cost_curve_csv,
 )
 from qperceptron.training import MAX_SEED_EPOCHS
+from references import train as reference_train
 
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("an over-budget run started")
+
+
+def _pair(weight, linear=(0.0, 0.0), bias=0.0):
+    """An xor network whose pair term has the given weight."""
+    term = MultiQubitTerm((1, 2), weight)
+    return TrainedNetwork((NeuralPotential(linear, bias, (term,)),), 2)
+
+
+def _csv_bytes(trained, out):
+    """The cost CSVs of (seed, (network, curve)) pairs, as emitted by harness."""
+    outcomes = tuple(
+        SeedOutcome(seed, curve, net, None, 0.0) for seed, (net, curve) in trained
+    )
+    config = ExperimentConfig(task="xor", seeds=tuple(s for s, _ in trained))
+    result = ExperimentResult(config, outcomes, (), None, 0.0)
+    return [path.read_bytes() for path in emit_cost_curve_csv(result, out)]
+
+
+def _outcome(nets, examples, config, encoding="spin", trainer=train):
+    """Each network's curve bytes and weights, or the error line of the run."""
+    try:
+        return [
+            (curve.costs.tobytes(), curve.epochs_to_tolerance, net)
+            for net, curve in trainer(nets, examples, config, encoding)
+        ]
+    except InvalidInputError as err:
+        return str(err)
 
 
 def _flatten(g):
@@ -197,6 +225,42 @@ class TestCost:
             InvalidInputError, match="diverged"
         ):
             cost(net, resolve_task("xor").examples)
+
+    @pytest.mark.parametrize(
+        "weights, kind",
+        [
+            # 1e308 + 1e308 on the row (+1, +1)
+            ((1e308, 1e308, 0.0, 0.0), np.isinf),
+            # einsum sums (t0 + t2) + (t1 + t3) at four slots, so the row
+            # (+1, +1) adds an inf and a -inf partial sum
+            ((1e308, -1e308, 1e308, 1e308), np.isnan),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_an_inf_or_a_nan_potential_is_divergence(self, weights, kind):
+        w1, w2, pair, bias = weights
+        net = _pair(pair, (w1, w2), bias)
+        examples = resolve_task("xor").examples
+        design, theta, _ = training._stack([net], examples, "spin")
+        with np.errstate(over="ignore"):
+            assert kind(np.einsum("sop,onp->son", theta, design)).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: cost(net, examples),
+                lambda: quantum_gradients(net, examples),
+                lambda: train([net], examples, TrainerConfig(max_epochs=5)),
+            ):
+                with pytest.raises(InvalidInputError, match="diverged"):
+                    call()
+
+    def test_a_nan_potential_alone_is_divergence(self):
+        # the NaN potential above comes with an inf on another row; alone,
+        # only max's propagation of NaN makes the one reduce see it
+        design = np.ones((1, 2, 1))
+        with warnings.catch_warnings(), pytest.raises(InvalidInputError, match="diverged"):
+            warnings.simplefilter("error")
+            training._forward(design, np.full((1, 1, 1), np.nan), np.zeros((1, 2)))
 
     def test_divergence_raises_without_an_overflow_warning(self):
         p = NeuralPotential((1e200, 0.0), 0.0, (MultiQubitTerm((1, 2), 0.0),))
@@ -481,37 +545,102 @@ class TestBatchedTraining:
             assert curve.costs[epoch - 1] == pytest.approx(value, abs=1e-12)
         np.testing.assert_allclose(_weights(net), weights, rtol=0, atol=1e-12)
 
-    def test_stops_at_the_first_a_middle_and_the_last_epoch(self, tmp_path):
-        # xor at tolerance 0.01 with a 22-epoch budget: a pair weight of -200
-        # stops at epoch 1, seed 0's draw at 7, +2 at 22 and +10 never.  The
-        # batch records costs through a slice until the first seed stops.
+    @pytest.mark.parametrize(
+        "weights, stops",
+        [
+            # None is seed 0's draw
+            ([10.0, -200.0, None, 2.0], [None, 1, 7, 22]),
+            # every side of a block edge, for blocks of B = 8 epochs:
+            # 1, B - 1, B, B + 1 and 2B + 1
+            (
+                [-200.0, -0.625, -0.5, 0.0, 1.625, 2.0, 10.0],
+                [1, *(training._BLOCK_EPOCHS + d for d in (-1, 0, 1)),
+                 2 * training._BLOCK_EPOCHS + 1, 22, None],
+            ),
+        ],
+        ids=["first-middle-last", "block-edges"],
+    )
+    def test_stops_at_the_first_a_middle_and_the_last_epoch(
+        self, weights, stops, tmp_path
+    ):
+        # xor pair weights at tolerance 0.01 with a 22-epoch budget, not a
+        # multiple of the block; +2 stops at its last epoch and +10 never.
+        # Each seed's costs are written only through its stop epoch.
         task = resolve_task("xor")
         config = TrainerConfig(max_epochs=22)
-
-        def pair(weight):
-            term = MultiQubitTerm((1, 2), weight)
-            return TrainedNetwork((NeuralPotential((0.0, 0.0), 0.0, (term,)),), 2)
-
-        def csv_bytes(trained, out):
-            outcomes = tuple(
-                SeedOutcome(seed, curve, net, None, 0.0)
-                for seed, (net, curve) in trained
-            )
-            config = ExperimentConfig(task="xor", seeds=tuple(s for s, _ in trained))
-            result = ExperimentResult(config, outcomes, (), None, 0.0)
-            return [path.read_bytes() for path in emit_cost_curve_csv(result, out)]
-
-        nets = [pair(10.0), pair(-200.0), _random_network(task, 0), pair(2.0)]
+        nets = [_random_network(task, 0) if w is None else _pair(w) for w in weights]
         batch = train(nets, task.examples, config)
-        assert [curve.epochs_to_tolerance for _, curve in batch] == [None, 1, 7, 22]
-        assert len(batch[0][1].costs) == 22
-        together = csv_bytes(list(enumerate(batch)), tmp_path / "batch")
+        assert [curve.epochs_to_tolerance for _, curve in batch] == stops
+        assert [len(curve.costs) for _, curve in batch] == [s or 22 for s in stops]
+        assert _outcome(nets, task.examples, config) == _outcome(
+            nets, task.examples, config, trainer=reference_train
+        )
+        reference = reference_train(nets, task.examples, config)
+        together = _csv_bytes(list(enumerate(batch)), tmp_path / "batch")
+        assert _csv_bytes(list(enumerate(reference)), tmp_path / "ref") == together
         for seed, net in enumerate(nets):
             alone = train([net], task.examples, config)[0]
             net_b, curve_b = batch[seed]
             assert net_b == alone[0]
             assert curve_b.costs.tobytes() == alone[1].costs.tobytes()
-            assert csv_bytes([(seed, alone)], tmp_path / f"{seed}") == [together[seed]]
+            assert _csv_bytes([(seed, alone)], tmp_path / f"{seed}") == [together[seed]]
+
+    @pytest.mark.parametrize("task_id", ["xor", "prime4", "toffoli", "cnot"])
+    def test_divergence_matches_the_per_epoch_loop(self, task_id):
+        # etas from 1e100 to 1e200: some runs diverge at once, the others
+        # saturate; each must give the per-epoch loop's result or error line
+        task = resolve_task(task_id)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in np.logspace(100, 200, 11):
+                config = TrainerConfig(eta=float(eta), max_epochs=100)
+                for seeds in (range(20), (1, 4, 5)):
+                    nets = [_random_network(task, seed) for seed in seeds]
+                    assert _outcome(nets, task.examples, config) == _outcome(
+                        nets, task.examples, config, trainer=reference_train
+                    )
+
+    @pytest.mark.parametrize("tol, stops", [(0.1, [1, 1, None]), (0.01, None)])
+    def test_a_potential_that_diverges_inside_a_block(self, tol, stops):
+        # in bits, the all-zero xor network steps only its pair weight at
+        # eta 1.6e155, to a cost of 0.09375 at epoch 1, and its potentials
+        # overflow at epoch 2.  At tolerance 0.1 it stopped before and
+        # leaves with its epoch-1 weights; at 0.01 the run diverges.  The
+        # other two are saturated: one right on every row, which stops at
+        # epoch 1 at tolerance 0.1, and one wrong on a row, which runs on
+        # past the cut to the budget.
+        examples = resolve_task("xor").examples
+        nets = [_pair(0.0), _pair(-400.0, (200.0, 200.0), 100.0)]
+        nets.append(_pair(-200.0, (200.0, 200.0), 100.0))
+        config = TrainerConfig(eta=1.6e155, cost_tolerance=tol, max_epochs=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _outcome(nets, examples, config, "bit")
+            assert outcome == _outcome(nets, examples, config, "bit", reference_train)
+        if stops is None:
+            assert outcome == "training diverged: a potential is not finite or overflows"
+        else:
+            assert [stop for _, stop, _ in outcome] == stops
+
+    def test_the_element_budget_shrinks_the_block_to_one_epoch(self, monkeypatch):
+        # ragged stops in a batch whose per-epoch parameters and errors
+        # fill more than half the budget, so a block holds one epoch
+        task = resolve_task("toffoli", template="extended")
+        blocks = []
+
+        def block_epochs(theta, err):
+            blocks.append(block_epochs_of(theta, err))
+            return blocks[-1]
+
+        block_epochs_of = training._block_epochs
+        monkeypatch.setattr(training, "_block_epochs", block_epochs)
+        config = TrainerConfig(max_epochs=300, cost_tolerance=0.005)
+        for seeds, block in ((20, training._BLOCK_EPOCHS), (500, 1)):
+            nets = [_random_network(task, seed) for seed in range(seeds)]
+            outcome = _outcome(nets, task.examples, config)
+            assert blocks.pop() == block
+            assert outcome == _outcome(nets, task.examples, config, trainer=reference_train)
+            assert len({stop for _, stop, _ in outcome}) > 5
 
     def test_mixed_templates_or_arities_raise(self):
         paper = resolve_task("toffoli")
