@@ -15,11 +15,13 @@ All training runs one batched kernel: the parameters of S networks that
 share a template (one per seed) form one tensor (S, O, P), evaluated against
 one zero-padded design tensor (O, N, P) for O outputs, N rows and P
 parameter slots.  One forward pass per epoch gives the errors of that epoch
-and the next epoch's gradient.  Epochs run in blocks of at most
-_BLOCK_EPOCHS: each keeps its epochs' parameters and errors, and one einsum
-at the block's end gives every cost of the block, from which each seed's
-first crossing of the tolerance fixes its stop epoch.  cost and
-quantum_gradients are batches of one.
+and the next epoch's gradient.  Epochs run in blocks of _BLOCK_EPOCHS that
+keep their epochs' parameters and errors; one einsum at a block's end gives
+all its costs, and each seed's first cost below the tolerance fixes its stop
+epoch.  cost and quantum_gradients are batches of one.
+
+Training uses only correctly rounded operations and fixed-order einsums,
+never a power, so its bits do not depend on numpy's CPU dispatch.
 """
 
 from __future__ import annotations
@@ -66,11 +68,8 @@ Encoding = Literal["spin", "bit"]
 # at the default max_epochs, a cost record of at most 400 MB
 MAX_SEED_EPOCHS = 5 * 10**7
 
-# train's blocks: at most this many epochs, and at most this many elements
-# in a block's parameters and errors together, so that they hold one epoch's
-# when per-epoch arrays are large
+# epochs in one of train's blocks
 _BLOCK_EPOCHS = 8
-_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def _forward(
 def _gradients(design: np.ndarray, q: np.ndarray, err: np.ndarray) -> np.ndarray:
     """(1 / (N k)) * sum_n (y - t) f'(x) * feature, shaped like theta."""
     n_outputs, n_examples, _ = design.shape
-    delta = err * (0.5 / np.power(q, 1.5))
+    delta = err * (0.5 / (q * np.sqrt(q)))
     scale = 1.0 / (n_examples * n_outputs)
     return scale * np.einsum("son,onp->sop", delta, design)
 
@@ -317,12 +316,6 @@ def _check_seed_epochs(seeds: int, max_epochs: int) -> None:
         )
 
 
-def _block_epochs(theta: np.ndarray, err: np.ndarray) -> int:
-    """Epochs in one of train's blocks for per-epoch parameters theta and
-    errors err: at most _BLOCK_EPOCHS, within _BLOCK_ELEMENTS, at least 1."""
-    return max(1, min(_BLOCK_EPOCHS, _BLOCK_ELEMENTS // (theta.size + err.size)))
-
-
 def train(
     nets: Sequence[TrainedNetwork],
     training_set: Sequence[TrainingExample],
@@ -338,17 +331,17 @@ def train(
     one (network, curve) pair per network, in order.  Networks train in
     lockstep on one stacked parameter tensor, and each stops at the first
     epoch its cost falls below the tolerance, with that epoch's weights.
-    Epochs run in blocks that keep every epoch's parameters and errors; the
-    block's costs, and so the stops, are computed once at its end, and a
-    network that stopped leaves the batch there.  A potential that is not
-    finite ends its block before its epoch, which reruns for the networks
-    that had not stopped, so "diverged" is raised only if one of them
-    diverges.  A network's results are the same whatever other networks
-    share its batch.  The cost record, (len(nets), max_epochs) and at most
-    MAX_SEED_EPOCHS entries, is allocated once, one row per network; a
-    network's costs are written only through its last epoch, so only the
-    epochs that run touch its memory.  Each curve is a view of its
-    network's row, so it keeps the whole record alive.
+    Epochs run in blocks of _BLOCK_EPOCHS; the block's costs, and so the
+    stops, are computed once at its end, and a network that stopped leaves
+    the batch there.  A potential that is not finite ends its block before
+    its epoch, which reruns for the networks that had not stopped, so
+    "diverged" is raised only if one of them diverges.  A network's results
+    are the same whatever other networks share its batch.  The block
+    buffers, whose leading rows the running networks fill, are allocated
+    once, as is the cost record: (len(nets), max_epochs), at most
+    MAX_SEED_EPOCHS entries, written only through each network's last epoch,
+    so only the epochs that run touch its memory.  Each curve is a view of
+    its network's row, so it keeps the whole record alive.
     """
     nets = _sequence(nets, "nets", TrainedNetwork)
     _check_seed_epochs(len(nets), _instance(config, TrainerConfig, "config").max_epochs)
@@ -363,23 +356,22 @@ def train(
     # one scope for the whole run: an overflow raises "diverged" instead
     with np.errstate(over="ignore"):
         q, err = _forward(design, theta, targets)
-        block = _block_epochs(theta, err)
-        thetas = np.empty((block, *theta.shape))
-        errs = np.empty((block, *err.shape))
+        thetas = np.empty((_BLOCK_EPOCHS, *theta.shape))
+        errs = np.empty((_BLOCK_EPOCHS, *err.shape))
         while active.size and start < config.max_epochs:
-            size = min(block, config.max_epochs - start)
+            n = active.size  # the running networks fill the leading rows
+            size = min(_BLOCK_EPOCHS, config.max_epochs - start)
             for i in range(size):
                 grad = _gradients(design, q, err)
-                theta = np.subtract(theta, config.eta * grad, out=thetas[i])
+                theta = np.subtract(theta, config.eta * grad, out=thetas[i, :n])
                 try:
-                    q, err = _forward(design, theta, targets, errs[i])
+                    q, err = _forward(design, theta, targets, errs[i, :n])
                 except InvalidInputError:
                     if i == 0:  # no network in the batch has stopped
                         raise
-                    size, theta = i, thetas[i - 1]
-                    q, err = _forward(design, theta, targets)
+                    size, theta = i, thetas[i - 1, :n]  # q, err: still epoch i - 1's
                     break
-            c = _costs(errs[:size])
+            c = _costs(errs[:size, :n])
             if c.min() < tol:  # costs are finite: _forward checks
                 below = c < tol
                 done = below.any(axis=0)
@@ -387,13 +379,11 @@ def train(
                 for s in done.nonzero()[0]:
                     costs[active[s], start : start + stop[s] + 1] = c[: stop[s] + 1, s]
                 ran[active[done]] = start + stop[done] + 1
-                final[active[done]] = thetas[stop[done], done]
+                final[active[done]] = thetas[stop[done], done.nonzero()[0]]
                 keep = ~done
                 active, c, theta, q, err = (
                     active[keep], c[:, keep], theta[keep], q[keep], err[keep]
                 )
-                thetas = np.empty((block, *theta.shape))
-                errs = np.empty((block, *err.shape))
             costs[active, start : start + size] = c.T
             start += size
     final[active] = theta

@@ -1009,6 +1009,37 @@ class TestCliRuns:
         monkeypatch.chdir(tmp_path)
         assert _cli_runs_text() == golden
 
+    def test_six_runs_read_the_same_under_a_reduced_dispatch(self, tmp_path, monkeypatch):
+        # numpy picks its AVX-512 or AVX2 kernels at import; the training path
+        # must give the same bits under either
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        names = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        disabled = [name for name in names if __cpu_features__.get(name)]
+        if not disabled:
+            pytest.skip(f"none of {', '.join(names)} is enabled in this process")
+        src = str(Path(qperceptron.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        (tmp_path / "reduced").mkdir()
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; "
+                "from test_harness import _cli_runs_text; "
+                "sys.stdout.write(_cli_runs_text())",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path / "reduced",
+            env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (tmp_path / "full").mkdir()
+        monkeypatch.chdir(tmp_path / "full")
+        assert proc.stdout == _cli_runs_text()
+
 
 class TestCliGateVerify:
     def test_trained_network_passes_both_engines(self, tmp_path, capsys):

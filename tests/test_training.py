@@ -21,6 +21,8 @@ from qperceptron import (
     bits_to_spins,
     cost,
     detect_plateau,
+    enumerate_inputs,
+    features,
     forward_network,
     forward_statevector,
     initialize_network,
@@ -622,25 +624,39 @@ class TestBatchedTraining:
         else:
             assert [stop for _, stop, _ in outcome] == stops
 
-    def test_the_element_budget_shrinks_the_block_to_one_epoch(self, monkeypatch):
-        # ragged stops in a batch whose per-epoch parameters and errors
-        # fill more than half the budget, so a block holds one epoch
+    def test_ragged_stops_in_a_batch_of_500(self):
+        # seeds leave the leading rows of the block buffers at many epochs
         task = resolve_task("toffoli", template="extended")
-        blocks = []
-
-        def block_epochs(theta, err):
-            blocks.append(block_epochs_of(theta, err))
-            return blocks[-1]
-
-        block_epochs_of = training._block_epochs
-        monkeypatch.setattr(training, "_block_epochs", block_epochs)
         config = TrainerConfig(max_epochs=300, cost_tolerance=0.005)
-        for seeds, block in ((20, training._BLOCK_EPOCHS), (500, 1)):
-            nets = [_random_network(task, seed) for seed in range(seeds)]
-            outcome = _outcome(nets, task.examples, config)
-            assert blocks.pop() == block
-            assert outcome == _outcome(nets, task.examples, config, trainer=reference_train)
-            assert len({stop for _, stop, _ in outcome}) > 5
+        nets = [_random_network(task, seed) for seed in range(500)]
+        outcome = _outcome(nets, task.examples, config)
+        assert outcome == _outcome(nets, task.examples, config, trainer=reference_train)
+        assert len({stop for _, stop, _ in outcome}) > 5
+
+    def test_ragged_stops_on_a_large_table(self):
+        # a seeded table at k = 10, two outputs planted by random potentials
+        # on their own templates: 100 seeds stop from epoch 12 to past the
+        # 22-epoch budget, and a block's buffers hold megabytes
+        k = 10
+        rng = np.random.default_rng(10)
+        templates = (((1, 2), (3, 4, 5)), ((2, 7),))
+        inputs = enumerate_inputs(k)
+        spins = [s.spins for s in inputs]
+        labels = [
+            features(spins, t) @ rng.normal(size=k + len(t) + 1) > 0 for t in templates
+        ]
+        examples = [
+            TrainingExample(s, tuple(int(out[n]) for out in labels))
+            for n, s in enumerate(inputs)
+        ]
+        config = TrainerConfig(max_epochs=22, cost_tolerance=0.04)
+        nets = [
+            initialize_network(k, templates, TrainerConfig(seed=s)) for s in range(100)
+        ]
+        outcome = _outcome(nets, examples, config)
+        assert outcome == _outcome(nets, examples, config, trainer=reference_train)
+        stops = [stop for _, stop, _ in outcome]
+        assert None in stops and len(set(stops)) > 5
 
     def test_mixed_templates_or_arities_raise(self):
         paper = resolve_task("toffoli")
