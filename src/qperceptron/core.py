@@ -272,9 +272,11 @@ def _pack(p: NeuralPotential) -> np.ndarray:
 
 def _activations(potentials: Sequence[NeuralPotential], inputs) -> np.ndarray:
     """f(x) (N, len(potentials)) of each potential x on every encoded row (N, k)."""
+    xs = np.empty((len(inputs), len(potentials)))
     with np.errstate(over="ignore", invalid="ignore"):  # activation rejects inf, nan
-        xs = [_features(inputs, [t.indices for t in p.multi_terms]) @ _pack(p) for p in potentials]
-    return activation(np.stack(xs, axis=1))
+        for j, p in enumerate(potentials):
+            xs[:, j] = _features(inputs, [t.indices for t in p.multi_terms]) @ _pack(p)
+    return activation(xs)
 
 
 def _unpack(

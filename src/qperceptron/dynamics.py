@@ -42,6 +42,9 @@ index, consistent with the MSB-first integer convention of `core`.
 statevector_table evaluates a network on its whole truth table in one
 register evolution: perceptron gates control only on the input qubits,
 which no gate changes, so one superposed input register serves every row.
+Every gate is one kernel, _update_qubit, that maps one amplitude array to a
+new one and checks its norm; a Statevector is built only by a public call
+(one per apply_* call), so the table's rotations run on the bare array.
 """
 
 from __future__ import annotations
@@ -550,8 +553,9 @@ class Statevector:
 
 def zero_state(n: int) -> Statevector:
     """|0...0> on n qubits, at most MAX_QUBITS."""
-    n = _integer(n, **_QUBITS)
-    return basis_state(n, (0,) * n)
+    amps = np.zeros(2 ** _integer(n, **_QUBITS), dtype=complex)
+    amps[0] = 1.0
+    return Statevector(amps, n)
 
 
 def _basis_index(bits) -> np.ndarray:
@@ -570,16 +574,17 @@ def basis_state(n: int, bits: Sequence[int]) -> Statevector:
     return Statevector(amps, n)
 
 
-def _update_qubit(state: Statevector, j: int, pair) -> Statevector:
-    """state with pair(a0, a1) over its halves on qubit j, the [:, 0] and [:, 1]
-    of a (2^(j-1), 2, 2^(n-j)) view; IntegratorError if the norm drifts past NORM_TOL."""
-    view = state.amplitudes.reshape(2 ** (j - 1), 2, -1)
+def _update_qubit(amps: np.ndarray, j: int, pair) -> np.ndarray:
+    """The amplitudes (2^n,) with pair(a0, a1) over their halves on qubit j, the [:, 0] and
+    [:, 1] of a (2^(j-1), 2, 2^(n-j)) view, as a new array; IntegratorError if its norm
+    drifts past NORM_TOL.  Every gate runs through this one check."""
+    view = amps.reshape(2 ** (j - 1), 2, -1)
     out = np.empty_like(view)
     out[:, 0], out[:, 1] = pair(view[:, 0], view[:, 1])
-    new = Statevector(out.reshape(-1), state.n)
-    if abs(new.norm() - 1.0) > NORM_TOL:
-        raise IntegratorError(f"state norm drifted to {new.norm()!r}")
-    return new
+    norm = math.sqrt(np.vdot(out, out).real)  # vdot flattens both operands
+    if abs(norm - 1.0) > NORM_TOL:
+        raise IntegratorError(f"state norm drifted to {norm!r}")
+    return out.reshape(-1)
 
 
 def apply_hadamard(state: Statevector, j: int) -> Statevector:
@@ -587,7 +592,8 @@ def apply_hadamard(state: Statevector, j: int) -> Statevector:
     n = _instance(state, Statevector, "state").n
     j = _integer(j, "qubit", 1, n, error=InvalidWiringError)
     r = 1.0 / np.sqrt(2.0)
-    return _update_qubit(state, j, lambda a0, a1: ((a0 + a1) * r, (a0 - a1) * r))
+    out = _update_qubit(state.amplitudes, j, lambda a0, a1: ((a0 + a1) * r, (a0 - a1) * r))
+    return Statevector(out, n)
 
 
 def apply_perceptron_gate(
@@ -604,21 +610,17 @@ def apply_perceptron_gate(
     if target <= _instance(p, NeuralPotential, "p").arity:
         raise InvalidWiringError(f"target qubit {target} is among the input qubits 1..{p.arity}")
     prob = _activations([p], 2.0 * _bit_rows(p.arity) - 1.0)
-    return _rotate_target(state, prob[:, 0], p.arity, target)
+    return Statevector(_rotate_target(state.amplitudes, prob[:, 0], p.arity, target), n)
 
 
-def _rotate_target(
-    state: Statevector, prob: np.ndarray, k: int, target: int
-) -> Statevector:
-    """The rotation of apply_perceptron_gate on target, given f of its
-    potential on every configuration of input qubits 1..k (2^k,) in basis
-    index order."""
+def _rotate_target(amps: np.ndarray, prob: np.ndarray, k: int, target: int) -> np.ndarray:
+    """The rotation of apply_perceptron_gate on target of the amplitudes, given
+    f of its potential on every configuration of input qubits 1..k (2^k,) in
+    basis index order."""
     # a row per setting of qubits 1..target-1, of which 1..k are the inputs
     prob = np.repeat(prob, 2 ** (target - 1 - k))[:, None]
     c0, s0 = np.sqrt(1.0 - prob), np.sqrt(prob)
-    return _update_qubit(
-        state, target, lambda a0, a1: (c0 * a0 - s0 * a1, s0 * a0 + c0 * a1)
-    )
+    return _update_qubit(amps, target, lambda a0, a1: (c0 * a0 - s0 * a1, s0 * a0 + c0 * a1))
 
 
 def apply_network(
@@ -659,17 +661,18 @@ def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
     for j in range(1, k + 1):
         state = apply_hadamard(state, j)
     prob = _activations(potentials, 2.0 * _bit_rows(k) - 1.0)
+    amps = state.amplitudes
     for j in range(n_out):
-        state = _rotate_target(state, prob[:, j], k, k + 1 + j)
-    probs = np.abs(state.amplitudes.reshape(2**k, 2**n_out)) ** 2
+        amps = _rotate_target(amps, prob[:, j], k, k + 1 + j)
+    probs = np.abs(amps.reshape(2**k, 2**n_out)) ** 2
     return 2.0**k * (probs @ _bit_rows(n_out))  # column j: target j reads 1
 
 
 def forward_statevector(
     potentials: Sequence[NeuralPotential], s: SpinConfig
 ) -> np.ndarray:
-    """Network outputs on one basis input: the row of statevector_table for s."""
-    table = statevector_table(potentials)
-    if potentials[0].arity != len(_instance(s, SpinConfig, "s")):
-        raise InvalidInputError("every potential must match the input arity")
-    return table[_basis_index(s.bits)]
+    """Network outputs on one basis input s, checked before the register is built."""
+    k = len(_instance(s, SpinConfig, "s"))
+    if any(p.arity != k for p in _sequence(potentials, "potentials", NeuralPotential)):
+        raise InvalidInputError(f"s has {k} spins; every potential must take {k} inputs")
+    return statevector_table(potentials)[_basis_index(s.bits)]

@@ -281,7 +281,7 @@ def verify_truth_table(
 def _rows_at(mask: np.ndarray, *columns: np.ndarray) -> Rows:
     """Per row where mask holds, its row of each column as a tuple of ints."""
     picked = (c[mask].tolist() for c in columns)
-    return tuple(tuple(map(tuple, row)) for row in zip(*picked))
+    return tuple(tuple(map(tuple, row)) for row in zip(*picked)) if mask.any() else ()
 
 
 @dataclass(frozen=True)

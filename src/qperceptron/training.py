@@ -231,8 +231,8 @@ def _forward(
     targets: np.ndarray,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """1 + x^2 and the errors f(x) - t of every potential x, both (S, O, N);
-    the errors go to out when it is given.
+    """q32 = q * sqrt(q), q = 1 + x^2, and the errors f(x) - t of every
+    potential x, both (S, O, N); the errors go to out when it is given.
 
     einsum sums each entry over one seed's own row in a fixed order (BLAS
     blocking would depend on the number of rows), so a seed's numbers do not
@@ -247,13 +247,14 @@ def _forward(
         raise InvalidInputError(
             "training diverged: a potential is not finite or overflows"
         )
-    return q, np.subtract(0.5 * (1.0 + x / np.sqrt(q)), targets, out=out)
+    root = np.sqrt(q)
+    return q * root, np.subtract(0.5 * (1.0 + x / root), targets, out=out)
 
 
-def _gradients(design: np.ndarray, q: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """(1 / (N k)) * sum_n (y - t) f'(x) * feature, shaped like theta."""
+def _gradients(design: np.ndarray, q32: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """(1 / (N k)) * sum_n (y - t) f'(x) * feature, shaped like theta; f'(x) = 0.5 / q32."""
     n_outputs, n_examples, _ = design.shape
-    delta = err * (0.5 / (q * np.sqrt(q)))
+    delta = err * (0.5 / q32)
     scale = 1.0 / (n_examples * n_outputs)
     return scale * np.einsum("son,onp->sop", delta, design)
 
@@ -355,21 +356,21 @@ def train(
     start = 0  # the first epoch of the block
     # one scope for the whole run: an overflow raises "diverged" instead
     with np.errstate(over="ignore"):
-        q, err = _forward(design, theta, targets)
+        q32, err = _forward(design, theta, targets)
         thetas = np.empty((_BLOCK_EPOCHS, *theta.shape))
         errs = np.empty((_BLOCK_EPOCHS, *err.shape))
         while active.size and start < config.max_epochs:
             n = active.size  # the running networks fill the leading rows
             size = min(_BLOCK_EPOCHS, config.max_epochs - start)
             for i in range(size):
-                grad = _gradients(design, q, err)
+                grad = _gradients(design, q32, err)
                 theta = np.subtract(theta, config.eta * grad, out=thetas[i, :n])
                 try:
-                    q, err = _forward(design, theta, targets, errs[i, :n])
+                    q32, err = _forward(design, theta, targets, errs[i, :n])
                 except InvalidInputError:
                     if i == 0:  # no network in the batch has stopped
                         raise
-                    size, theta = i, thetas[i - 1, :n]  # q, err: still epoch i - 1's
+                    size, theta = i, thetas[i - 1, :n]  # q32, err: still epoch i - 1's
                     break
             c = _costs(errs[:size, :n])
             if c.min() < tol:  # costs are finite: _forward checks
@@ -381,8 +382,8 @@ def train(
                 ran[active[done]] = start + stop[done] + 1
                 final[active[done]] = thetas[stop[done], done.nonzero()[0]]
                 keep = ~done
-                active, c, theta, q, err = (
-                    active[keep], c[:, keep], theta[keep], q[keep], err[keep]
+                active, c, theta, q32, err = (
+                    active[keep], c[:, keep], theta[keep], q32[keep], err[keep]
                 )
             costs[active, start : start + size] = c.T
             start += size

@@ -1084,7 +1084,7 @@ class TestQubitUpdate:
             expected = update_qubit(
                 state, target, lambda a0, a1: (c0 * a0 - s0 * a1, s0 * a0 + c0 * a1)
             )
-            got = dynamics._rotate_target(state, prob, k, target).amplitudes
+            got = dynamics._rotate_target(state.amplitudes, prob, k, target)
             assert got.tobytes() == expected.tobytes()
 
 
@@ -1304,3 +1304,31 @@ class TestStatevectorTable:
             statevector_table(mixed)
         with pytest.raises(InvalidInputError):
             forward_statevector(mixed[:1], SpinConfig((1, 1, 1)))
+
+    def test_forward_statevector_checks_s_before_it_builds_the_register(self, monkeypatch):
+        def no_table(potentials):
+            raise AssertionError("the register was evolved before s was checked")
+
+        monkeypatch.setattr(dynamics, "statevector_table", no_table)
+        wide = [NeuralPotential((0.0,) * 16, 0.0)] * 4  # a register of 2^20 amplitudes
+        with pytest.raises(InvalidInputError, match="s has 3 spins; every potential must take 3"):
+            forward_statevector(wide, SpinConfig((1, -1, 1)))
+        with pytest.raises(InvalidInputError, match=r"s must be a SpinConfig, got \(1, -1\)"):
+            forward_statevector(wide, (1, -1))
+
+    def test_every_gate_of_the_table_checks_the_norm(self, monkeypatch):
+        # k Hadamards and one rotation per output, each through the kernel
+        # that holds the check; with NORM_TOL below 0 the first one raises
+        potentials = _random_network_potentials(np.random.default_rng(43), 3, 2)
+        kernel, gates = dynamics._update_qubit, []
+
+        def spy(amps, j, pair):
+            gates.append(j)
+            return kernel(amps, j, pair)
+
+        monkeypatch.setattr(dynamics, "_update_qubit", spy)
+        statevector_table(potentials)
+        assert gates == [1, 2, 3, 4, 5]
+        monkeypatch.setattr(dynamics, "NORM_TOL", -1.0)
+        with pytest.raises(IntegratorError, match="state norm drifted to "):
+            statevector_table(potentials)

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +22,7 @@ from scipy.optimize import linprog
 from qperceptron import (
     TASK_IDS,
     TEMPLATES,
+    IntegratorError,
     InvalidInputError,
     MultiQubitTerm,
     NeuralPotential,
@@ -28,10 +34,12 @@ from qperceptron import (
     canonical_task_id,
     check_exact_representability,
     cost,
+    dynamics,
     enumerate_inputs,
     initialize_network,
     resolve_task,
     scale_potential,
+    statevector_table,
     tasks,
     train,
     verify_truth_table,
@@ -342,6 +350,14 @@ class TestResolveTask:
 
 
 class TestVerifyTruthTable:
+    def test_the_statevector_engine_checks_the_norm_of_its_register(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "NORM_TOL", -1.0)
+        task = resolve_task("cnot")
+        net = initialize_network(task.arity, task.templates, TrainerConfig())
+        assert verify_truth_table(net, task, "scalar").n_rows == 4
+        with pytest.raises(IntegratorError, match="state norm drifted to "):
+            verify_truth_table(net, task, "statevector")
+
     def test_saturated_xor_network_passes_all_rows(self):
         p = NeuralPotential((0.0, 0.0), 0.0, (MultiQubitTerm((1, 2), -20.0),))
         net = TrainedNetwork((p,), 2)
@@ -994,3 +1010,92 @@ class TestScalePotential:
         p = NeuralPotential((0.5, -1.0), 0.25, (MultiQubitTerm((1, 2), 2.0),))
         with pytest.raises(InvalidInputError, match=message):
             scale_potential(p, factor)
+
+
+def _planted_networks():
+    """Seeded (task, network) pairs at k = 3..7, two outputs of two pair terms
+    each: integer weights and a half-integer bias, whose signs are the labels."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for k in range(3, 8):
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        templates = tuple(
+            tuple(sorted(pairs[i] for i in rng.choice(len(pairs), 2, replace=False)))
+            for _ in range(2)
+        )
+        potentials = tuple(
+            _unpack(k, t, np.append(rng.integers(-3, 4, k + 2), rng.integers(-2, 3) + 0.5))
+            for t in templates
+        )
+        spins = [s.spins for s in enumerate_inputs(k)]
+        labels = [features(spins, t) @ _pack(p) > 0 for t, p in zip(templates, potentials)]
+        examples = tuple(
+            TrainingExample(s, tuple(int(v) for v in row))
+            for s, row in zip(enumerate_inputs(k), zip(*labels))
+        )
+        task = TaskSpec(f"planted-k{k}", k, templates, examples)
+        cases.append((task, TrainedNetwork(potentials, k)))
+    return cases
+
+
+def _verifier_and_oracle_text():
+    """One line per table: a digest of each output's verdict (margin and
+    witness as bits) up to MAX_ORACLE_ARITY, and of the statevector table and
+    both engines' reports for a seeded random network, the planting network
+    if any, and the witnesses when every output is feasible.  The tables are
+    every stored task x template x bit order, _random_tables()'s uniform and
+    planted ones, and _planted_networks()'s."""
+    cases = []
+    for task_id, template, order in itertools.product(TASK_IDS, TEMPLATES, ("msb", "lsb")):
+        try:
+            cases.append((resolve_task(task_id, order, template), None))
+        except InvalidInputError:  # "extended" exists for three tasks only
+            continue
+    cases += [(task, None) for task in _random_tables()] + _planted_networks()
+    lines = []
+    for i, (task, planted) in enumerate(cases):
+        digest = hashlib.sha256()
+        outputs = range(task.n_outputs) if task.arity <= MAX_ORACLE_ARITY else ()
+        verdicts = [check_exact_representability(task, j) for j in outputs]
+        nets = [initialize_network(task.arity, task.templates, TrainerConfig(init_range=2.0))]
+        nets += [planted] if planted else []
+        if verdicts and all(v.feasible for v in verdicts):
+            nets.append(TrainedNetwork(tuple(v.witness for v in verdicts), task.arity))
+        for verdict in verdicts:
+            digest.update(repr(_fields(verdict)).encode())
+        for net in nets:
+            digest.update(statevector_table(net.perceptrons).tobytes())
+            for engine in ("scalar", "statevector"):
+                report = verify_truth_table(net, task, engine)
+                digest.update(f"{report!r} {report.max_abs_error.hex()}".encode())
+        lines.append(f"{i} {task.name} {task.templates} {digest.hexdigest()}\n")
+    return "".join(lines)
+
+
+def test_the_verifier_and_the_oracle_read_the_same_under_a_reduced_dispatch(tmp_path):
+    # numpy picks its AVX-512 or AVX2 kernels at import; the statevector
+    # tables, both engines' reports and the verdicts must not depend on it
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    names = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    disabled = [name for name in names if __cpu_features__.get(name)]
+    if not disabled:
+        pytest.skip(f"none of {', '.join(names)} is enabled in this process")
+    src = str(Path(tasks.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; "
+            "from test_tasks import _verifier_and_oracle_text; "
+            "sys.stdout.write(_verifier_and_oracle_text())",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _verifier_and_oracle_text()
