@@ -44,7 +44,8 @@ register evolution: perceptron gates control only on the input qubits,
 which no gate changes, so one superposed input register serves every row.
 Every gate is one kernel, _update_qubit, that maps one amplitude array to a
 new one and checks its norm; a Statevector is built only by a public call
-(one per apply_* call), so the table's rotations run on the bare array.
+(one per apply_* call).  The table writes the superposed inputs straight
+into zero_state's array and runs its rotations on that bare array.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    _POSITIVE,
     InvalidInputError,
     NeuralPotential,
     SpinConfig,
@@ -83,7 +85,6 @@ __all__ = [
     "Statevector",
     "zero_state",
     "basis_state",
-    "apply_hadamard",
     "apply_perceptron_gate",
     "apply_network",
     "statevector_table",
@@ -181,6 +182,7 @@ class AdiabaticSchedule:
 def default_schedule(x: float) -> AdiabaticSchedule:
     """Default ramp for x: start at OMEGA_START_FACTOR * max(1, |x|), end at 1."""
     x = _real(x, "x", finite=False)
+    _check_magnitudes(x=x)
     return AdiabaticSchedule(OMEGA_START_FACTOR * max(1.0, abs(x)))
 
 
@@ -194,6 +196,8 @@ def instantaneous_upper_eigenstate(x, omega):
     x, omega = _real_array(x), _real_array(omega)
     if x is None or omega is None:
         raise InvalidInputError("x and omega must be real: numbers or arrays of them")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(omega))):
+        raise InvalidInputError("x and omega must be finite")
     if not np.all(omega > 0.0):
         raise InvalidInputError("omega must be positive")
     p = activation(x / omega)
@@ -484,7 +488,7 @@ def _profile_schedule(
     end points hold, so adiabatic-check checks it before building the grid.
     """
     # Bound both before their product forms the drive, which could overflow.
-    _real(omega_start_factor, "omega_start_factor", finite=False)
+    _real(omega_start_factor, "omega_start_factor", _POSITIVE, finite=False)
     _check_magnitudes(x=xs, omega_start_factor=omega_start_factor)
     starts = omega_start_factor * np.maximum(1.0, np.abs(xs))
     return starts, AdiabaticSchedule(float(starts.max()), omega_end, t_f, dt, ramp)
@@ -548,7 +552,7 @@ class Statevector:
             )
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def zero_state(n: int) -> Statevector:
@@ -585,15 +589,6 @@ def _update_qubit(amps: np.ndarray, j: int, pair) -> np.ndarray:
     if abs(norm - 1.0) > NORM_TOL:
         raise IntegratorError(f"state norm drifted to {norm!r}")
     return out.reshape(-1)
-
-
-def apply_hadamard(state: Statevector, j: int) -> Statevector:
-    """Hadamard on qubit j (an involution)."""
-    n = _instance(state, Statevector, "state").n
-    j = _integer(j, "qubit", 1, n, error=InvalidWiringError)
-    r = 1.0 / np.sqrt(2.0)
-    out = _update_qubit(state.amplitudes, j, lambda a0, a1: ((a0 + a1) * r, (a0 - a1) * r))
-    return Statevector(out, n)
 
 
 def apply_perceptron_gate(
@@ -643,11 +638,12 @@ def apply_network(
 def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
     """Network outputs on every basis input from one statevector evolution.
 
-    Puts k input qubits in the uniform superposition (a Hadamard on each)
-    and one |0> target per potential, applies every perceptron gate once,
-    and returns the (2^k, outputs) table whose row i holds each target's
-    excitation probability conditioned on the inputs reading basis state i:
-    its marginal on that row, times 2^k.  zero_state checks the register,
+    Puts k input qubits in the uniform superposition (the state a Hadamard
+    on each would leave, written directly) and one |0> target per
+    potential, applies every perceptron gate once, and returns the
+    (2^k, outputs) table whose row i holds each target's excitation
+    probability conditioned on the inputs reading basis state i: its
+    marginal on that row, times 2^k.  zero_state checks the register,
     k + outputs qubits, against MAX_QUBITS before it allocates it.
     """
     potentials = _sequence(potentials, "potentials", NeuralPotential)
@@ -657,11 +653,10 @@ def statevector_table(potentials: Sequence[NeuralPotential]) -> np.ndarray:
     if any(p.arity != k for p in potentials):
         raise InvalidInputError("every potential must match the input arity")
     n_out = len(potentials)
-    state = zero_state(k + n_out)
-    for j in range(1, k + 1):
-        state = apply_hadamard(state, j)
+    amps = zero_state(k + n_out).amplitudes
+    # r^k, multiplied out as the k Hadamards do (r**k may round apart), where targets read 0
+    amps.reshape(2**k, 2**n_out)[:, 0] = math.prod([1.0 / np.sqrt(2.0)] * k)
     prob = _activations(potentials, 2.0 * _bit_rows(k) - 1.0)
-    amps = state.amplitudes
     for j in range(n_out):
         amps = _rotate_target(amps, prob[:, j], k, k + 1 + j)
     probs = np.abs(amps.reshape(2**k, 2**n_out)) ** 2

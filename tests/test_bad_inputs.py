@@ -110,7 +110,6 @@ CALLS: dict[str, tuple[tuple, dict]] = {
     "Statevector": (([1.0, 0.0], 1), {}),
     "zero_state": ((2,), {}),
     "basis_state": ((2, (0, 1)), {}),
-    "apply_hadamard": ((zero_state(2), 1), {}),
     "apply_perceptron_gate": ((zero_state(3), P, 3), {}),
     "apply_network": ((zero_state(3), [(P, 3)]), {}),
     "statevector_table": (([P],), {}),

@@ -22,7 +22,6 @@ from qperceptron import (
     activation,
     adiabatic_evolve,
     adiabatic_profile,
-    apply_hadamard,
     apply_network,
     apply_perceptron_gate,
     basis_state,
@@ -55,6 +54,8 @@ from references import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# |+>|0>: qubit 1 in the equal superposition
+PLUS_ZERO = Statevector([INV_SQRT2, 0.0, INV_SQRT2, 0.0], 2)
 
 
 def _omega(s, t):
@@ -167,6 +168,14 @@ class TestHamiltonianAndEigenstate:
         with pytest.raises(InvalidInputError, match="must be real"):
             instantaneous_upper_eigenstate(x, omega)
 
+    @pytest.mark.parametrize(
+        "x, omega",
+        [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf), ([0.0, -np.inf], 1.0)],
+    )
+    def test_rejects_an_argument_that_is_not_finite(self, x, omega):
+        with pytest.raises(InvalidInputError, match="^x and omega must be finite$"):
+            instantaneous_upper_eigenstate(x, omega)
+
     def test_array_arguments_broadcast(self):
         xs, omegas = np.array([[0.0], [1.0]]), np.array([1.0, 2.0, 4.0])
         lower, upper = instantaneous_upper_eigenstate(xs, omegas)
@@ -201,6 +210,12 @@ class TestAdiabaticEvolve:
             lambda: default_schedule(x),
         ):
             with pytest.raises(InvalidInputError, match="x must be a real number"):
+                call()
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, 10**400], ids=["inf", "-inf", "10**400"])
+    def test_rejects_a_potential_past_the_bound_by_its_name(self, x):
+        for call in (lambda: adiabatic_evolve(x), lambda: default_schedule(x)):
+            with pytest.raises(InvalidInputError, match=r"^\|x\| must be at most MAX_MAGNITUDE"):
                 call()
 
     def test_rejects_a_schedule_of_another_type(self):
@@ -289,6 +304,8 @@ class TestAdiabaticProfile:
             ([1.0], {"t_f": None}, "t_f must be a real number"),
             ([1.0], {"omega_end": "a"}, "omega_end must be a real number"),
             ([1.0], {"omega_start_factor": "a"}, "omega_start_factor must be a real"),
+            ([0.5], {"omega_start_factor": 0.0}, "omega_start_factor must be at least"),
+            ([0.5], {"omega_start_factor": -1.0}, "omega_start_factor must be at least"),
         ],
     )
     def test_rejects_a_grid_or_setting_of_the_wrong_kind(self, xs, settings, message):
@@ -949,23 +966,9 @@ class TestRegister:
         with pytest.raises(InvalidInputError):
             basis_state(2, (1,))
 
-    def test_single_qubit_superposition(self):
-        state = apply_hadamard(zero_state(1), 1)
-        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2])
-
-    def test_second_qubit_superposition(self):
-        state = apply_hadamard(zero_state(2), 2)
-        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2, 0, 0])
-
-    def test_hadamard_involution(self):
-        state = basis_state(3, (0, 1, 0))
-        back = apply_hadamard(apply_hadamard(state, 2), 2)
-        np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-15)
-
     def test_excitation_probability_basics(self):
         assert excitation_probability(zero_state(3), 2) == 0.0
-        state = apply_hadamard(zero_state(2), 1)
-        assert excitation_probability(state, 1) == pytest.approx(0.5)
+        assert excitation_probability(PLUS_ZERO, 1) == pytest.approx(0.5)
 
     def test_excitation_sums_to_one_with_ground(self):
         rng = np.random.default_rng(3)
@@ -1006,13 +1009,11 @@ class TestRegister:
         assert peak < 2**20
 
     def test_a_gate_output_off_unit_norm_aborts(self):
-        # both gates preserve the norm, so a state 1e-9 off it stays off;
+        # the gate preserves the norm, so a state 1e-9 off it stays off;
         # that is past NORM_TOL = 1e-12
         p = NeuralPotential((0.5,), 0.0, ())
         state = Statevector(basis_state(2, (1, 0)).amplitudes * (1.0 + 1e-9), 2)
         drifted = r"state norm drifted to 1\.0000000(0|1)"
-        with pytest.raises(IntegratorError, match=drifted):
-            apply_hadamard(state, 1)
         with pytest.raises(IntegratorError, match=drifted):
             apply_perceptron_gate(state, p, 2)
 
@@ -1020,32 +1021,27 @@ class TestRegister:
     def test_rejects_a_qubit_that_is_not_an_integer(self, j):
         p = NeuralPotential((0.5,), 0.0, ())
         with pytest.raises(InvalidWiringError, match="qubit must be an integer"):
-            apply_hadamard(zero_state(3), j)
-        with pytest.raises(InvalidWiringError, match="qubit must be an integer"):
             apply_perceptron_gate(zero_state(3), p, j)
         with pytest.raises(InvalidWiringError, match="qubit must be an integer"):
             apply_network(zero_state(3), [(p, j)])
 
     def test_an_integer_qubit_of_another_type_is_that_qubit(self):
         p = NeuralPotential((0.5,), 0.0, ())
-        state = apply_hadamard(zero_state(2), 1)
         for j in (np.int64(2), np.uint8(2)):
-            expected = apply_hadamard(state, 2).amplitudes
-            np.testing.assert_array_equal(apply_hadamard(state, j).amplitudes, expected)
-            expected = apply_perceptron_gate(state, p, 2).amplitudes
-            out = apply_perceptron_gate(state, p, j).amplitudes
+            expected = apply_perceptron_gate(PLUS_ZERO, p, 2).amplitudes
+            out = apply_perceptron_gate(PLUS_ZERO, p, j).amplitudes
             np.testing.assert_array_equal(out, expected)
-        np.testing.assert_array_equal(
-            apply_hadamard(state, True).amplitudes, apply_hadamard(state, 1).amplitudes
-        )
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_rejects_a_qubit_outside_the_register(self, j):
         p = NeuralPotential((0.5,), 0.0, ())
         with pytest.raises(InvalidWiringError, match=r"qubit must be in \[1, 2\], got"):
-            apply_hadamard(zero_state(2), j)
-        with pytest.raises(InvalidWiringError, match=r"qubit must be in \[1, 2\], got"):
             apply_perceptron_gate(zero_state(2), p, j)
+
+
+def _hadamard(a0, a1):
+    """The Hadamard on a qubit's halves (a0, a1), for update_qubit."""
+    return (a0 + a1) * INV_SQRT2, (a0 - a1) * INV_SQRT2
 
 
 def _random_state(rng, n):
@@ -1060,15 +1056,11 @@ class TestQubitUpdate:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_the_hadamard_is_the_reference_writer_bit_for_bit(self, n):
         rng = np.random.default_rng(700 + n)
-        r = 1.0 / np.sqrt(2.0)
-
-        def hadamard(a0, a1):
-            return (a0 + a1) * r, (a0 - a1) * r
-
         for j in range(1, n + 1):
             state = _random_state(rng, n)
-            expected = update_qubit(state, j, hadamard)
-            assert apply_hadamard(state, j).amplitudes.tobytes() == expected.tobytes()
+            expected = update_qubit(state, j, _hadamard)
+            got = dynamics._update_qubit(state.amplitudes, j, _hadamard)
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_the_rotation_is_the_reference_writer_bit_for_bit(self, n):
@@ -1159,9 +1151,8 @@ class TestPerceptronGate:
 
 class TestNetworkApplication:
     def test_empty_wiring_is_identity(self):
-        state = apply_hadamard(zero_state(2), 1)
-        out = apply_network(state, [])
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes)
+        out = apply_network(PLUS_ZERO, [])
+        np.testing.assert_allclose(out.amplitudes, PLUS_ZERO.amplitudes)
 
     def test_single_gate_matches_direct_application(self):
         rng = np.random.default_rng(29)
@@ -1217,6 +1208,14 @@ def _random_network_potentials(rng, k, n_out):
     return potentials
 
 
+def _uniform_inputs(k, n_out):
+    """The reference circuit's k Hadamards on inputs 1..k of |0> on k + n_out qubits."""
+    state = zero_state(k + n_out)
+    for j in range(1, k + 1):
+        state = Statevector(update_qubit(state, j, _hadamard), k + n_out)
+    return state
+
+
 class TestStatevectorTable:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_agrees_with_one_register_per_row(self, k):
@@ -1248,9 +1247,7 @@ class TestStatevectorTable:
             state = apply_network(basis_state(k + n_out, bits + [0] * n_out), wiring)
             row = [excitation_probability(state, t) for _, t in wiring]
             np.testing.assert_allclose(table[i], row, rtol=0, atol=1e-12)
-        state = zero_state(k + n_out)
-        for j in range(1, k + 1):
-            state = apply_hadamard(state, j)
+        state = _uniform_inputs(k, n_out)
         for p, target in wiring:
             state = apply_perceptron_gate(state, p, target)
             assert abs(state.norm() - 1.0) <= 1e-12
@@ -1267,14 +1264,25 @@ class TestStatevectorTable:
         # the table takes every output's activations at once; the gates take
         # one potential each
         k, n_out = network[0].arity, len(network)
-        state = zero_state(k + n_out)
-        for j in range(1, k + 1):
-            state = apply_hadamard(state, j)
+        state = _uniform_inputs(k, n_out)
         for j, p in enumerate(network):
             state = apply_perceptron_gate(state, p, k + 1 + j)
         probs = np.abs(state.amplitudes.reshape(2**k, 2**n_out)) ** 2
         expected = 2.0**k * (probs @ _bit_rows(n_out))
         np.testing.assert_array_equal(statevector_table(network), expected)
+
+    @pytest.mark.parametrize("k", [1, 5, 6, 9, 12])
+    def test_prepares_the_state_of_the_hadamards_bit_for_bit(self, k, monkeypatch):
+        # from k = 6 on, r**k rounds apart from the gates' running product
+        prepared, rotate = [], dynamics._rotate_target
+
+        def spy(amps, prob, k, target):
+            prepared.append(amps.tobytes())
+            return rotate(amps, prob, k, target)
+
+        monkeypatch.setattr(dynamics, "_rotate_target", spy)
+        statevector_table([NeuralPotential((0.5,) * k, 0.0)] * 2)
+        assert prepared[0] == _uniform_inputs(k, 2).amplitudes.tobytes()
 
     def test_forward_statevector_is_the_row_of_its_input(self):
         rng = np.random.default_rng(41)
@@ -1316,9 +1324,22 @@ class TestStatevectorTable:
         with pytest.raises(InvalidInputError, match=r"s must be a SpinConfig, got \(1, -1\)"):
             forward_statevector(wide, (1, -1))
 
+    def test_builds_one_statevector(self, monkeypatch):
+        # zero_state's; every gate runs on its bare amplitude array
+        built, check = [], Statevector.__post_init__
+
+        def spy(state):
+            built.append(state.n)
+            check(state)
+
+        monkeypatch.setattr(Statevector, "__post_init__", spy)
+        statevector_table(_random_network_potentials(np.random.default_rng(47), 3, 2))
+        assert built == [5]
+
     def test_every_gate_of_the_table_checks_the_norm(self, monkeypatch):
-        # k Hadamards and one rotation per output, each through the kernel
-        # that holds the check; with NORM_TOL below 0 the first one raises
+        # one rotation per output, each through the kernel that holds the
+        # check, the first on the prepared state; with NORM_TOL below 0 the
+        # first one raises
         potentials = _random_network_potentials(np.random.default_rng(43), 3, 2)
         kernel, gates = dynamics._update_qubit, []
 
@@ -1328,7 +1349,7 @@ class TestStatevectorTable:
 
         monkeypatch.setattr(dynamics, "_update_qubit", spy)
         statevector_table(potentials)
-        assert gates == [1, 2, 3, 4, 5]
+        assert gates == [4, 5]
         monkeypatch.setattr(dynamics, "NORM_TOL", -1.0)
         with pytest.raises(IntegratorError, match="state norm drifted to "):
             statevector_table(potentials)

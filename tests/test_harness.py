@@ -9,6 +9,8 @@ import io
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -875,6 +877,7 @@ class TestCliAdiabaticCheck:
             (["--x-min", "inf"], "finite"),
             (["--x-min=-1e308", "--x-max=1e308"], "finite"),
             (["--omega-factor", "5"], "slow-start bound"),
+            (["--omega-factor", "0"], "omega_start_factor must be at least"),
             (["--x-min=1e306", "--x-max=1e306", "--points", "1"], "|x| must"),
             (["--x-min=-1e307", "--x-max=1e307"], "|x| must"),
             (["--omega-factor", "1e300"], "|omega_start_factor| must"),
@@ -1450,3 +1453,31 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "train" in proc.stdout
+
+
+def _readme_blocks() -> list[tuple[str, str]]:
+    """(language, body) of every fenced block of README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+class TestReadmeExamples:
+    def test_every_command_line_example_exits_zero(self, tmp_path, monkeypatch, capsys):
+        # in order: gate-verify reads the summary.json that train writes
+        monkeypatch.chdir(tmp_path)
+        lines = [
+            line
+            for _, body in _readme_blocks()
+            for line in body.splitlines()
+            if line.startswith("qperceptron ")
+        ]
+        assert len(lines) == 6
+        for line in lines:
+            assert cli(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
+
+    def test_the_python_api_example_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (code,) = [body for language, body in _readme_blocks() if language == "python"]
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0] == "7.0"
